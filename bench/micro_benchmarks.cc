@@ -26,7 +26,6 @@
 #include "mcmc/distribution.h"
 #include "mcmc/transition.h"
 #include "mcmc/walker.h"
-#include "random/alias_table.h"
 #include "random/sampling.h"
 
 namespace wnw {
@@ -373,19 +372,6 @@ void BM_ShardedBackendFetch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShardedBackendFetch);
-
-void BM_AliasTableSample(benchmark::State& state) {
-  Rng build_rng(5);
-  std::vector<double> weights(10000);
-  for (double& w : weights) w = build_rng.NextDouble() + 0.01;
-  AliasTable table(weights);
-  Rng rng(6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Sample(rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AliasTableSample);
 
 void BM_WeightedPickLinear(benchmark::State& state) {
   Rng build_rng(7);

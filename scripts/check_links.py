@@ -12,11 +12,6 @@ External links (http/https/mailto) are NOT fetched — CI must not flake on
 the network — but their syntax is still validated. Exits non-zero listing
 every broken link, so the docs tree cannot rot silently.
 
-Also cross-checks the spec-string reference: every session-reserved key
-registered in src/core/registry.cc (the kReserved table behind
-ReservedSessionKeys()) must appear as a `key` somewhere in
-docs/SPEC_STRINGS.md, so new reserved keys cannot land undocumented.
-
 Usage: python3 scripts/check_links.py [repo_root]
 """
 
@@ -73,41 +68,6 @@ def collect_anchors(path: Path):
     return anchors
 
 
-RESERVED_TABLE_RE = re.compile(
-    r"ReservedKeyInfo\s+kReserved\[\]\s*=\s*\{(.*?)\n\s*\};", re.DOTALL)
-RESERVED_KEY_RE = re.compile(r"\{\s*\"([a-z_]+)\"\s*,")
-
-
-def reserved_session_keys(root: Path):
-    """Reserved spec keys parsed out of the kReserved table in registry.cc."""
-    registry = root / "src" / "core" / "registry.cc"
-    if not registry.is_file():
-        return []
-    table = RESERVED_TABLE_RE.search(registry.read_text(encoding="utf-8"))
-    if table is None:
-        return None  # table moved/renamed: flag it rather than pass silently
-    return RESERVED_KEY_RE.findall(table.group(1))
-
-
-def check_reserved_keys_documented(root: Path, errors):
-    spec_doc = root / "docs" / "SPEC_STRINGS.md"
-    if not spec_doc.is_file():
-        errors.append("docs/SPEC_STRINGS.md missing (reserved-key reference)")
-        return
-    keys = reserved_session_keys(root)
-    if keys is None:
-        errors.append(
-            "src/core/registry.cc: kReserved table not found — update "
-            "check_links.py's parser to follow it")
-        return
-    text = spec_doc.read_text(encoding="utf-8")
-    for key in keys:
-        if f"`{key}`" not in text:
-            errors.append(
-                f"docs/SPEC_STRINGS.md: reserved session key `{key}` "
-                f"(src/core/registry.cc) is undocumented")
-
-
 def check(root: Path) -> int:
     errors = []
     anchor_cache = {}
@@ -131,7 +91,6 @@ def check(root: Path) -> int:
                     errors.append(
                         f"{where}: no heading for anchor '#{fragment}' in "
                         f"'{path.name}'")
-    check_reserved_keys_documented(root, errors)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     checked = len(markdown_files(root))

@@ -283,9 +283,12 @@ void CompletionExecutor::DispatchNative(Op op) {
       // and if this wrapper (destroyed later, on the backend's loop
       // thread) still held one, the backend's destructor would join its
       // own loop thread. Retired references are released from submission
-      // paths / the executor destructor instead.
+      // paths / the executor destructor instead. The op is counted here
+      // too, so a waiter returning from Wait() sees it in stats().
       std::lock_guard<std::mutex> lock(self->mu_);
       self->retired_.push_back(std::move(ctx->backend));
+      ++self->stats_.completed;
+      ++self->stats_.native_completions;
     }
     FetchCallback done = std::move(ctx->done);
     done(std::move(result));
@@ -296,8 +299,6 @@ void CompletionExecutor::DispatchNative(Op op) {
 void CompletionExecutor::OnNativeComplete() {
   std::unique_lock<std::mutex> lock(mu_);
   --in_flight_;
-  ++stats_.completed;
-  ++stats_.native_completions;
   if (stopping_) {
     // The destructor may be waiting for the last native completion. Only
     // the notify happens after the counters — nothing below touches the
@@ -361,12 +362,15 @@ void CompletionExecutor::WorkerLoop() {
     // backend's and then the executor's destructor, and the executor would
     // join() its own thread (EDEADLK abort).
     op.fn = nullptr;
+    lock.lock();
+    ++stats_.completed;  // counted before `done` publishes the result
+    lock.unlock();
     FetchCallback done = std::move(op.done);
     done(std::move(result));
     done = nullptr;
     lock.lock();
+    // The slot frees only after `done` returns: that bounds the window.
     --in_flight_;
-    ++stats_.completed;
     if (!stopping_) PumpLocked(lock);
   }
 }

@@ -252,8 +252,4 @@ class CompletionExecutor {
   std::vector<std::thread> workers_;
 };
 
-/// The executor's pre-PR-8 name; call sites and specs predating completion
-/// dispatch still read naturally with it.
-using AsyncFetchExecutor = CompletionExecutor;
-
 }  // namespace wnw

@@ -1,6 +1,7 @@
 #include "core/registry.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 #include "util/string_util.h"
@@ -151,10 +152,12 @@ bool ParamReader::Read(std::string_view key, uint64_t* out) {
 bool ParamReader::Read(std::string_view key, double* out) {
   const std::string* raw = Consume(key);
   if (raw == nullptr) return false;
-  if (!ParseDouble(*raw, out)) {
-    Fail(key, "a number");
+  double value = 0.0;
+  if (!ParseDouble(*raw, &value) || !std::isfinite(value)) {
+    Fail(key, "a finite number");
     return false;
   }
+  *out = value;
   return true;
 }
 
@@ -214,87 +217,6 @@ Result<WalkEstimateVariant> ParseVariantKey(std::string_view key) {
   if (key == "weighted") return WalkEstimateVariant::kWeightedOnly;
   return Status::InvalidArgument("unknown variant '" + std::string(key) +
                                  "' (expected full|none|crawl|weighted)");
-}
-
-std::span<const ReservedKeyInfo> ReservedSessionKeys() {
-  // Keep in sync with ExtractBackendParams in core/session.cc and with
-  // docs/SPEC_STRINGS.md.
-  static constexpr ReservedKeyInfo kReserved[] = {
-      {"backend",
-       "origin/decorator selection: memory (default) | latency | remote"},
-      {"mean_ms", "mean simulated RTT per request, >= 0 (default 50)"},
-      {"jitter_ms", "uniform RTT jitter, >= 0 (default 0)"},
-      {"fail_rate", "per-attempt failure probability in [0, 1) (default 0)"},
-      {"retry_ms", "simulated backoff before a retry, >= 0 (default 200)"},
-      {"retries", "retry budget beyond the first attempt (default 64)"},
-      {"net_seed", "latency/failure RNG seed (default 0xfeed)"},
-      {"sleep_scale",
-       "real-sleep factor: requests sleep simulated*scale wall-clock "
-       "seconds, >= 0 (default 0 = accounting only)"},
-      {"shards",
-       "origin shards: vertex-partitioned ShardedBackend, each shard with "
-       "its own lock/limiter/latency stack, in [1, 256] (absent = unsharded "
-       "origin)"},
-      {"partition",
-       "shard partitioner: hash (default) | range | degree (requires "
-       "shards)"},
-      {"snapshot",
-       "disk-backed origin: path to a wnw_snapshot file; the backend mmaps "
-       "and serves it instead of the in-process graph (byte-identical "
-       "responses; composes with latency/shards)"},
-      {"snapshot_verify",
-       "on (default) | off: off is the trusted-open fast path — skip the "
-       "snapshot checksum scan and shard cross-check (requires snapshot)"},
-      {"addr",
-       "remote origin: host:port of a wnw_serve daemon (requires "
-       "backend=remote; conflicts with snapshot/shards — the server owns "
-       "the origin)"},
-      {"deadline_ms",
-       "remote per-request deadline in ms, > 0 (default 5000; requires "
-       "backend=remote)"},
-      {"connections",
-       "remote connection-pool size, in [1, 64] (default 2; requires "
-       "backend=remote)"},
-      {"rpc_retries",
-       "remote retry budget beyond the first attempt for transient "
-       "failures, in [0, 100] (default 2; requires backend=remote)"},
-      {"rpc_backoff_ms",
-       "remote backoff before retry k: k * rpc_backoff_ms, >= 0 (default "
-       "50; requires backend=remote)"},
-      {"cache_file",
-       "persistent query cache: snapshot-container file loaded at open "
-       "when it exists (warm start) and saved back on session close"},
-      {"window",
-       "async fetch executor: max in-flight requests, in [1, 1024] "
-       "(absent = synchronous fetching)"},
-      {"threads",
-       "executor worker threads, in [0, 256]; 0 sizes the pool to the "
-       "window (requires window)"},
-      {"dispatch",
-       "executor dispatch mode: completion (default; completion-native "
-       "backends finish off their event loop, pool ≈ cores otherwise) | "
-       "threads (every fetch on a pool worker, threads ≈ window — the "
-       "ablation baseline; requires window)"},
-      {"engine",
-       "execution engine: block runs the spec on the block-scheduled walk "
-       "engine (RunWalkEngine / wnw_sample); plain SamplingSession::Open "
-       "rejects it"},
-      {"walkers",
-       "block engine: logical walker count, >= 1 (default 64; requires "
-       "engine=block)"},
-      {"block",
-       "block engine: nodes per scheduling block, >= 1 (default: graph-size "
-       "derived; requires engine=block)"},
-      {"residency_mb",
-       "block engine: resident-byte budget in MiB for out-of-core paging of "
-       "a snapshot-served graph (0 = unbudgeted, the default; advisory — "
-       "cannot change samples; requires engine=block)"},
-      {"prefetch",
-       "block engine: scheduler picks prefetched ahead of the stepped "
-       "block, in [0, 64] (default 2; requires engine=block and "
-       "residency_mb)"},
-  };
-  return kReserved;
 }
 
 TargetBias BiasForWalkSpec(std::string_view walk_spec) {
@@ -415,16 +337,48 @@ void EncodeWalkEstimateParams(const WalkEstimateOptions& options,
   }
 }
 
+// Range checks for the options whose constructors WNW_CHECK them, so a bad
+// spec value is an InvalidArgument instead of an abort.
+Status CheckGeweke(const GewekeOptions& geweke) {
+  if (!(geweke.first_frac > 0.0 && geweke.first_frac < 1.0) ||
+      !(geweke.last_frac > 0.0 && geweke.last_frac < 1.0) ||
+      geweke.first_frac + geweke.last_frac > 1.0) {
+    return Status::InvalidArgument(
+        "geweke_first and geweke_last must be in (0, 1) and sum to <= 1");
+  }
+  return Status::OK();
+}
+
+Status CheckWalkEstimate(const WalkEstimateOptions& options) {
+  const EstimateOptions& estimate = options.estimate;
+  if (estimate.base_reps < 1) {
+    return Status::InvalidArgument("base_reps must be >= 1");
+  }
+  if (estimate.use_weighted &&
+      !(estimate.epsilon > 0.0 && estimate.epsilon <= 1.0)) {
+    return Status::InvalidArgument("epsilon must be in (0, 1]");
+  }
+  const RejectionOptions& rejection = options.rejection;
+  if (rejection.mode == ScaleMode::kManual
+          ? !(rejection.manual_scale > 0.0)
+          : !(rejection.percentile >= 0.0 && rejection.percentile <= 1.0)) {
+    return Status::InvalidArgument(
+        "scale must be > 0 and percentile in [0, 1]");
+  }
+  if (options.max_candidates_per_draw < 1) {
+    return Status::InvalidArgument("max_candidates must be >= 1");
+  }
+  return Status::OK();
+}
+
 // --- built-in factories ------------------------------------------------------
 
 Result<std::unique_ptr<Sampler>> MakeBurnIn(const SamplerConfig& config,
                                             AccessInterface* access,
                                             const TransitionDesign* design,
                                             NodeId start, uint64_t seed) {
-  ParamReader reader(config);
   BurnInSampler::Options options;
-  ReadBurnInParams(reader, &options);
-  WNW_RETURN_IF_ERROR(reader.Finish());
+  WNW_RETURN_IF_ERROR(ReadBurnInOptions(config, &options));
   return std::unique_ptr<Sampler>(
       std::make_unique<BurnInSampler>(access, design, start, options, seed));
 }
@@ -433,11 +387,8 @@ Result<std::unique_ptr<Sampler>> MakeLongRun(const SamplerConfig& config,
                                              AccessInterface* access,
                                              const TransitionDesign* design,
                                              NodeId start, uint64_t seed) {
-  ParamReader reader(config);
   OneLongRunSampler::Options options;
-  ReadBurnInParams(reader, &options.burn_in);
-  reader.Read("thinning", &options.thinning);
-  WNW_RETURN_IF_ERROR(reader.Finish());
+  WNW_RETURN_IF_ERROR(ReadLongRunOptions(config, &options));
   return std::unique_ptr<Sampler>(std::make_unique<OneLongRunSampler>(
       access, design, start, options, seed));
 }
@@ -446,13 +397,8 @@ Result<std::unique_ptr<Sampler>> MakeFixedWalk(const SamplerConfig& config,
                                                AccessInterface* access,
                                                const TransitionDesign* design,
                                                NodeId start, uint64_t seed) {
-  ParamReader reader(config);
   FixedWalkSampler::Options options;
-  reader.Read("steps", &options.steps);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  if (options.steps < 1) {
-    return Status::InvalidArgument("sampler 'walk': steps must be >= 1");
-  }
+  WNW_RETURN_IF_ERROR(ReadFixedWalkOptions(config, &options));
   return std::unique_ptr<Sampler>(
       std::make_unique<FixedWalkSampler>(access, design, start, options, seed));
 }
@@ -460,29 +406,17 @@ Result<std::unique_ptr<Sampler>> MakeFixedWalk(const SamplerConfig& config,
 Result<std::unique_ptr<Sampler>> MakeWalkEstimate(
     const SamplerConfig& config, AccessInterface* access,
     const TransitionDesign* design, NodeId start, uint64_t seed) {
-  ParamReader reader(config);
-  auto options = ReadWalkEstimateParams(reader);
-  if (!options.ok()) return options.status();
-  WNW_RETURN_IF_ERROR(reader.Finish());
+  WNW_ASSIGN_OR_RETURN(WalkEstimateOptions options,
+                       ReadWalkEstimateOptions(config));
   return std::unique_ptr<Sampler>(std::make_unique<WalkEstimateSampler>(
-      access, design, start, *options, seed));
+      access, design, start, options, seed));
 }
 
 Result<std::unique_ptr<Sampler>> MakeWalkEstimatePath(
     const SamplerConfig& config, AccessInterface* access,
     const TransitionDesign* design, NodeId start, uint64_t seed) {
-  ParamReader reader(config);
-  WalkEstimatePathSampler::Options options;
-  auto base = ReadWalkEstimateParams(reader);
-  if (!base.ok()) return base.status();
-  options.base = *base;
-  reader.Read("min_step", &options.min_candidate_step);
-  reader.Read("stride", &options.stride);
-  reader.Read("max_walks", &options.max_walks_per_draw);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  if (options.stride < 1) {
-    return Status::InvalidArgument("sampler 'we-path': stride must be >= 1");
-  }
+  WNW_ASSIGN_OR_RETURN(WalkEstimatePathSampler::Options options,
+                       ReadWalkEstimatePathOptions(config));
   return std::unique_ptr<Sampler>(std::make_unique<WalkEstimatePathSampler>(
       access, design, start, options, seed));
 }
@@ -495,7 +429,14 @@ Status ReadBurnInOptions(const SamplerConfig& config,
                          BurnInSampler::Options* out) {
   ParamReader reader(config);
   ReadBurnInParams(reader, out);
-  return reader.Finish();
+  WNW_RETURN_IF_ERROR(reader.Finish());
+  if (out->min_steps < 1 || out->check_interval < 1 ||
+      out->max_steps < out->min_steps) {
+    return Status::InvalidArgument(
+        "sampler 'burnin': min_steps and check_interval must be >= 1 and "
+        "max_steps >= min_steps");
+  }
+  return CheckGeweke(out->geweke);
 }
 
 Status ReadLongRunOptions(const SamplerConfig& config,
@@ -503,7 +444,12 @@ Status ReadLongRunOptions(const SamplerConfig& config,
   ParamReader reader(config);
   ReadBurnInParams(reader, &out->burn_in);
   reader.Read("thinning", &out->thinning);
-  return reader.Finish();
+  WNW_RETURN_IF_ERROR(reader.Finish());
+  if (out->burn_in.check_interval < 1 || out->thinning < 1) {
+    return Status::InvalidArgument(
+        "sampler 'longrun': check_interval and thinning must be >= 1");
+  }
+  return CheckGeweke(out->burn_in.geweke);
 }
 
 Status ReadFixedWalkOptions(const SamplerConfig& config,
@@ -520,25 +466,28 @@ Status ReadFixedWalkOptions(const SamplerConfig& config,
 Result<WalkEstimateOptions> ReadWalkEstimateOptions(
     const SamplerConfig& config) {
   ParamReader reader(config);
-  auto options = ReadWalkEstimateParams(reader);
-  if (!options.ok()) return options.status();
+  WNW_ASSIGN_OR_RETURN(WalkEstimateOptions options,
+                       ReadWalkEstimateParams(reader));
   WNW_RETURN_IF_ERROR(reader.Finish());
-  return *options;
+  WNW_RETURN_IF_ERROR(CheckWalkEstimate(options));
+  return options;
 }
 
 Result<WalkEstimatePathSampler::Options> ReadWalkEstimatePathOptions(
     const SamplerConfig& config) {
   ParamReader reader(config);
   WalkEstimatePathSampler::Options options;
-  auto base = ReadWalkEstimateParams(reader);
-  if (!base.ok()) return base.status();
-  options.base = *base;
+  WNW_ASSIGN_OR_RETURN(options.base, ReadWalkEstimateParams(reader));
   reader.Read("min_step", &options.min_candidate_step);
   reader.Read("stride", &options.stride);
   reader.Read("max_walks", &options.max_walks_per_draw);
   WNW_RETURN_IF_ERROR(reader.Finish());
-  if (options.stride < 1) {
-    return Status::InvalidArgument("sampler 'we-path': stride must be >= 1");
+  WNW_RETURN_IF_ERROR(CheckWalkEstimate(options.base));
+  if (options.stride < 1 || options.EffectiveMinStep() < 1 ||
+      options.EffectiveMinStep() > options.base.EffectiveWalkLength()) {
+    return Status::InvalidArgument(
+        "sampler 'we-path': stride must be >= 1 and 1 <= min_step <= "
+        "walk_length");
   }
   return options;
 }

@@ -18,7 +18,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -163,20 +162,6 @@ Result<WalkEstimatePathSampler::Options> ReadWalkEstimatePathOptions(
 /// "weighted") and its inverse.
 std::string_view VariantKey(WalkEstimateVariant variant);
 Result<WalkEstimateVariant> ParseVariantKey(std::string_view key);
-
-/// A spec parameter reserved by SamplingSession rather than any sampler:
-/// backend selection (backend=latency&mean_ms=...), origin sharding
-/// (shards=8&partition=hash|range|degree), and fetch-executor sizing
-/// (window=8&threads=4). SamplingSession::Open peels these off before the
-/// sampler factory validates the remaining params, so no sampler may
-/// register an option under a reserved name. The table is the single list
-/// CLI help and docs/SPEC_STRINGS.md render; the typed extraction lives in
-/// core/session.cc and must stay in sync with it.
-struct ReservedKeyInfo {
-  std::string_view key;
-  std::string_view summary;  // one-line: type, default, valid range
-};
-std::span<const ReservedKeyInfo> ReservedSessionKeys();
 
 /// Which aggregate correction applies to samples drawn from walk design
 /// `walk_spec`: degree-proportional designs (srw, lazy) need the

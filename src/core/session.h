@@ -12,7 +12,7 @@
 //
 // Backend and fetch-executor selection ride in the same spec string via
 // reserved parameters (consumed before the sampler factory sees the config;
-// the full list is ReservedSessionKeys() / docs/SPEC_STRINGS.md):
+// the schema is ReservedSessionKeys() in core/spec_keys.h):
 //
 //   "we:mhrw?diameter=8&backend=latency&mean_ms=50&window=8&threads=4"
 //   "we:mhrw?diameter=8&shards=8&partition=degree&window=16"

@@ -5,12 +5,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "access/snapshot_backend.h"
+#include "core/spec_keys.h"
 #include "storage/residency.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -21,58 +21,6 @@
 namespace wnw {
 
 namespace {
-
-/// Consumes the engine-reserved spec keys into *options. Runs before
-/// ResolveSessionResources, which (like SamplingSession::Open) rejects these
-/// keys — seeing one there means the caller took the wrong entry point.
-Status PeelEngineKeys(SamplerConfig* config, EngineOptions* options) {
-  const auto take = [config](const char* key) -> std::optional<std::string> {
-    const auto it = config->params.find(key);
-    if (it == config->params.end()) return std::nullopt;
-    std::string value = it->second;
-    config->params.erase(it);
-    return value;
-  };
-  if (const auto engine = take("engine"); engine && *engine != "block") {
-    return Status::InvalidArgument("unknown engine '" + *engine +
-                                   "' (expected 'block')");
-  }
-  if (const auto walkers = take("walkers")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*walkers, &n) || n < 1) {
-      return Status::InvalidArgument("walkers must be a positive integer, got '" +
-                                     *walkers + "'");
-    }
-    options->walkers = n;
-  }
-  if (const auto block = take("block")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*block, &n) || n < 1 || n > UINT32_MAX) {
-      return Status::InvalidArgument(
-          "block must be a positive node count, got '" + *block + "'");
-    }
-    options->block_nodes = static_cast<uint32_t>(n);
-  }
-  if (const auto residency = take("residency_mb")) {
-    uint64_t mb = 0;
-    if (!ParseUint64(*residency, &mb) || mb > (uint64_t{1} << 30)) {
-      return Status::InvalidArgument(
-          "residency_mb must be a MiB count (0 = unbudgeted), got '" +
-          *residency + "'");
-    }
-    options->residency_budget_bytes = mb << 20;
-  }
-  if (const auto prefetch = take("prefetch")) {
-    uint64_t depth = 0;
-    if (!ParseUint64(*prefetch, &depth) || depth > 64) {
-      return Status::InvalidArgument(
-          "prefetch must be a look-ahead depth in [0, 64], got '" +
-          *prefetch + "'");
-    }
-    options->prefetch_depth = static_cast<int>(depth);
-  }
-  return Status::OK();
-}
 
 /// Folds the physical-access half of a CostMeter (what actually hit the
 /// backend) into an aggregate; the logical half (unique/total queries) is
@@ -502,7 +450,7 @@ Result<EngineResult> RunWalkEngine(const Graph* graph,
     return Status::InvalidArgument("walk engine needs a non-empty graph");
   }
   SamplerConfig stripped = config;
-  WNW_RETURN_IF_ERROR(PeelEngineKeys(&stripped, &options));
+  WNW_RETURN_IF_ERROR(ApplyEngineKeys(&stripped, &options).status());
   if (options.walkers < 1 || options.walkers > (uint64_t{1} << 30)) {
     return Status::InvalidArgument("walkers must be in [1, 2^30]");
   }

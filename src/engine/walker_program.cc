@@ -55,12 +55,12 @@ void BurnInStart(EngineWalker& w, const BurnInSampler::Options& options) {
   w.state.aux = 0;
 }
 
+// The longrun program keeps the burn-in sampler's step bounds, which a
+// longrun session (and so ReadLongRunOptions) does not enforce.
 Status ValidateBurnIn(const BurnInSampler::Options& options) {
-  if (options.min_steps < 1 || options.check_interval < 1 ||
-      options.max_steps < options.min_steps) {
+  if (options.min_steps < 1 || options.max_steps < options.min_steps) {
     return Status::InvalidArgument(
-        "burn-in options need min_steps >= 1, check_interval >= 1, "
-        "max_steps >= min_steps");
+        "burn-in options need min_steps >= 1 and max_steps >= min_steps");
   }
   return Status::OK();
 }
@@ -501,9 +501,6 @@ Result<std::unique_ptr<WalkerProgram>> CompileWalkerProgram(
   if (config.sampler == "walk") {
     FixedWalkSampler::Options options;
     WNW_RETURN_IF_ERROR(ReadFixedWalkOptions(config, &options));
-    if (options.steps < 1) {
-      return Status::InvalidArgument("walk needs steps >= 1");
-    }
     if (allow_flat) {
       if (const auto stepper = FlatStepper::For(design)) {
         return std::unique_ptr<WalkerProgram>(
@@ -518,7 +515,6 @@ Result<std::unique_ptr<WalkerProgram>> CompileWalkerProgram(
   if (config.sampler == "burnin") {
     BurnInSampler::Options options;
     WNW_RETURN_IF_ERROR(ReadBurnInOptions(config, &options));
-    WNW_RETURN_IF_ERROR(ValidateBurnIn(options));
     return std::unique_ptr<WalkerProgram>(
         new BurnInProgram(options, design, context,
                           DesignSuffixName(design, "+Geweke")));
@@ -527,9 +523,6 @@ Result<std::unique_ptr<WalkerProgram>> CompileWalkerProgram(
     OneLongRunSampler::Options options;
     WNW_RETURN_IF_ERROR(ReadLongRunOptions(config, &options));
     WNW_RETURN_IF_ERROR(ValidateBurnIn(options.burn_in));
-    if (options.thinning < 1) {
-      return Status::InvalidArgument("longrun needs thinning >= 1");
-    }
     return std::unique_ptr<WalkerProgram>(
         new LongRunProgram(options, design, context,
                            DesignSuffixName(design, "+LongRun")));
@@ -537,11 +530,6 @@ Result<std::unique_ptr<WalkerProgram>> CompileWalkerProgram(
   if (config.sampler == "we") {
     WNW_ASSIGN_OR_RETURN(WalkEstimateOptions options,
                          ReadWalkEstimateOptions(config));
-    if (options.EffectiveWalkLength() < 1 ||
-        options.max_candidates_per_draw < 1) {
-      return Status::InvalidArgument(
-          "we needs walk_length >= 1 and max_candidates >= 1");
-    }
     return std::unique_ptr<WalkerProgram>(new WeProgram(
         options, design, context,
         StrFormat("WE(%.*s)", static_cast<int>(design->name().size()),
@@ -550,11 +538,8 @@ Result<std::unique_ptr<WalkerProgram>> CompileWalkerProgram(
   if (config.sampler == "we-path") {
     WNW_ASSIGN_OR_RETURN(WalkEstimatePathSampler::Options options,
                          ReadWalkEstimatePathOptions(config));
-    if (options.stride < 1 || options.EffectiveMinStep() < 1 ||
-        options.EffectiveMinStep() > options.base.EffectiveWalkLength() ||
-        options.max_walks_per_draw < 1) {
-      return Status::InvalidArgument(
-          "we-path needs stride >= 1 and 1 <= min_step <= walk_length");
+    if (options.max_walks_per_draw < 1) {
+      return Status::InvalidArgument("we-path needs max_walks >= 1");
     }
     return std::unique_ptr<WalkerProgram>(new WePathProgram(
         options, design, context,

@@ -273,42 +273,6 @@ TEST(BackendAcceptanceTest, EverySamplerDrawsAgainstBothBackends) {
   }
 }
 
-TEST(BackendSpecTest, MalformedBackendParamsAreStatuses) {
-  const Graph g = testing::MakeTestBA(40, 3);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?backend=carrier-pigeon")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Latency knobs without backend=latency fail loudly, not silently.
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?mean_ms=50").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?backend=latency&mean_ms=fast")
-          .status()
-          .code(),
-      StatusCode::kInvalidArgument);
-  // Out-of-range user input is a Status, never a constructor CHECK abort.
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?backend=latency&fail_rate=1")
-          .status()
-          .code(),
-      StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?backend=latency&mean_ms=-5")
-          .status()
-          .code(),
-      StatusCode::kInvalidArgument);
-  // A spec-selected backend conflicting with an explicit SessionOptions
-  // backend fails loudly instead of silently dropping the spec's request.
-  SessionOptions with_backend;
-  with_backend.backend = std::make_shared<InMemoryBackend>(&g);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?backend=latency&mean_ms=5",
-                                  with_backend)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
 // --- the sharded origin ------------------------------------------------------
 
 std::shared_ptr<ShardedBackend> MakeSharded(const Graph& g, int shards,
@@ -566,47 +530,6 @@ TEST(ShardedBackendTest, DecoratorWrappersKeepShardsDiscoverable) {
   uint64_t total = 0;
   for (uint64_t f : stats.shard_fetches) total += f;
   EXPECT_EQ(total, stats.backend_fetches);
-}
-
-TEST(ShardedSpecTest, ConflictingShardKeysAreLoudStatuses) {
-  const Graph g = testing::MakeTestBA(40, 3);
-  // shards= on an explicit NON-sharded backend: rejected, never silently
-  // ignored.
-  SessionOptions with_memory;
-  with_memory.backend = std::make_shared<InMemoryBackend>(&g);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?shards=2", with_memory)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // shards= / partition= contradicting an explicit sharded backend.
-  SessionOptions with_sharded;
-  with_sharded.backend = MakeSharded(g, 4);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?shards=8", with_sharded)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?partition=range&shards=4",
-                                  with_sharded)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // A spec that correctly DESCRIBES the explicit sharded backend is fine.
-  EXPECT_TRUE(SamplingSession::Open(&g, "burnin:srw?shards=4&partition=hash",
-                                    with_sharded)
-                  .ok());
-  // Malformed shard keys are Statuses, not crashes.
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?shards=0").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?shards=9999").status().code(),
-      StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?partition=degree").status().code(),
-      StatusCode::kInvalidArgument);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?shards=2&partition=banana")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(BackendSpecTest, QueryCacheIsBypassedUnderRandomSubset) {

@@ -218,32 +218,6 @@ TEST(WalkEngine, RejectsNonDeterministicBackend) {
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(WalkEngine, RejectsUnknownEngineAndBadCounts) {
-  const Graph graph = MakeTestBA(100, 3);
-  EXPECT_EQ(RunWalkEngine(&graph, "walk:srw?engine=turbo").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(RunWalkEngine(&graph, "walk:srw?walkers=0").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(RunWalkEngine(&graph, "walk:srw?block=0").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      RunWalkEngine(&graph, "burnin:srw?engine=block&nosuch=1").status().code(),
-      StatusCode::kInvalidArgument);
-}
-
-TEST(WalkEngine, PlainSessionAndPoolRejectEngineKeys) {
-  const Graph graph = MakeTestBA(100, 3);
-  for (const char* spec :
-       {"walk:srw?engine=block", "walk:srw?walkers=100", "we:srw?block=64"}) {
-    const auto session = SamplingSession::Open(&graph, spec);
-    ASSERT_FALSE(session.ok()) << spec;
-    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument) << spec;
-    const auto pool = RunWalkerPool(&graph, spec, PoolOptions(2, 2));
-    ASSERT_FALSE(pool.ok()) << spec;
-    EXPECT_EQ(pool.status().code(), StatusCode::kInvalidArgument) << spec;
-  }
-}
-
 // --- BlockScheduler ----------------------------------------------------------
 
 TEST(BlockScheduler, MostPendingPicksLargestAndZeroes) {

@@ -1,8 +1,10 @@
-// The async fetch executor and its integration with the access layer:
-// the bounded in-flight window invariant under a genuinely slow backend,
-// sample-for-sample determinism of the async path against the synchronous
-// one for EVERY registered sampler, shutdown with requests still in flight,
-// spec-string plumbing (?window=&threads=), and concurrent walker pools.
+// The CompletionExecutor integrated with the layers above it: the bounded
+// in-flight window under a genuinely slow backend, the access layer's async
+// prefetch and billing, sample-for-sample determinism of executor-backed
+// sessions against synchronous ones for EVERY registered sampler, shutdown
+// with requests still in flight, the ?window=&threads= spec keys, and
+// walker pools sharing one executor. (The executor's own unit tests are in
+// completion_executor_test.cc; key validation is in spec_keys_test.cc.)
 // The ASan/UBSan CI job runs this file too — the threading here is
 // load-bearing, not decorative.
 #include <gtest/gtest.h>
@@ -276,33 +278,6 @@ TEST(AsyncSpecTest, WindowAndThreadsRideInSpecStrings) {
   EXPECT_EQ((*session)->Stats().async_window, 4);
   // The reserved keys survive in the canonical spec round-trip.
   EXPECT_NE((*session)->Stats().spec.find("window=4"), std::string::npos);
-}
-
-TEST(AsyncSpecTest, MalformedExecutorParamsAreStatuses) {
-  const Graph g = testing::MakeTestBA(40, 3);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?window=0").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?window=9999").status().code(),
-      StatusCode::kInvalidArgument);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?threads=4").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?window=two").status().code(),
-      StatusCode::kInvalidArgument);
-  // Spec-sized executor conflicting with an explicit shared one fails
-  // loudly instead of silently dropping the spec's request.
-  SessionOptions with_executor;
-  with_executor.executor = std::make_shared<CompletionExecutor>(AsyncOptions{});
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?window=4", with_executor)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  SessionOptions both;
-  both.async = AsyncOptions{};
-  both.executor = std::make_shared<CompletionExecutor>(AsyncOptions{});
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw", both).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(WalkerPoolTest, PoolOutputsAreWindowInvariant) {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <sstream>
+
 #include "core/session.h"
+#include "core/spec_keys.h"
 #include "datasets/social_datasets.h"
 #include "test_util.h"
+#include "util/string_util.h"
 
 namespace wnw {
 namespace {
@@ -143,6 +149,60 @@ TEST(SamplerRegistryTest, UnknownParameterIsInvalidArgument) {
     const auto session = SamplingSession::Open(&g, spec);
     ASSERT_FALSE(session.ok()) << spec;
     EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+}
+
+TEST(SamplerRegistryTest, OutOfRangeOptionsAreStatusesNotAborts) {
+  // Each of these trips a constructor CHECK unless the option codecs
+  // range-check it first; non-finite doubles are never valid input.
+  const Graph g = testing::MakeTestBA(50, 3);
+  for (const char* spec :
+       {"we:mhrw?epsilon=2", "we:mhrw?percentile=nan", "we:mhrw?percentile=2",
+        "we:mhrw?scale=0", "we:mhrw?base_reps=0", "we:mhrw?max_candidates=0",
+        "we:mhrw?target_rse=inf", "burnin:srw?geweke_first=0.9&geweke_last=0.9",
+        "burnin:srw?geweke_first=0", "burnin:srw?geweke_last=1",
+        "burnin:srw?min_steps=0", "burnin:srw?check_interval=0",
+        "burnin:srw?max_steps=10", "burnin:srw?geweke_threshold=nan",
+        "longrun:srw?check_interval=0", "longrun:srw?thinning=0",
+        "we-path:mhrw?diameter=0", "we-path:mhrw?diameter=3&min_step=100",
+        "we-path:mhrw?stride=0", "walk:srw?steps=0"}) {
+    const auto session = SamplingSession::Open(&g, spec);
+    ASSERT_FALSE(session.ok()) << spec;
+    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  // Values a constructor ignores stay accepted: epsilon without weighted
+  // backward walks, percentile under a manual scale, longrun step bounds.
+  for (const char* spec : {"we:mhrw?variant=none&epsilon=2",
+                           "we:mhrw?scale=2&percentile=5",
+                           "longrun:srw?min_steps=0"}) {
+    EXPECT_TRUE(SamplingSession::Open(&g, spec).ok()) << spec;
+  }
+}
+
+TEST(SpecKeySchemaTest, EveryKeyIsDocumentedWithItsTypeAndDefault) {
+  std::ifstream doc(std::string(WNW_SOURCE_DIR) + "/docs/SPEC_STRINGS.md");
+  ASSERT_TRUE(doc.is_open());
+  // "| `key` | type | default | meaning |" -> key -> {type, default}.
+  std::map<std::string, std::pair<std::string, std::string>> rows;
+  const auto cell = [](std::string text) {
+    std::erase(text, '`');
+    return std::string(TrimString(text));
+  };
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind("| `", 0) != 0) continue;
+    std::vector<std::string> cells;
+    std::stringstream fields(line.substr(1));
+    for (std::string field; std::getline(fields, field, '|');) {
+      cells.push_back(cell(field));
+    }
+    if (cells.size() >= 3) rows.try_emplace(cells[0], cells[1], cells[2]);
+  }
+  for (const SpecKey& key : ReservedSessionKeys()) {
+    const auto it = rows.find(std::string(key.key));
+    ASSERT_NE(it, rows.end()) << key.key << " has no docs/SPEC_STRINGS.md row";
+    EXPECT_EQ(it->second.first, SpecTypeName(key.type)) << key.key;
+    EXPECT_EQ(it->second.second, key.default_value) << key.key;
   }
 }
 

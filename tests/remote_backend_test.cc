@@ -2,8 +2,9 @@
 // byte-identical samples at identical query cost against a loopback
 // wnw server vs the in-process origin), failure paths (dead server at
 // connect, server killed mid-run, deadline expiry against a mute peer →
-// bounded retries, then Unavailable/DeadlineExceeded), the session-stats
-// remote telemetry, and the spec-string conflict matrix.
+// bounded retries, then Unavailable/DeadlineExceeded), and the
+// session-stats remote telemetry. The remote spec keys' conflict rules are
+// in spec_keys_test.cc.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -329,37 +330,6 @@ TEST_F(RemoteBackendTest, EngineOverRemoteMatchesInProcessForEverySampler) {
           << test_case.spec << " walker " << w;
     }
   }
-}
-
-TEST_F(RemoteBackendTest, SpecConflictMatrix) {
-  StartServer();
-  const std::string addr = Addr(server_->port());
-  const std::pair<std::string, std::string> cases[] = {
-      {"burnin:mhrw?backend=remote", "requires addr"},
-      {"burnin:mhrw?addr=" + addr, "require backend=remote"},
-      {"burnin:mhrw?deadline_ms=100", "require backend=remote"},
-      {"burnin:mhrw?backend=remote&addr=" + addr + "&snapshot=/tmp/x.snap",
-       "contradicts snapshot"},
-      {"burnin:mhrw?backend=remote&addr=" + addr + "&shards=2",
-       "contradicts shards"},
-      {"burnin:mhrw?backend=remote&addr=" + addr + "&mean_ms=10",
-       "latency parameters"},
-      {"burnin:mhrw?backend=memory&addr=" + addr, "require backend=remote"},
-      {"burnin:mhrw?snapshot_verify=off", "requires a snapshot"},
-  };
-  for (const auto& [spec, why] : cases) {
-    auto session = SamplingSession::Open(&graph_, spec);
-    ASSERT_FALSE(session.ok()) << spec << " should conflict: " << why;
-    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument) << spec;
-  }
-
-  // An explicit backend plus a remote spec is a loud conflict too.
-  SessionOptions with_backend;
-  with_backend.backend = backend_;
-  auto session = SamplingSession::Open(
-      &graph_, "burnin:mhrw?backend=remote&addr=" + addr, with_backend);
-  ASSERT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(RemoteBackendTest, WrongGraphNodeCountIsRejected) {

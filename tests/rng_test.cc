@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "random/alias_table.h"
 #include "random/rng.h"
 #include "random/sampling.h"
 
@@ -117,46 +116,6 @@ TEST(RngTest, ForkIsIndependent) {
 TEST(RngTest, Mix64Stateless) {
   EXPECT_EQ(Mix64(42), Mix64(42));
   EXPECT_NE(Mix64(42), Mix64(43));
-}
-
-TEST(AliasTableTest, SingleBucket) {
-  const std::vector<double> w{3.0};
-  AliasTable t(w);
-  Rng rng(1);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(t.Sample(rng), 0u);
-  EXPECT_DOUBLE_EQ(t.Probability(0), 1.0);
-}
-
-TEST(AliasTableTest, ZeroWeightNeverSampled) {
-  const std::vector<double> w{1.0, 0.0, 1.0};
-  AliasTable t(w);
-  Rng rng(2);
-  for (int i = 0; i < 20000; ++i) EXPECT_NE(t.Sample(rng), 1u);
-}
-
-TEST(AliasTableTest, MatchesWeights) {
-  const std::vector<double> w{1.0, 2.0, 3.0, 4.0};
-  AliasTable t(w);
-  Rng rng(3);
-  constexpr int kDraws = 400000;
-  std::vector<int> counts(w.size(), 0);
-  for (int i = 0; i < kDraws; ++i) counts[t.Sample(rng)]++;
-  for (size_t i = 0; i < w.size(); ++i) {
-    const double expect = w[i] / 10.0;
-    EXPECT_NEAR(static_cast<double>(counts[i]) / kDraws, expect, 0.01);
-    EXPECT_NEAR(t.Probability(static_cast<uint32_t>(i)), expect, 1e-12);
-  }
-}
-
-TEST(AliasTableTest, LargeUniform) {
-  const std::vector<double> w(1000, 0.5);
-  AliasTable t(w);
-  Rng rng(4);
-  std::vector<int> counts(w.size(), 0);
-  for (int i = 0; i < 100000; ++i) counts[t.Sample(rng)]++;
-  const auto [mn, mx] = std::minmax_element(counts.begin(), counts.end());
-  EXPECT_GT(*mn, 30);
-  EXPECT_LT(*mx, 250);
 }
 
 TEST(WeightedPickTest, RespectsWeights) {

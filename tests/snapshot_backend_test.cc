@@ -1,7 +1,7 @@
 // The disk-backed origin: SnapshotBackend must be indistinguishable from
 // InMemoryBackend — node for node, restriction for restriction, sampler for
 // sampler, sharded or not — and the spec keys ?snapshot= / ?cache_file=
-// must fail loudly on every conflicting or broken input.
+// serve and warm-start sessions (their validation is in spec_keys_test.cc).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -151,54 +151,6 @@ TEST(SnapshotAcceptanceTest, TrustedOpenDrawsIdenticalSamples) {
     EXPECT_EQ((*trusted)->Stats().query_cost,
               (*verified)->Stats().query_cost);
   }
-
-  // The knob is validated: only on/off (and bool aliases) parse, and it
-  // refuses to ride along without a snapshot origin.
-  EXPECT_EQ(SamplingSession::Open(
-                &g, "burnin:srw?snapshot=" + TestSnapshotPath() +
-                        "&snapshot_verify=maybe")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?snapshot_verify=on")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(SnapshotSpecTest, BrokenAndConflictingInputsAreStatuses) {
-  const Graph& g = TestGraph();
-  // Missing file: a Status, not a crash.
-  EXPECT_FALSE(
-      SamplingSession::Open(&g, "burnin:srw?snapshot=/no/such/file.snap")
-          .ok());
-  // Empty path.
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?snapshot=").status().code(),
-            StatusCode::kInvalidArgument);
-  // backend=memory contradicts the snapshot origin.
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?backend=memory&snapshot=" +
-                                          TestSnapshotPath())
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Explicit backend + snapshot key: loud conflict.
-  SessionOptions with_backend;
-  with_backend.backend = std::make_shared<InMemoryBackend>(&g);
-  EXPECT_EQ(SamplingSession::Open(
-                &g, "burnin:srw?snapshot=" + TestSnapshotPath(), with_backend)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // A snapshot of a different graph: node counts disagree.
-  const Graph other = testing::MakeTestBA(60, 3, /*seed=*/11);
-  const std::string other_path = TempPath("other.snap");
-  ASSERT_TRUE(WriteGraphSnapshot(other, other_path).ok());
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?snapshot=" + other_path)
-          .status()
-          .code(),
-      StatusCode::kInvalidArgument);
-  std::remove(other_path.c_str());
 }
 
 TEST(SnapshotSpecTest, LatencyDecoratorComposesOverSnapshotOrigin) {
@@ -250,36 +202,6 @@ TEST(CacheFileSpecTest, SecondSessionWarmStartsFromTheFile) {
     EXPECT_GT(stats.cache_hits, 0u);
   }
   std::remove(cache_path.c_str());
-}
-
-TEST(CacheFileSpecTest, ConflictsWithExplicitCacheAndBadValues) {
-  const Graph& g = TestGraph();
-  SessionOptions with_cache;
-  with_cache.query_cache = std::make_shared<QueryCache>();
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?cache_file=/tmp/x.wnwcache",
-                                  with_cache)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?cache_file=").status().code(),
-      StatusCode::kInvalidArgument);
-  // Spec key vs programmatic path: never silently clobber one with the
-  // other (same convention as backend/shards/window conflicts).
-  SessionOptions with_path;
-  with_path.cache_file = "/tmp/a.wnwcache";
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?cache_file=/tmp/b.wnwcache",
-                                  with_path)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  SessionOptions with_snapshot;
-  with_snapshot.snapshot = "/tmp/a.snap";
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?snapshot=/tmp/b.snap",
-                                  with_snapshot)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

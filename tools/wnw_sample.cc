@@ -41,6 +41,7 @@
 
 #include "core/registry.h"
 #include "core/session.h"
+#include "core/spec_keys.h"
 #include "datasets/social_datasets.h"
 #include "engine/walk_engine.h"
 #include "estimation/aggregates.h"
@@ -82,12 +83,18 @@ void PrintUsage() {
     std::fprintf(stderr, "  %-8s %s\n", name.c_str(),
                  SamplerRegistry::Global().Summary(name).c_str());
   }
-  std::fprintf(stderr,
-               "session-reserved spec keys (backend + async executor):\n");
-  for (const ReservedKeyInfo& info : ReservedSessionKeys()) {
-    std::fprintf(stderr, "  %-12.*s %.*s\n",
-                 static_cast<int>(info.key.size()), info.key.data(),
-                 static_cast<int>(info.summary.size()), info.summary.data());
+  std::fprintf(stderr, "session-reserved spec keys:\n");
+  for (const SpecKey& row : ReservedSessionKeys()) {
+    std::string valid = SpecRangeText(row);
+    if (!row.needs.empty()) valid += "; requires " + std::string(row.needs);
+    if (!row.conflicts.empty()) {
+      valid += "; conflicts " + std::string(row.conflicts);
+    }
+    std::fprintf(stderr, "  %-15s %-6s %s; default %s\n      %s\n",
+                 std::string(row.key).c_str(),
+                 std::string(SpecTypeName(row.type)).c_str(), valid.c_str(),
+                 std::string(row.default_value).c_str(),
+                 std::string(row.doc).c_str());
   }
   std::fprintf(stderr,
                "full spec reference (keys, defaults, valid ranges): "
@@ -356,19 +363,18 @@ int main(int argc, char** argv) {
   // engine=block in the spec routes the whole run through the block
   // scheduler instead of a single sampling session: --samples is spread
   // over the spec's walker count (samples_per_walker = ceil(samples /
-  // walkers)), and the engine/walkers/block keys are consumed by
-  // RunWalkEngine itself.
-  if (config.params.contains("engine")) {
-    uint64_t walkers = EngineOptions{}.walkers;
-    if (const auto it = config.params.find("walkers");
-        it != config.params.end()) {
-      if (!ParseUint64(it->second, &walkers) || walkers < 1) {
-        std::fprintf(stderr, "error: bad walkers '%s'\n",
-                     it->second.c_str());
-        return 2;
-      }
-    }
-    EngineOptions engine_opts;
+  // walkers)), and RunWalkEngine consumes the engine keys itself.
+  EngineOptions engine_opts;
+  SamplerConfig engine_keys = config;
+  const auto engine_selected = ApplyEngineKeys(&engine_keys, &engine_opts);
+  if (!engine_selected.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 engine_selected.status().ToString().c_str());
+    PrintUsage();
+    return 2;
+  }
+  if (engine_selected->Has("engine")) {
+    const uint64_t walkers = engine_opts.walkers;
     engine_opts.samples_per_walker =
         std::max<uint64_t>(1, (args.samples + walkers - 1) / walkers);
     engine_opts.session.seed = args.seed + 2;
