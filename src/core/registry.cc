@@ -349,7 +349,22 @@ Status CheckGeweke(const GewekeOptions& geweke) {
   return Status::OK();
 }
 
+// Longest forward walk a spec may ask for. Every backward estimate replays
+// up to t steps and the forward history keeps t per-step tables, so walks
+// anywhere near this are already impractical; the cap exists so a huge
+// walk_length or diameter is an InvalidArgument instead of an allocation
+// abort (2 * diameter + 1 is computed in 64 bits, so it cannot overflow).
+constexpr int64_t kMaxWalkLength = int64_t{1} << 20;
+
 Status CheckWalkEstimate(const WalkEstimateOptions& options) {
+  const int64_t walk_length =
+      options.walk_length > 0 ? options.walk_length
+                              : 2 * int64_t{options.diameter_bound} + 1;
+  if (walk_length > kMaxWalkLength) {
+    return Status::InvalidArgument(
+        "walk length " + std::to_string(walk_length) +
+        " (walk_length, or 2*diameter+1 when walk_length=0) exceeds 2^20");
+  }
   const EstimateOptions& estimate = options.estimate;
   if (estimate.base_reps < 1) {
     return Status::InvalidArgument("base_reps must be >= 1");
@@ -369,6 +384,56 @@ Status CheckWalkEstimate(const WalkEstimateOptions& options) {
     return Status::InvalidArgument("max_candidates must be >= 1");
   }
   return Status::OK();
+}
+
+// Codecs only the built-in factories below use; the public ones follow the
+// anonymous namespace.
+
+Status ReadBurnInOptions(const SamplerConfig& config,
+                         BurnInSampler::Options* out) {
+  ParamReader reader(config);
+  ReadBurnInParams(reader, out);
+  WNW_RETURN_IF_ERROR(reader.Finish());
+  if (out->min_steps < 1 || out->check_interval < 1 ||
+      out->max_steps < out->min_steps) {
+    return Status::InvalidArgument(
+        "sampler 'burnin': min_steps and check_interval must be >= 1 and "
+        "max_steps >= min_steps");
+  }
+  return CheckGeweke(out->geweke);
+}
+
+Status ReadLongRunOptions(const SamplerConfig& config,
+                          OneLongRunSampler::Options* out) {
+  ParamReader reader(config);
+  ReadBurnInParams(reader, &out->burn_in);
+  reader.Read("thinning", &out->thinning);
+  WNW_RETURN_IF_ERROR(reader.Finish());
+  if (out->burn_in.check_interval < 1 || out->thinning < 1) {
+    return Status::InvalidArgument(
+        "sampler 'longrun': check_interval and thinning must be >= 1");
+  }
+  return CheckGeweke(out->burn_in.geweke);
+}
+
+Result<WalkEstimatePathSampler::Options> ReadWalkEstimatePathOptions(
+    const SamplerConfig& config) {
+  ParamReader reader(config);
+  WalkEstimatePathSampler::Options options;
+  WNW_ASSIGN_OR_RETURN(options.base, ReadWalkEstimateParams(reader));
+  reader.Read("min_step", &options.min_candidate_step);
+  reader.Read("stride", &options.stride);
+  reader.Read("max_walks", &options.max_walks_per_draw);
+  WNW_RETURN_IF_ERROR(reader.Finish());
+  WNW_RETURN_IF_ERROR(CheckWalkEstimate(options.base));
+  if (options.stride < 1 || options.EffectiveMinStep() < 1 ||
+      options.EffectiveMinStep() > options.base.EffectiveWalkLength() ||
+      options.max_walks_per_draw < 1) {
+    return Status::InvalidArgument(
+        "sampler 'we-path': stride and max_walks must be >= 1 and 1 <= "
+        "min_step <= walk_length");
+  }
+  return options;
 }
 
 // --- built-in factories ------------------------------------------------------
@@ -425,33 +490,6 @@ Result<std::unique_ptr<Sampler>> MakeWalkEstimatePath(
 
 // --- public option codecs ----------------------------------------------------
 
-Status ReadBurnInOptions(const SamplerConfig& config,
-                         BurnInSampler::Options* out) {
-  ParamReader reader(config);
-  ReadBurnInParams(reader, out);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  if (out->min_steps < 1 || out->check_interval < 1 ||
-      out->max_steps < out->min_steps) {
-    return Status::InvalidArgument(
-        "sampler 'burnin': min_steps and check_interval must be >= 1 and "
-        "max_steps >= min_steps");
-  }
-  return CheckGeweke(out->geweke);
-}
-
-Status ReadLongRunOptions(const SamplerConfig& config,
-                          OneLongRunSampler::Options* out) {
-  ParamReader reader(config);
-  ReadBurnInParams(reader, &out->burn_in);
-  reader.Read("thinning", &out->thinning);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  if (out->burn_in.check_interval < 1 || out->thinning < 1) {
-    return Status::InvalidArgument(
-        "sampler 'longrun': check_interval and thinning must be >= 1");
-  }
-  return CheckGeweke(out->burn_in.geweke);
-}
-
 Status ReadFixedWalkOptions(const SamplerConfig& config,
                             FixedWalkSampler::Options* out) {
   ParamReader reader(config);
@@ -470,25 +508,6 @@ Result<WalkEstimateOptions> ReadWalkEstimateOptions(
                        ReadWalkEstimateParams(reader));
   WNW_RETURN_IF_ERROR(reader.Finish());
   WNW_RETURN_IF_ERROR(CheckWalkEstimate(options));
-  return options;
-}
-
-Result<WalkEstimatePathSampler::Options> ReadWalkEstimatePathOptions(
-    const SamplerConfig& config) {
-  ParamReader reader(config);
-  WalkEstimatePathSampler::Options options;
-  WNW_ASSIGN_OR_RETURN(options.base, ReadWalkEstimateParams(reader));
-  reader.Read("min_step", &options.min_candidate_step);
-  reader.Read("stride", &options.stride);
-  reader.Read("max_walks", &options.max_walks_per_draw);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  WNW_RETURN_IF_ERROR(CheckWalkEstimate(options.base));
-  if (options.stride < 1 || options.EffectiveMinStep() < 1 ||
-      options.EffectiveMinStep() > options.base.EffectiveWalkLength()) {
-    return Status::InvalidArgument(
-        "sampler 'we-path': stride must be >= 1 and 1 <= min_step <= "
-        "walk_length");
-  }
   return options;
 }
 

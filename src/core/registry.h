@@ -144,19 +144,13 @@ SamplerConfig MakeWalkEstimatePathConfig(
 
 // --- option codecs -----------------------------------------------------------
 // Parse a SamplerConfig's params into the typed option structs exactly as the
-// registered factories do (same keys, same validation, unknown keys rejected).
-// The block engine (src/engine/) compiles registry samplers down to per-step
-// walker programs and needs the typed options without constructing a Sampler.
+// registered factories do (same keys, same validation, unknown keys rejected),
+// for callers that need the typed options without constructing a Sampler
+// (the block engine's flat `walk` path, the benchmarks).
 
-Status ReadBurnInOptions(const SamplerConfig& config,
-                         BurnInSampler::Options* out);
-Status ReadLongRunOptions(const SamplerConfig& config,
-                          OneLongRunSampler::Options* out);
 Status ReadFixedWalkOptions(const SamplerConfig& config,
                             FixedWalkSampler::Options* out);
 Result<WalkEstimateOptions> ReadWalkEstimateOptions(const SamplerConfig& config);
-Result<WalkEstimatePathSampler::Options> ReadWalkEstimatePathOptions(
-    const SamplerConfig& config);
 
 /// Spec-string key for a Figure 9 variant ("full", "none", "crawl",
 /// "weighted") and its inverse.

@@ -163,6 +163,45 @@ Status ResolveSessionResources(const Graph* graph, SamplerConfig* config,
   return Status::OK();
 }
 
+void FillBackendStats(const AccessBackend& backend, const QueryCache* cache,
+                      const CompletionExecutor* executor,
+                      const CostMeter& physical, SessionStats* stats) {
+  stats->backend = std::string(backend.name());
+  stats->backend_fetches = physical.backend_fetches;
+  stats->shared_cache_hits = physical.shared_cache_hits;
+  stats->prefetch_batches = physical.prefetch_batches;
+  stats->waited_seconds = physical.waited_seconds;
+  stats->async_window = executor != nullptr ? executor->window() : 0;
+  if (const ShardedBackend* sharded = backend.AsSharded()) {
+    stats->backend_shards = sharded->num_shards();
+  }
+  if (const RemoteBackend* remote = backend.AsRemote()) {
+    stats->remote_addr = remote->address();
+    stats->remote_rpcs = remote->rpcs();
+    stats->remote_retries = remote->retries();
+    stats->remote_bytes = remote->wire_bytes();
+    // The shard topology lives server-side; surface it the same way the
+    // in-process sharded stack does.
+    stats->backend_shards = std::max(1, remote->origin_shards());
+  }
+  if (cache != nullptr) {
+    stats->cache_attached = true;
+    stats->cache_hits = cache->hits();
+    stats->cache_misses = cache->misses();
+    stats->cache_evictions = cache->evictions();
+    stats->cache_entries = cache->size();
+    stats->cache_file = cache->attached_file();
+    stats->cache_stale_drops = cache->stale_drops();
+  }
+  // Runs that never fetched have empty per-shard vectors; normalize so
+  // consumers can always index [0, backend_shards).
+  stats->shard_fetches = physical.shard_fetches;
+  stats->shard_stall_seconds = physical.shard_stall_seconds;
+  stats->shard_fetches.resize(static_cast<size_t>(stats->backend_shards), 0);
+  stats->shard_stall_seconds.resize(
+      static_cast<size_t>(stats->backend_shards), 0.0);
+}
+
 Result<std::unique_ptr<SamplingSession>> SamplingSession::Open(
     const Graph* graph, std::string_view spec, SessionOptions options) {
   WNW_ASSIGN_OR_RETURN(SamplerConfig config, SamplerConfig::Parse(spec));
@@ -258,45 +297,13 @@ SessionStats SamplingSession::Stats() const {
   SessionStats stats;
   stats.spec = config_.ToSpec();
   stats.sampler = std::string(sampler_->name());
-  stats.backend = std::string(access_->backend().name());
   const CostMeter& meter = access_->meter();
   stats.query_cost = meter.unique_cost;
   stats.total_queries = meter.total_queries;
-  stats.backend_fetches = meter.backend_fetches;
-  stats.shared_cache_hits = meter.shared_cache_hits;
-  stats.prefetch_batches = meter.prefetch_batches;
-  stats.waited_seconds = meter.waited_seconds;
   stats.elapsed_seconds = timer_.ElapsedSeconds();
-  stats.async_window = executor_ != nullptr ? executor_->window() : 0;
   stats.samples_drawn = samples_drawn_;
-  if (const ShardedBackend* sharded = access_->backend().AsSharded()) {
-    stats.backend_shards = sharded->num_shards();
-  }
-  if (const RemoteBackend* remote = access_->backend().AsRemote()) {
-    stats.remote_addr = remote->address();
-    stats.remote_rpcs = remote->rpcs();
-    stats.remote_retries = remote->retries();
-    stats.remote_bytes = remote->wire_bytes();
-    // The shard topology lives server-side; surface it the same way the
-    // in-process sharded stack does.
-    stats.backend_shards = std::max(1, remote->origin_shards());
-  }
-  if (const std::shared_ptr<QueryCache>& cache = access_->query_cache()) {
-    stats.cache_attached = true;
-    stats.cache_hits = cache->hits();
-    stats.cache_misses = cache->misses();
-    stats.cache_evictions = cache->evictions();
-    stats.cache_entries = cache->size();
-    stats.cache_file = cache->attached_file();
-    stats.cache_stale_drops = cache->stale_drops();
-  }
-  stats.shard_fetches = meter.shard_fetches;
-  stats.shard_stall_seconds = meter.shard_stall_seconds;
-  // Sessions that never fetched have empty per-shard vectors; normalize so
-  // consumers can always index [0, backend_shards).
-  stats.shard_fetches.resize(static_cast<size_t>(stats.backend_shards), 0);
-  stats.shard_stall_seconds.resize(static_cast<size_t>(stats.backend_shards),
-                                   0.0);
+  FillBackendStats(access_->backend(), access_->query_cache().get(),
+                   executor_.get(), meter, &stats);
 
   // Sampler-family telemetry. The built-ins are matched by type; samplers
   // registered externally contribute the generic fields above.

@@ -184,7 +184,8 @@ struct SessionStats {
   uint64_t engine_walkers = 0;        // logical walkers multiplexed
   uint64_t engine_blocks = 0;         // scheduling blocks over the node range
   uint64_t engine_block_switches = 0; // times a worker changed blocks
-  uint64_t engine_steps = 0;          // design steps executed
+  uint64_t engine_steps = 0;          // walker resumes: design steps in
+                                      // flat mode, draws in session mode
   double engine_steps_per_sec = 0.0;  // engine_steps / stepping-phase time
   uint64_t engine_bytes_scanned = 0;  // CSR bytes read in-block (flat mode)
   uint64_t engine_resident_peak = 0;  // peak resident-set bytes sampled
@@ -270,6 +271,16 @@ class SamplingSession {
   uint64_t samples_drawn_ = 0;
   Timer timer_;  // wall clock since Open()
 };
+
+/// Fills the backend half of *stats from the shared resources a run used:
+/// backend name, the physical counters of `physical` (fetches, shared-cache
+/// hits, prefetch batches, waited time, per-shard vectors sized to
+/// backend_shards), the async window, and the shard, remote and query-cache
+/// telemetry. Logical costs (query_cost, total_queries) are left to the
+/// caller. Shared by SamplingSession::Stats and the block walk engine.
+void FillBackendStats(const AccessBackend& backend, const QueryCache* cache,
+                      const CompletionExecutor* executor,
+                      const CostMeter& physical, SessionStats* stats);
 
 /// Peels the session-reserved spec keys off *config, enforces spec-vs-options
 /// conflicts, and materializes the shared resources into *options (fetch

@@ -48,7 +48,6 @@ class EngineRun {
       : options_(options),
         shared_(shared),
         program_(program),
-        context_(context),
         result_(result),
         num_nodes_(graph->num_nodes()) {
     block_nodes_ = options.block_nodes != 0
@@ -179,10 +178,9 @@ class EngineRun {
       w.state.home = shared_.start.has_value()
                          ? *shared_.start
                          : static_cast<NodeId>(chain.NextBounded(num_nodes_));
-      w.rng = Rng(sampler_seed);
       w.target = static_cast<uint32_t>(options_.samples_per_walker);
       w.out = result_->samples.data() + g * options_.samples_per_walker;
-      WNW_RETURN_IF_ERROR(program_.Init(w));
+      WNW_RETURN_IF_ERROR(program_.Init(w, sampler_seed));
     }
 
     buckets_.assign(num_blocks_, {});
@@ -401,7 +399,6 @@ class EngineRun {
   const EngineOptions& options_;
   const SessionOptions& shared_;
   const WalkerProgram& program_;
-  const ProgramContext& context_;
   EngineResult* result_;
 
   NodeId num_nodes_;
@@ -521,44 +518,14 @@ Result<EngineResult> RunWalkEngine(const Graph* graph,
   stats.spec = config.ToSpec();
   stats.sampler = StrFormat("block-engine(%s)",
                             std::string(program->name()).c_str());
-  stats.backend = std::string(shared.backend->name());
   for (const EngineWalkerStats& w : result.walker_stats) {
     stats.query_cost += w.query_cost;
     stats.total_queries += w.total_queries;
     stats.samples_drawn += w.emitted;
   }
-  const CostMeter& physical = run.physical();
-  stats.backend_fetches = physical.backend_fetches;
-  stats.shared_cache_hits = physical.shared_cache_hits;
-  stats.prefetch_batches = physical.prefetch_batches;
-  stats.waited_seconds = physical.waited_seconds;
   stats.elapsed_seconds = elapsed;
-  stats.async_window =
-      shared.executor != nullptr ? shared.executor->window() : 0;
-  if (const ShardedBackend* sharded = shared.backend->AsSharded()) {
-    stats.backend_shards = sharded->num_shards();
-  }
-  if (const RemoteBackend* remote = shared.backend->AsRemote()) {
-    stats.remote_addr = remote->address();
-    stats.remote_rpcs = remote->rpcs();
-    stats.remote_retries = remote->retries();
-    stats.remote_bytes = remote->wire_bytes();
-    stats.backend_shards = std::max(1, remote->origin_shards());
-  }
-  if (shared.query_cache != nullptr) {
-    stats.cache_attached = true;
-    stats.cache_hits = shared.query_cache->hits();
-    stats.cache_misses = shared.query_cache->misses();
-    stats.cache_evictions = shared.query_cache->evictions();
-    stats.cache_entries = shared.query_cache->size();
-    stats.cache_file = shared.query_cache->attached_file();
-    stats.cache_stale_drops = shared.query_cache->stale_drops();
-  }
-  stats.shard_fetches = physical.shard_fetches;
-  stats.shard_stall_seconds = physical.shard_stall_seconds;
-  stats.shard_fetches.resize(static_cast<size_t>(stats.backend_shards), 0);
-  stats.shard_stall_seconds.resize(
-      static_cast<size_t>(stats.backend_shards), 0.0);
+  FillBackendStats(*shared.backend, shared.query_cache.get(),
+                   shared.executor.get(), run.physical(), &stats);
 
   stats.engine_walkers = options.walkers;
   stats.engine_blocks = run.num_blocks();

@@ -8,9 +8,11 @@
 // DrunkardMob move: instead of each walker pulling its next neighbor list
 // from wherever it happens to stand, walkers are bucketed by the BLOCK of
 // their frontier node and every walker pending on the scheduled block is
-// stepped while that block's adjacency pages are hot. Per-walker state is a
-// small resumable record (engine/walker_program.h), so walker count is a
-// memory knob, not a thread count.
+// stepped while that block's adjacency pages are hot. A walker is a
+// resumable record (engine/walker_program.h): either the registry's own
+// Sampler, drawn once per resume, or — for flat `walk` runs — a POD record
+// stepped once per resume. Walker count is a memory knob, not a thread
+// count.
 //
 // The defining invariant, enforced by tests/engine_test.cc and the
 // bench/ablation_block_engine CI gate:
@@ -67,10 +69,10 @@ struct EngineOptions {
   int threads = 0;
 
   /// Live walkers materialized at once. Session-mode walkers carry a real
-  /// AccessInterface (O(num_nodes) seen-bitmap each), so residency is
-  /// bounded and cohorts run back to back — walkers are independent, so
-  /// cohort boundaries cannot change outputs. 0 derives: all walkers in
-  /// flat mode (POD records), 1024 in session mode.
+  /// AccessInterface (O(num_nodes) seen-bitmap each) and Sampler, so
+  /// residency is bounded and cohorts run back to back — walkers are
+  /// independent, so cohort boundaries cannot change outputs. 0 derives:
+  /// all walkers in flat mode (POD records), 1024 in session mode.
   uint64_t cohort = 0;
 
   /// Resident-byte budget for adjacency paging of a snapshot-served graph
@@ -89,9 +91,10 @@ struct EngineOptions {
   /// no-prefetch baseline the oocore bench gates against.
   int prefetch_depth = 2;
 
-  /// Global design-step budget; 0 = unlimited. When exhausted the engine
-  /// stops promptly and cleanly (EngineResult::stopped_early), leaving
-  /// emitted-so-far samples valid — the mid-run shutdown path.
+  /// Global budget of walker resumes (design steps in flat mode, draws in
+  /// session mode); 0 = unlimited. When exhausted the engine stops promptly
+  /// and cleanly (EngineResult::stopped_early), leaving emitted-so-far
+  /// samples valid — the mid-run shutdown path.
   uint64_t max_steps = 0;
 
   /// Shared-resource template, same contract as WalkerPoolOptions::session:

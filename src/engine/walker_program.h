@@ -1,16 +1,8 @@
-// Walker programs: registry samplers compiled down to per-step resumable
-// coroutine-style state machines, so the block engine can multiplex millions
-// of logical walkers over a handful of OS threads.
+// Walker programs: what one engine walker does each time the block engine
+// resumes it, so millions of logical walkers can be multiplexed over a
+// handful of OS threads.
 //
-// A SamplingSession runs one sampler as straight-line code: Draw() walks
-// until something converges/accepts and returns a node. The engine cannot
-// afford one call stack (or one O(num_nodes) access session) per logical
-// walker, so each sampler family is re-expressed as a WalkerProgram whose
-// Resume() advances ONE design step (plus whatever bookkeeping the original
-// Draw() performs at that step, in the same order against the same RNG
-// stream) and then yields, letting the engine re-bucket the walker by the
-// block of its new frontier node. The contract that everything here is
-// written against:
+// The contract that everything here is written against:
 //
 //   For every registered sampler and every walker, the sequence of emitted
 //   samples — and the per-walker logical costs (query_cost, total_queries)
@@ -19,33 +11,32 @@
 //   because walkers never share randomness and deterministic backends
 //   answer identically in any order.
 //
-// Two execution modes keep that promise at different scales:
+// Two programs keep that promise at different scales:
 //
-//  - Session mode (burnin, longrun, we, we-path, and walk under access
-//    restrictions or a shared cache): the walker owns a real
-//    AccessInterface / GewekeMonitor / ProbabilityEstimator /
-//    RejectionSampler and Resume() drives the *same component calls in the
-//    same order* as the sampler's Draw() — identity by construction, at the
+//  - SamplerProgram (every registered sampler; `walk` too under
+//    restrictions, a shared cache or an externally registered design): the
+//    walker owns a real AccessInterface and the registry's own Sampler,
+//    built with exactly the arguments SamplingSession::Open would pass pool
+//    walker g. Resume() calls Draw() once and emits the result — the engine
+//    runs the reference code, so identity holds by construction, at the
 //    cost of an O(num_nodes) seen-bitmap per live walker (the engine bounds
 //    residency with cohorts).
-//  - Flat mode (the `walk` sampler against an unrestricted deterministic
-//    backend with no shared cache): per-walker state shrinks to a POD
-//    record plus a tiny WalkerMeter; the four built-in transition designs
-//    are replicated step-for-step (same RNG call order, same logical
-//    billing) against a per-WORKER scan interface, which is what makes one
-//    million walkers on a disk-resident snapshot feasible.
+//  - FlatWalkProgram (the `walk` sampler against an unrestricted
+//    deterministic backend with no shared cache): per-walker state shrinks
+//    to a POD record plus a tiny WalkerMeter; the four built-in transition
+//    designs are replicated step-for-step (same RNG call order, same logical
+//    billing) against a per-WORKER scan interface, and Resume() advances one
+//    design step. This is what makes one million walkers on a disk-resident
+//    snapshot feasible.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "access/access_interface.h"
-#include "core/estimate.h"
 #include "core/registry.h"
-#include "mcmc/convergence.h"
-#include "mcmc/rejection.h"
 #include "mcmc/transition.h"
 #include "random/rng.h"
 #include "util/status.h"
@@ -108,35 +99,26 @@ struct WalkerMeter {
   }
 };
 
-/// POD core of one logical walker. `aux`/`aux2`/`phase` are program-defined
-/// (steps into the current walk, candidates or walks tried this draw, state
-/// machine phase) — documented per program in walker_program.cc.
+/// POD core of one logical walker.
 struct WalkerState {
   NodeId node = kInvalidNode;  // frontier: the block scheduler keys on this
   NodeId home = kInvalidNode;  // the walker's start node
   uint32_t emitted = 0;        // samples produced so far
-  uint32_t aux = 0;
-  uint32_t aux2 = 0;
-  uint8_t phase = 0;
+  uint32_t aux = 0;            // flat mode: design steps into the draw
 };
 
-/// Session-mode baggage: the real components a SamplingSession would own,
-/// one set per live walker. Flat-mode walkers leave this null.
+/// Session-mode baggage: what a SamplingSession would own, one set per live
+/// walker. Flat-mode walkers leave this null. `sampler` points into
+/// `access`, so it is declared (and destroyed) after it.
 struct WalkerSession {
   std::unique_ptr<AccessInterface> access;
-  std::unique_ptr<GewekeMonitor> monitor;           // burnin / longrun
-  std::unique_ptr<ProbabilityEstimator> estimator;  // we / we-path
-  std::unique_ptr<RejectionSampler> rejection;      // we / we-path
-  std::vector<NodeId> path_buf;
-  std::vector<NodeId> candidate_buf;
-  std::deque<NodeId> pending;  // we-path accepted-but-unemitted samples
-  bool prepared = false;       // estimator crawl done
+  std::unique_ptr<Sampler> sampler;
 };
 
 /// One logical walker as the engine sees it.
 struct EngineWalker {
   WalkerState state;
-  Rng rng{0};
+  Rng rng{0};                            // flat mode only
   WalkerMeter meter;                     // flat mode only
   std::unique_ptr<WalkerSession> side;   // session mode only
   NodeId* out = nullptr;                 // this walker's sample slots
@@ -151,8 +133,8 @@ enum class ResumeOutcome {
   kDone,      // walker emitted its full target
 };
 
-/// A sampler compiled to per-step form. Stateless and shared by all walkers
-/// and workers; all mutable state lives in the EngineWalker.
+/// A sampler in resumable form. Stateless and shared by all walkers and
+/// workers; all mutable state lives in the EngineWalker.
 class WalkerProgram {
  public:
   virtual ~WalkerProgram() = default;
@@ -163,32 +145,34 @@ class WalkerProgram {
   /// only; fetches go through the per-worker scan interface).
   virtual bool flat() const { return false; }
 
-  /// Prepares a walker whose rng/home/target/out are already set: seeds
-  /// state.node and any session-mode components.
-  virtual Status Init(EngineWalker& w) const = 0;
+  /// Prepares a walker whose home/target/out are already set: seeds
+  /// state.node and the walker's randomness from `seed` (the sampler seed
+  /// pool walker g's session would draw), building any session-mode
+  /// components.
+  virtual Status Init(EngineWalker& w, uint64_t seed) const = 0;
 
-  /// Advances the walker by one design step (plus the bookkeeping the
-  /// original sampler performs at that step). `scan` is the calling
-  /// worker's fetch channel; only flat programs use it (session programs
-  /// bill the walker's own side->access and may receive scan = nullptr).
+  /// Advances the walker: one design step in flat mode, one Draw() in
+  /// session mode. `scan` is the calling worker's fetch channel; only flat
+  /// programs use it (session programs bill the walker's own side->access
+  /// and may receive scan = nullptr).
   virtual Result<ResumeOutcome> Resume(EngineWalker& w,
                                        FlatScan* scan) const = 0;
 };
 
-/// Shared resources the programs hand to per-walker access sessions; all
-/// resolved by ResolveSessionResources before compilation.
+/// Shared resources the session program hands to per-walker access
+/// sessions; all resolved by ResolveSessionResources before compilation.
 struct ProgramContext {
   std::shared_ptr<AccessBackend> backend;
   std::shared_ptr<QueryCache> query_cache;  // may be null
   std::shared_ptr<CompletionExecutor> executor;  // may be null
 };
 
-/// Compiles `config` (reserved/engine keys already peeled) against `design`
-/// into a walker program, validating config.params exactly as the registry
-/// factory would. `allow_flat` gates the flat `walk` fast path — the caller
-/// asserts the backend is deterministic, unrestricted, and cache-free, which
-/// is what makes per-walker logical billing replicable. Samplers without a
-/// compiled form return InvalidArgument naming the supported set.
+/// Builds the walker program for `config` (reserved/engine keys already
+/// peeled) against `design`, validating config.params through the registry
+/// factory — so the engine accepts and rejects exactly the specs a session
+/// does, with the same Status. `allow_flat` gates the flat `walk` fast path
+/// — the caller asserts the backend is deterministic, unrestricted, and
+/// cache-free, which is what makes per-walker logical billing replicable.
 Result<std::unique_ptr<WalkerProgram>> CompileWalkerProgram(
     const SamplerConfig& config, const TransitionDesign* design,
     const ProgramContext& context, bool allow_flat);

@@ -3,7 +3,7 @@
 // sizes, RunWalkEngine must emit byte-identical per-walker samples — and
 // identical per-walker logical query costs (no shared cache attached) — to
 // RunWalkerPool under the same seed. The sweep enumerates the registry, so
-// registering a new sampler without a walker program fails here first.
+// registering a new sampler without an identity case fails here first.
 #include <algorithm>
 #include <set>
 #include <string>
@@ -24,6 +24,39 @@ using testing::ToVec;
 
 constexpr uint64_t kSeed = 777;
 
+// A sampler no engine code knows by name: FixedWalkSampler behind a
+// test-only registry entry. The engine must run it like any other.
+class WrappedWalkSampler final : public Sampler {
+ public:
+  explicit WrappedWalkSampler(std::unique_ptr<Sampler> inner)
+      : inner_(std::move(inner)) {}
+  std::string_view name() const override { return "wrapped-walk"; }
+  Result<NodeId> Draw() override { return inner_->Draw(); }
+  double TargetWeight(NodeId u) override { return inner_->TargetWeight(u); }
+
+ private:
+  std::unique_ptr<Sampler> inner_;
+};
+
+Result<std::unique_ptr<Sampler>> MakeWrappedWalk(
+    const SamplerConfig& config, AccessInterface* access,
+    const TransitionDesign* design, NodeId start, uint64_t seed) {
+  FixedWalkSampler::Options options;
+  WNW_RETURN_IF_ERROR(ReadFixedWalkOptions(config, &options));
+  return std::unique_ptr<Sampler>(std::make_unique<WrappedWalkSampler>(
+      std::make_unique<FixedWalkSampler>(access, design, start, options,
+                                         seed)));
+}
+
+// Registered during static initialization, so the registry already holds it
+// when SpecTableCoversEveryRegisteredSampler enumerates the names.
+const bool kWrappedWalkRegistered =
+    SamplerRegistry::Global()
+        .Register("test-wrapped-walk",
+                  {"test only: FixedWalkSampler under a fresh name (steps)",
+                   MakeWrappedWalk})
+        .ok();
+
 struct SpecCase {
   const char* registry_name;
   const char* spec;
@@ -38,8 +71,10 @@ const SpecCase kIdentitySpecs[] = {
     {"walk", "walk:lazy?steps=4"},
     {"burnin", "burnin:srw?max_steps=300"},
     {"longrun", "longrun:lazy?thinning=3&max_steps=300"},
+    {"longrun", "longrun:srw?min_steps=0&max_steps=300"},
     {"we", "we:mhrw?diameter=2"},
     {"we-path", "we-path:srw?diameter=2"},
+    {"test-wrapped-walk", "test-wrapped-walk:mhrw?steps=4"},
 };
 
 WalkerPoolOptions PoolOptions(int walkers, uint64_t samples) {
@@ -78,7 +113,36 @@ TEST(WalkEngine, SpecTableCoversEveryRegisteredSampler) {
   const std::vector<std::string> names = SamplerRegistry::Global().Names();
   EXPECT_EQ(covered, std::set<std::string>(names.begin(), names.end()))
       << "a sampler was registered without a block-engine identity case — "
-         "add it to kIdentitySpecs (and a walker program if it lacks one)";
+         "add it to kIdentitySpecs";
+}
+
+TEST(WalkEngine, RunsASamplerRegisteredOutsideTheEngine) {
+  ASSERT_TRUE(kWrappedWalkRegistered);
+  const Graph graph = MakeTestBA(300, 3);
+  const char* spec = "test-wrapped-walk:srw?steps=5";
+  const auto pool = RunWalkerPool(&graph, spec, PoolOptions(6, 4));
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  EngineOptions options = BaseEngineOptions(6, 4);
+  options.block_nodes = 16;
+  const auto engine = RunWalkEngine(&graph, spec, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ExpectIdentical(*pool, *engine, spec);
+  EXPECT_EQ(engine->stats.sampler, "block-engine(wrapped-walk)");
+}
+
+TEST(WalkEngine, AcceptsAndRejectsTheSpecsThePoolDoes) {
+  const Graph graph = MakeTestBA(100, 3);
+  for (const char* spec :
+       {"longrun:srw?min_steps=0&max_steps=10", "walk:srw?steps=3",
+        "we-path:srw?max_walks=0", "we:mhrw?diameter=2000000000",
+        "we:mhrw?walk_length=2000000000", "burnin:srw?min_steps=0",
+        "walk:srw?steps=0", "we:mhrw?bogus=1", "nope:srw"}) {
+    const auto pool = RunWalkerPool(&graph, spec, PoolOptions(2, 2));
+    const auto engine =
+        RunWalkEngine(&graph, spec, BaseEngineOptions(2, 2));
+    EXPECT_EQ(pool.ok(), engine.ok()) << spec;
+    EXPECT_EQ(pool.status().code(), engine.status().code()) << spec;
+  }
 }
 
 TEST(WalkEngine, ByteIdenticalToWalkerPoolForEverySampler) {

@@ -165,7 +165,9 @@ TEST(SamplerRegistryTest, OutOfRangeOptionsAreStatusesNotAborts) {
         "burnin:srw?max_steps=10", "burnin:srw?geweke_threshold=nan",
         "longrun:srw?check_interval=0", "longrun:srw?thinning=0",
         "we-path:mhrw?diameter=0", "we-path:mhrw?diameter=3&min_step=100",
-        "we-path:mhrw?stride=0", "walk:srw?steps=0"}) {
+        "we-path:mhrw?stride=0", "we-path:srw?max_walks=0",
+        "we:mhrw?diameter=2000000000", "we:mhrw?walk_length=2000000000",
+        "walk:srw?steps=0"}) {
     const auto session = SamplingSession::Open(&g, spec);
     ASSERT_FALSE(session.ok()) << spec;
     EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument) << spec;

@@ -31,6 +31,10 @@
 // --json replaces the per-line sample output with one JSON object on stdout
 // ({"spec", "samples": [...], "stats": {...}}) for scripting; diagnostics
 // stay on stderr.
+//
+// Exit status: 0 when every requested sample was drawn; 1 when the input
+// graph cannot be loaded or a draw fails (the samples drawn so far and the
+// stats are still printed); 2 for a malformed flag or a rejected spec.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -382,6 +386,13 @@ int main(int argc, char** argv) {
     const auto run = RunWalkEngine(&graph, config, engine_opts);
     if (!run.ok()) {
       std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
+      // A spec the engine rejects is a usage error; a walker whose draw
+      // failed mid-run (ResourceExhausted, a backend error) is not.
+      const StatusCode code = run.status().code();
+      if (code != StatusCode::kInvalidArgument &&
+          code != StatusCode::kNotFound) {
+        return 1;
+      }
       PrintUsage();
       return 2;
     }
@@ -428,12 +439,16 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "sampler: %s (start node %u)\n",
                session.config().ToSpec().c_str(), session.start());
 
+  // A failed draw ends sampling; what was drawn and the stats are still
+  // reported, but the exit code is 1.
   std::vector<NodeId> samples;
   samples.reserve(args.samples);
+  bool draw_failed = false;
   while (samples.size() < args.samples) {
     const auto s = session.Draw();
     if (!s.ok()) {
       std::fprintf(stderr, "draw failed: %s\n", s.status().ToString().c_str());
+      draw_failed = true;
       break;
     }
     samples.push_back(s.value());
@@ -452,7 +467,7 @@ int main(int argc, char** argv) {
   const SessionStats stats = session.Stats();
   if (args.json) {
     PrintJson(stats, samples);
-    return 0;
+    return draw_failed ? 1 : 0;
   }
   std::fprintf(stderr,
                "drawn: %llu samples  query cost: %llu unique nodes "
@@ -504,5 +519,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "avg degree estimate: %.4f (true %.4f)\n", est,
                  graph.average_degree());
   }
-  return 0;
+  return draw_failed ? 1 : 0;
 }
