@@ -1,22 +1,16 @@
 #include "core/registry.h"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
+#include <limits>
+#include <set>
+#include <type_traits>
+#include <utility>
 
 #include "util/string_util.h"
 
 namespace wnw {
 
 namespace {
-
-// Shortest decimal string that parses back to exactly `value`.
-std::string FormatDouble(double value) {
-  char buf[64];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  (void)ec;
-  return std::string(buf, end);
-}
 
 std::string JoinNames(const std::vector<std::string>& names) {
   std::string out;
@@ -94,130 +88,7 @@ void SamplerConfig::Set(std::string key, std::string value) {
   params[std::move(key)] = std::move(value);
 }
 
-void SamplerConfig::SetInt(std::string key, int64_t value) {
-  Set(std::move(key), std::to_string(value));
-}
-
-void SamplerConfig::SetUint(std::string key, uint64_t value) {
-  Set(std::move(key), std::to_string(value));
-}
-
-void SamplerConfig::SetDouble(std::string key, double value) {
-  Set(std::move(key), FormatDouble(value));
-}
-
-void SamplerConfig::SetBool(std::string key, bool value) {
-  Set(std::move(key), value ? "1" : "0");
-}
-
-// --- ParamReader -------------------------------------------------------------
-
-const std::string* ParamReader::Consume(std::string_view key) {
-  const auto it = config_.params.find(key);
-  if (it == config_.params.end()) return nullptr;
-  consumed_.insert(it->first);
-  return &it->second;
-}
-
-void ParamReader::Fail(std::string_view key, std::string_view expected) {
-  if (!status_.ok()) return;  // keep the first error
-  status_ = Status::InvalidArgument(
-      "sampler '" + config_.sampler + "': parameter '" + std::string(key) +
-      "=" + config_.params.find(key)->second + "' is not " +
-      std::string(expected));
-}
-
-bool ParamReader::Read(std::string_view key, int* out) {
-  const std::string* raw = Consume(key);
-  if (raw == nullptr) return false;
-  uint64_t v = 0;
-  if (!ParseUint64(*raw, &v) || v > static_cast<uint64_t>(INT32_MAX)) {
-    Fail(key, "a non-negative integer");
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool ParamReader::Read(std::string_view key, uint64_t* out) {
-  const std::string* raw = Consume(key);
-  if (raw == nullptr) return false;
-  if (!ParseUint64(*raw, out)) {
-    Fail(key, "a non-negative integer");
-    return false;
-  }
-  return true;
-}
-
-bool ParamReader::Read(std::string_view key, double* out) {
-  const std::string* raw = Consume(key);
-  if (raw == nullptr) return false;
-  double value = 0.0;
-  if (!ParseDouble(*raw, &value) || !std::isfinite(value)) {
-    Fail(key, "a finite number");
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParamReader::Read(std::string_view key, bool* out) {
-  const std::string* raw = Consume(key);
-  if (raw == nullptr) return false;
-  if (*raw == "1" || *raw == "true") {
-    *out = true;
-  } else if (*raw == "0" || *raw == "false") {
-    *out = false;
-  } else {
-    Fail(key, "a boolean (0/1/true/false)");
-    return false;
-  }
-  return true;
-}
-
-bool ParamReader::Read(std::string_view key, std::string* out) {
-  const std::string* raw = Consume(key);
-  if (raw == nullptr) return false;
-  *out = *raw;
-  return true;
-}
-
-Status ParamReader::Finish() const {
-  if (!status_.ok()) return status_;
-  for (const auto& [key, value] : config_.params) {
-    if (!consumed_.contains(key)) {
-      return Status::InvalidArgument("sampler '" + config_.sampler +
-                                     "' does not take parameter '" + key +
-                                     "'");
-    }
-  }
-  return Status::OK();
-}
-
-// --- variants / bias ---------------------------------------------------------
-
-std::string_view VariantKey(WalkEstimateVariant variant) {
-  switch (variant) {
-    case WalkEstimateVariant::kFull:
-      return "full";
-    case WalkEstimateVariant::kNone:
-      return "none";
-    case WalkEstimateVariant::kCrawlOnly:
-      return "crawl";
-    case WalkEstimateVariant::kWeightedOnly:
-      return "weighted";
-  }
-  return "full";
-}
-
-Result<WalkEstimateVariant> ParseVariantKey(std::string_view key) {
-  if (key == "full") return WalkEstimateVariant::kFull;
-  if (key == "none") return WalkEstimateVariant::kNone;
-  if (key == "crawl") return WalkEstimateVariant::kCrawlOnly;
-  if (key == "weighted") return WalkEstimateVariant::kWeightedOnly;
-  return Status::InvalidArgument("unknown variant '" + std::string(key) +
-                                 "' (expected full|none|crawl|weighted)");
-}
+// --- bias --------------------------------------------------------------------
 
 TargetBias BiasForWalkSpec(std::string_view walk_spec) {
   const std::string_view family = walk_spec.substr(0, walk_spec.find(':'));
@@ -225,126 +96,231 @@ TargetBias BiasForWalkSpec(std::string_view walk_spec) {
                                              : TargetBias::kUniform;
 }
 
-// --- option <-> param codecs -------------------------------------------------
+// --- sampler keys ------------------------------------------------------------
 
 namespace {
 
-void ReadBurnInParams(ParamReader& reader, BurnInSampler::Options* options) {
-  reader.Read("check_interval", &options->check_interval);
-  reader.Read("min_steps", &options->min_steps);
-  reader.Read("max_steps", &options->max_steps);
-  reader.Read("geweke_first", &options->geweke.first_frac);
-  reader.Read("geweke_last", &options->geweke.last_frac);
-  reader.Read("geweke_threshold", &options->geweke.threshold);
-  reader.Read("geweke_min", &options->geweke.min_samples);
+using T = SpecType;
+using V = SpecValue;
+using Params = std::map<std::string, std::string, std::less<>>;
+
+// A sampler's spec key: its schema field, where a checked value lands in
+// the sampler's options struct, and how the config builders render it.
+template <typename Options>
+struct SamplerKey {
+  SpecField field;
+  void (*apply)(const SpecValue& value, Options* options);
+  std::string (*format)(const Options& options);
+};
+
+void Assign(int& out, const V& v) { out = static_cast<int>(v.uint); }
+void Assign(size_t& out, const V& v) { out = v.uint; }
+void Assign(double& out, const V& v) { out = v.real; }
+void Assign(bool& out, const V& v) { out = v.flag; }
+
+std::string Text(int value) { return std::to_string(value); }
+std::string Text(size_t value) { return std::to_string(value); }
+std::string Text(double value) { return FormatSpecNumber(value); }
+std::string Text(bool value) { return value ? "1" : "0"; }
+
+// A key that is one options field, which `At` returns by reference. The
+// field's C++ type sets the key's type, and an int field caps the range at
+// INT_MAX so a larger value is out of range instead of truncated.
+template <typename Options, typename At>
+constexpr SamplerKey<Options> Plain(SpecField field, At) {
+  using Field = std::remove_cvref_t<decltype(At{}(std::declval<Options&>()))>;
+  field.type = std::is_same_v<Field, double> ? T::kDouble
+               : std::is_same_v<Field, bool> ? T::kBool
+                                             : T::kUint;
+  if (std::is_same_v<Field, int>) {
+    field.hi = std::min<double>(field.hi, std::numeric_limits<int>::max());
+  }
+  return {field, [](const V& v, Options* o) { Assign(At{}(*o), v); },
+          [](const Options& o) { return Text(At{}(o)); }};
 }
 
-void EncodeBurnInParams(const BurnInSampler::Options& options,
-                        SamplerConfig* config) {
-  const BurnInSampler::Options defaults;
-  if (options.check_interval != defaults.check_interval) {
-    config->SetInt("check_interval", options.check_interval);
+using B = BurnInSampler::Options;
+constexpr SamplerKey<B> kBurnInKeys[] = {
+    Plain<B>({.key = "check_interval", .lo = 1, .default_value = "20",
+              .doc = "steps between convergence checks"},
+             [](auto& o) -> auto& { return o.check_interval; }),
+    Plain<B>({.key = "min_steps", .default_value = "50",
+              .doc = "walk at least this long before checking; burnin "
+                     "needs >= 1"},
+             [](auto& o) -> auto& { return o.min_steps; }),
+    Plain<B>({.key = "max_steps", .default_value = "50000",
+              .doc = "hard cap, then the current node is taken (logged); "
+                     "burnin needs >= min_steps"},
+             [](auto& o) -> auto& { return o.max_steps; }),
+    Plain<B>({.key = "geweke_first", .hi = 1.0, .lo_open = true,
+              .hi_open = true, .default_value = "0.1",
+              .doc = "Geweke window A: leading fraction of the chain"},
+             [](auto& o) -> auto& { return o.geweke.first_frac; }),
+    Plain<B>({.key = "geweke_last", .hi = 1.0, .lo_open = true,
+              .hi_open = true, .default_value = "0.5",
+              .doc = "Geweke window B: trailing fraction; geweke_first + "
+                     "geweke_last <= 1"},
+             [](auto& o) -> auto& { return o.geweke.last_frac; }),
+    Plain<B>({.key = "geweke_threshold", .default_value = "0.1",
+              .doc = "Geweke z-score below which the chain has converged"},
+             [](auto& o) -> auto& { return o.geweke.threshold; }),
+    Plain<B>({.key = "geweke_min", .default_value = "50",
+              .doc = "minimum chain length before a verdict"},
+             [](auto& o) -> auto& { return o.geweke.min_samples; }),
+};
+
+using L = OneLongRunSampler::Options;
+constexpr SamplerKey<L> kLongRunKeys[] = {
+    Plain<L>({.key = "thinning", .lo = 1, .default_value = "1",
+              .doc = "keep every thinning-th node after burn-in"},
+             [](auto& o) -> auto& { return o.thinning; }),
+};
+
+using FW = FixedWalkSampler::Options;
+constexpr SamplerKey<FW> kFixedWalkKeys[] = {
+    Plain<FW>({.key = "steps", .lo = 1, .default_value = "8",
+               .doc = "design steps the persistent walk advances per draw"},
+              [](auto& o) -> auto& { return o.steps; }),
+};
+
+// The `variant` choice that a pair of heuristic switches amounts to.
+std::string VariantOf(const EstimateOptions& estimate) {
+  if (estimate.use_crawl) return estimate.use_weighted ? "full" : "crawl";
+  return estimate.use_weighted ? "weighted" : "none";
+}
+
+// Row order is application order: variant presets both heuristic switches
+// before an explicit crawl or weighted overrides one. The variant choices
+// are listed in WalkEstimateVariant order.
+using W = WalkEstimateOptions;
+constexpr SamplerKey<W> kWalkEstimateKeys[] = {
+    {{.key = "variant", .type = T::kEnum,
+      .choices = "full|none|crawl|weighted", .default_value = "full",
+      .doc = "the Figure 9 heuristic preset; explicit crawl / weighted "
+             "override it"},
+     [](const V& v, W* o) {
+       ApplyVariant(static_cast<WalkEstimateVariant>(v.uint), o);
+     },
+     [](const W& o) { return VariantOf(o.estimate); }},
+    Plain<W>({.key = "diameter", .default_value = "10",
+              .doc = "conservative diameter upper bound D̄(G)"},
+             [](auto& o) -> auto& { return o.diameter_bound; }),
+    Plain<W>({.key = "walk_length", .default_value = "0",
+              .doc = "forward walk length t, 0 derives 2*diameter+1; t <= "
+                     "2^20"},
+             [](auto& o) -> auto& { return o.walk_length; }),
+    Plain<W>({.key = "crawl", .default_value = "per variant",
+              .doc = "the initial-crawling heuristic"},
+             [](auto& o) -> auto& { return o.estimate.use_crawl; }),
+    Plain<W>({.key = "crawl_hops", .hi = 64, .default_value = "2",
+              .doc = "initial-crawl radius h; the crawl holds (h+1) * |ball| "
+                     "step probabilities"},
+             [](auto& o) -> auto& { return o.estimate.crawl_hops; }),
+    Plain<W>({.key = "weighted", .default_value = "per variant",
+              .doc = "WS-BW weighted backward sampling"},
+             [](auto& o) -> auto& { return o.estimate.use_weighted; }),
+    Plain<W>({.key = "epsilon", .lo_open = true, .default_value = "0.1",
+              .doc = "WS-BW exploration floor; <= 1 when weighted"},
+             [](auto& o) -> auto& { return o.estimate.epsilon; }),
+    Plain<W>({.key = "base_reps", .lo = 1, .default_value = "6",
+              .doc = "backward-walk repetitions always spent per estimate"},
+             [](auto& o) -> auto& { return o.estimate.base_reps; }),
+    Plain<W>({.key = "max_extra_reps", .default_value = "18",
+              .doc = "extra repetitions while the estimate is noisy"},
+             [](auto& o) -> auto& { return o.estimate.max_extra_reps; }),
+    Plain<W>({.key = "target_rse", .default_value = "0.5",
+              .doc = "stop spending extras below this relative standard "
+                     "error"},
+             [](auto& o) -> auto& { return o.estimate.target_rse; }),
+    Plain<W>({.key = "percentile", .default_value = "0.1",
+              .doc = "acceptance-scale bootstrap percentile; <= 1 unless "
+                     "scale is set"},
+             [](auto& o) -> auto& { return o.rejection.percentile; }),
+    {{.key = "scale", .type = T::kDouble, .lo_open = true,
+      .default_value = "—",
+      .doc = "manual acceptance scale; setting it switches off the "
+             "percentile bootstrap"},
+     [](const V& v, W* o) {
+       o->rejection.mode = ScaleMode::kManual;
+       o->rejection.manual_scale = v.real;
+     },
+     [](const W& o) {
+       return o.rejection.mode == ScaleMode::kManual
+                  ? FormatSpecNumber(o.rejection.manual_scale)
+                  : std::string();
+     }},
+    Plain<W>({.key = "max_candidates", .lo = 1, .default_value = "100000",
+              .doc = "candidate walks per Draw() before giving up"},
+             [](auto& o) -> auto& { return o.max_candidates_per_draw; }),
+};
+
+using P = WalkEstimatePathSampler::Options;
+constexpr SamplerKey<P> kPathKeys[] = {
+    Plain<P>({.key = "min_step", .default_value = "0",
+              .doc = "first walk step taken as a candidate, 0 derives "
+                     "diameter; at most the walk length"},
+             [](auto& o) -> auto& { return o.min_candidate_step; }),
+    Plain<P>({.key = "stride", .lo = 1, .default_value = "1",
+              .doc = "consider every stride-th step"},
+             [](auto& o) -> auto& { return o.stride; }),
+    Plain<P>({.key = "max_walks", .lo = 1, .default_value = "100000",
+              .doc = "walks per Draw() before giving up"},
+             [](auto& o) -> auto& { return o.max_walks_per_draw; }),
+};
+
+// Checks and applies the key of each row that *params carries, consuming
+// it.
+template <typename Options, size_t N>
+Status ApplyKeys(const SamplerKey<Options> (&rows)[N], Params* params,
+                 Options* options) {
+  for (const SamplerKey<Options>& row : rows) {
+    const auto it = params->find(row.field.key);
+    if (it == params->end()) continue;
+    WNW_ASSIGN_OR_RETURN(const SpecValue value,
+                         CheckSpecValue(row.field, it->second));
+    row.apply(value, options);
+    params->erase(it);
   }
-  if (options.min_steps != defaults.min_steps) {
-    config->SetInt("min_steps", options.min_steps);
-  }
-  if (options.max_steps != defaults.max_steps) {
-    config->SetInt("max_steps", options.max_steps);
-  }
-  if (options.geweke.first_frac != defaults.geweke.first_frac) {
-    config->SetDouble("geweke_first", options.geweke.first_frac);
-  }
-  if (options.geweke.last_frac != defaults.geweke.last_frac) {
-    config->SetDouble("geweke_last", options.geweke.last_frac);
-  }
-  if (options.geweke.threshold != defaults.geweke.threshold) {
-    config->SetDouble("geweke_threshold", options.geweke.threshold);
-  }
-  if (options.geweke.min_samples != defaults.geweke.min_samples) {
-    config->SetUint("geweke_min", options.geweke.min_samples);
+  return Status::OK();
+}
+
+Status RejectUnconsumed(const SamplerConfig& config, const Params& rest) {
+  if (rest.empty()) return Status::OK();
+  return Status::InvalidArgument("sampler '" + config.sampler +
+                                 "' does not take parameter '" +
+                                 rest.begin()->first + "'");
+}
+
+// Sets the key of each row whose formatted value differs from a baseline's.
+// The baseline starts at the defaults and takes every emitted value, so a
+// preset (variant) absorbs the switches it implies.
+template <typename Options, size_t N>
+void EncodeKeys(const SamplerKey<Options> (&rows)[N], const Options& options,
+                SamplerConfig* config) {
+  Options baseline;
+  for (const SamplerKey<Options>& row : rows) {
+    std::string text = row.format(options);
+    if (text == row.format(baseline)) continue;
+    if (const auto value = CheckSpecValue(row.field, text); value.ok()) {
+      row.apply(*value, &baseline);
+    }
+    config->Set(std::string(row.field.key), std::move(text));
   }
 }
 
-Result<WalkEstimateOptions> ReadWalkEstimateParams(ParamReader& reader) {
-  std::string variant_key(VariantKey(WalkEstimateVariant::kFull));
-  reader.Read("variant", &variant_key);
-  WNW_ASSIGN_OR_RETURN(WalkEstimateVariant variant,
-                       ParseVariantKey(variant_key));
-  WalkEstimateOptions options;
-  ApplyVariant(variant, &options);
-  reader.Read("walk_length", &options.walk_length);
-  reader.Read("diameter", &options.diameter_bound);
-  reader.Read("crawl_hops", &options.estimate.crawl_hops);
-  // Explicit heuristic switches override the variant.
-  reader.Read("crawl", &options.estimate.use_crawl);
-  reader.Read("weighted", &options.estimate.use_weighted);
-  reader.Read("epsilon", &options.estimate.epsilon);
-  reader.Read("base_reps", &options.estimate.base_reps);
-  reader.Read("max_extra_reps", &options.estimate.max_extra_reps);
-  reader.Read("target_rse", &options.estimate.target_rse);
-  if (reader.Read("scale", &options.rejection.manual_scale)) {
-    options.rejection.mode = ScaleMode::kManual;
-  }
-  reader.Read("percentile", &options.rejection.percentile);
-  reader.Read("max_candidates", &options.max_candidates_per_draw);
-  return options;
+template <typename... Rows>
+std::vector<SpecField> Fields(const Rows&... rows) {
+  std::vector<SpecField> fields;
+  (..., [&] {
+    for (const auto& row : rows) fields.push_back(row.field);
+  }());
+  return fields;
 }
 
-void EncodeWalkEstimateParams(const WalkEstimateOptions& options,
-                              WalkEstimateVariant variant,
-                              SamplerConfig* config) {
-  // The baseline is a default options struct with the same variant applied,
-  // so only genuine overrides are emitted.
-  WalkEstimateOptions defaults;
-  ApplyVariant(variant, &defaults);
-  if (variant != WalkEstimateVariant::kFull) {
-    config->Set("variant", std::string(VariantKey(variant)));
-  }
-  if (options.walk_length != defaults.walk_length) {
-    config->SetInt("walk_length", options.walk_length);
-  }
-  if (options.diameter_bound != defaults.diameter_bound) {
-    config->SetInt("diameter", options.diameter_bound);
-  }
-  if (options.estimate.crawl_hops != defaults.estimate.crawl_hops) {
-    config->SetInt("crawl_hops", options.estimate.crawl_hops);
-  }
-  if (options.estimate.use_crawl != defaults.estimate.use_crawl) {
-    config->SetBool("crawl", options.estimate.use_crawl);
-  }
-  if (options.estimate.use_weighted != defaults.estimate.use_weighted) {
-    config->SetBool("weighted", options.estimate.use_weighted);
-  }
-  if (options.estimate.epsilon != defaults.estimate.epsilon) {
-    config->SetDouble("epsilon", options.estimate.epsilon);
-  }
-  if (options.estimate.base_reps != defaults.estimate.base_reps) {
-    config->SetInt("base_reps", options.estimate.base_reps);
-  }
-  if (options.estimate.max_extra_reps != defaults.estimate.max_extra_reps) {
-    config->SetInt("max_extra_reps", options.estimate.max_extra_reps);
-  }
-  if (options.estimate.target_rse != defaults.estimate.target_rse) {
-    config->SetDouble("target_rse", options.estimate.target_rse);
-  }
-  if (options.rejection.mode == ScaleMode::kManual) {
-    config->SetDouble("scale", options.rejection.manual_scale);
-  } else if (options.rejection.percentile != defaults.rejection.percentile) {
-    config->SetDouble("percentile", options.rejection.percentile);
-  }
-  if (options.max_candidates_per_draw != defaults.max_candidates_per_draw) {
-    config->SetInt("max_candidates", options.max_candidates_per_draw);
-  }
-}
-
-// Range checks for the options whose constructors WNW_CHECK them, so a bad
-// spec value is an InvalidArgument instead of an abort.
+// Checks that span fields; every single value already passed its row.
 Status CheckGeweke(const GewekeOptions& geweke) {
-  if (!(geweke.first_frac > 0.0 && geweke.first_frac < 1.0) ||
-      !(geweke.last_frac > 0.0 && geweke.last_frac < 1.0) ||
-      geweke.first_frac + geweke.last_frac > 1.0) {
-    return Status::InvalidArgument(
-        "geweke_first and geweke_last must be in (0, 1) and sum to <= 1");
+  if (geweke.first_frac + geweke.last_frac > 1.0) {
+    return Status::InvalidArgument("geweke_first + geweke_last must be <= 1");
   }
   return Status::OK();
 }
@@ -365,203 +341,132 @@ Status CheckWalkEstimate(const WalkEstimateOptions& options) {
         "walk length " + std::to_string(walk_length) +
         " (walk_length, or 2*diameter+1 when walk_length=0) exceeds 2^20");
   }
-  const EstimateOptions& estimate = options.estimate;
-  if (estimate.base_reps < 1) {
-    return Status::InvalidArgument("base_reps must be >= 1");
+  if (options.estimate.use_weighted && options.estimate.epsilon > 1.0) {
+    return Status::InvalidArgument("epsilon must be <= 1 when weighted");
   }
-  if (estimate.use_weighted &&
-      !(estimate.epsilon > 0.0 && estimate.epsilon <= 1.0)) {
-    return Status::InvalidArgument("epsilon must be in (0, 1]");
-  }
-  const RejectionOptions& rejection = options.rejection;
-  if (rejection.mode == ScaleMode::kManual
-          ? !(rejection.manual_scale > 0.0)
-          : !(rejection.percentile >= 0.0 && rejection.percentile <= 1.0)) {
-    return Status::InvalidArgument(
-        "scale must be > 0 and percentile in [0, 1]");
-  }
-  if (options.max_candidates_per_draw < 1) {
-    return Status::InvalidArgument("max_candidates must be >= 1");
+  if (options.rejection.mode != ScaleMode::kManual &&
+      options.rejection.percentile > 1.0) {
+    return Status::InvalidArgument("percentile must be <= 1 unless scale "
+                                   "is set");
   }
   return Status::OK();
-}
-
-// Codecs only the built-in factories below use; the public ones follow the
-// anonymous namespace.
-
-Status ReadBurnInOptions(const SamplerConfig& config,
-                         BurnInSampler::Options* out) {
-  ParamReader reader(config);
-  ReadBurnInParams(reader, out);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  if (out->min_steps < 1 || out->check_interval < 1 ||
-      out->max_steps < out->min_steps) {
-    return Status::InvalidArgument(
-        "sampler 'burnin': min_steps and check_interval must be >= 1 and "
-        "max_steps >= min_steps");
-  }
-  return CheckGeweke(out->geweke);
-}
-
-Status ReadLongRunOptions(const SamplerConfig& config,
-                          OneLongRunSampler::Options* out) {
-  ParamReader reader(config);
-  ReadBurnInParams(reader, &out->burn_in);
-  reader.Read("thinning", &out->thinning);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  if (out->burn_in.check_interval < 1 || out->thinning < 1) {
-    return Status::InvalidArgument(
-        "sampler 'longrun': check_interval and thinning must be >= 1");
-  }
-  return CheckGeweke(out->burn_in.geweke);
-}
-
-Result<WalkEstimatePathSampler::Options> ReadWalkEstimatePathOptions(
-    const SamplerConfig& config) {
-  ParamReader reader(config);
-  WalkEstimatePathSampler::Options options;
-  WNW_ASSIGN_OR_RETURN(options.base, ReadWalkEstimateParams(reader));
-  reader.Read("min_step", &options.min_candidate_step);
-  reader.Read("stride", &options.stride);
-  reader.Read("max_walks", &options.max_walks_per_draw);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  WNW_RETURN_IF_ERROR(CheckWalkEstimate(options.base));
-  if (options.stride < 1 || options.EffectiveMinStep() < 1 ||
-      options.EffectiveMinStep() > options.base.EffectiveWalkLength() ||
-      options.max_walks_per_draw < 1) {
-    return Status::InvalidArgument(
-        "sampler 'we-path': stride and max_walks must be >= 1 and 1 <= "
-        "min_step <= walk_length");
-  }
-  return options;
 }
 
 // --- built-in factories ------------------------------------------------------
 
-Result<std::unique_ptr<Sampler>> MakeBurnIn(const SamplerConfig& config,
-                                            AccessInterface* access,
-                                            const TransitionDesign* design,
-                                            NodeId start, uint64_t seed) {
-  BurnInSampler::Options options;
-  WNW_RETURN_IF_ERROR(ReadBurnInOptions(config, &options));
+template <typename SamplerT, auto Read>
+Result<std::unique_ptr<Sampler>> Make(const SamplerConfig& config,
+                                      AccessInterface* access,
+                                      const TransitionDesign* design,
+                                      NodeId start, uint64_t seed) {
+  WNW_ASSIGN_OR_RETURN(auto options, Read(config));
   return std::unique_ptr<Sampler>(
-      std::make_unique<BurnInSampler>(access, design, start, options, seed));
+      std::make_unique<SamplerT>(access, design, start, options, seed));
 }
 
-Result<std::unique_ptr<Sampler>> MakeLongRun(const SamplerConfig& config,
-                                             AccessInterface* access,
-                                             const TransitionDesign* design,
-                                             NodeId start, uint64_t seed) {
-  OneLongRunSampler::Options options;
-  WNW_RETURN_IF_ERROR(ReadLongRunOptions(config, &options));
-  return std::unique_ptr<Sampler>(std::make_unique<OneLongRunSampler>(
-      access, design, start, options, seed));
-}
-
-Result<std::unique_ptr<Sampler>> MakeFixedWalk(const SamplerConfig& config,
-                                               AccessInterface* access,
-                                               const TransitionDesign* design,
-                                               NodeId start, uint64_t seed) {
+Result<FixedWalkSampler::Options> ReadFixedWalk(const SamplerConfig& config) {
   FixedWalkSampler::Options options;
   WNW_RETURN_IF_ERROR(ReadFixedWalkOptions(config, &options));
-  return std::unique_ptr<Sampler>(
-      std::make_unique<FixedWalkSampler>(access, design, start, options, seed));
-}
-
-Result<std::unique_ptr<Sampler>> MakeWalkEstimate(
-    const SamplerConfig& config, AccessInterface* access,
-    const TransitionDesign* design, NodeId start, uint64_t seed) {
-  WNW_ASSIGN_OR_RETURN(WalkEstimateOptions options,
-                       ReadWalkEstimateOptions(config));
-  return std::unique_ptr<Sampler>(std::make_unique<WalkEstimateSampler>(
-      access, design, start, options, seed));
-}
-
-Result<std::unique_ptr<Sampler>> MakeWalkEstimatePath(
-    const SamplerConfig& config, AccessInterface* access,
-    const TransitionDesign* design, NodeId start, uint64_t seed) {
-  WNW_ASSIGN_OR_RETURN(WalkEstimatePathSampler::Options options,
-                       ReadWalkEstimatePathOptions(config));
-  return std::unique_ptr<Sampler>(std::make_unique<WalkEstimatePathSampler>(
-      access, design, start, options, seed));
+  return options;
 }
 
 }  // namespace
 
-// --- public option codecs ----------------------------------------------------
+// --- option codecs -----------------------------------------------------------
+
+Result<BurnInSampler::Options> ReadBurnInOptions(const SamplerConfig& config) {
+  Params params = config.params;
+  BurnInSampler::Options options;
+  WNW_RETURN_IF_ERROR(ApplyKeys(kBurnInKeys, &params, &options));
+  WNW_RETURN_IF_ERROR(RejectUnconsumed(config, params));
+  if (options.min_steps < 1 || options.max_steps < options.min_steps) {
+    return Status::InvalidArgument(
+        "sampler 'burnin' needs 1 <= min_steps <= max_steps");
+  }
+  WNW_RETURN_IF_ERROR(CheckGeweke(options.geweke));
+  return options;
+}
+
+Result<OneLongRunSampler::Options> ReadLongRunOptions(
+    const SamplerConfig& config) {
+  Params params = config.params;
+  OneLongRunSampler::Options options;
+  WNW_RETURN_IF_ERROR(ApplyKeys(kBurnInKeys, &params, &options.burn_in));
+  WNW_RETURN_IF_ERROR(ApplyKeys(kLongRunKeys, &params, &options));
+  WNW_RETURN_IF_ERROR(RejectUnconsumed(config, params));
+  WNW_RETURN_IF_ERROR(CheckGeweke(options.burn_in.geweke));
+  return options;
+}
 
 Status ReadFixedWalkOptions(const SamplerConfig& config,
                             FixedWalkSampler::Options* out) {
-  ParamReader reader(config);
-  reader.Read("steps", &out->steps);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  if (out->steps < 1) {
-    return Status::InvalidArgument("sampler 'walk': steps must be >= 1");
-  }
-  return Status::OK();
+  Params params = config.params;
+  WNW_RETURN_IF_ERROR(ApplyKeys(kFixedWalkKeys, &params, out));
+  return RejectUnconsumed(config, params);
 }
 
 Result<WalkEstimateOptions> ReadWalkEstimateOptions(
     const SamplerConfig& config) {
-  ParamReader reader(config);
-  WNW_ASSIGN_OR_RETURN(WalkEstimateOptions options,
-                       ReadWalkEstimateParams(reader));
-  WNW_RETURN_IF_ERROR(reader.Finish());
+  Params params = config.params;
+  WalkEstimateOptions options;
+  WNW_RETURN_IF_ERROR(ApplyKeys(kWalkEstimateKeys, &params, &options));
+  WNW_RETURN_IF_ERROR(RejectUnconsumed(config, params));
   WNW_RETURN_IF_ERROR(CheckWalkEstimate(options));
   return options;
 }
 
-// --- config builders ---------------------------------------------------------
+Result<WalkEstimatePathSampler::Options> ReadWalkEstimatePathOptions(
+    const SamplerConfig& config) {
+  Params params = config.params;
+  WalkEstimatePathSampler::Options options;
+  WNW_RETURN_IF_ERROR(ApplyKeys(kWalkEstimateKeys, &params, &options.base));
+  WNW_RETURN_IF_ERROR(ApplyKeys(kPathKeys, &params, &options));
+  WNW_RETURN_IF_ERROR(RejectUnconsumed(config, params));
+  WNW_RETURN_IF_ERROR(CheckWalkEstimate(options.base));
+  if (options.EffectiveMinStep() < 1 ||
+      options.EffectiveMinStep() > options.base.EffectiveWalkLength()) {
+    return Status::InvalidArgument(
+        "sampler 'we-path' needs 1 <= min_step <= walk length");
+  }
+  return options;
+}
 
 SamplerConfig MakeBurnInConfig(std::string walk,
                                const BurnInSampler::Options& options) {
-  SamplerConfig config;
-  config.sampler = "burnin";
-  config.walk = std::move(walk);
-  EncodeBurnInParams(options, &config);
+  SamplerConfig config{.sampler = "burnin", .walk = std::move(walk)};
+  EncodeKeys(kBurnInKeys, options, &config);
   return config;
 }
 
 SamplerConfig MakeLongRunConfig(std::string walk,
                                 const OneLongRunSampler::Options& options) {
-  SamplerConfig config;
-  config.sampler = "longrun";
-  config.walk = std::move(walk);
-  EncodeBurnInParams(options.burn_in, &config);
-  const OneLongRunSampler::Options defaults;
-  if (options.thinning != defaults.thinning) {
-    config.SetInt("thinning", options.thinning);
-  }
+  SamplerConfig config{.sampler = "longrun", .walk = std::move(walk)};
+  EncodeKeys(kBurnInKeys, options.burn_in, &config);
+  EncodeKeys(kLongRunKeys, options, &config);
+  return config;
+}
+
+SamplerConfig MakeFixedWalkConfig(std::string walk,
+                                  const FixedWalkSampler::Options& options) {
+  SamplerConfig config{.sampler = "walk", .walk = std::move(walk)};
+  EncodeKeys(kFixedWalkKeys, options, &config);
   return config;
 }
 
 SamplerConfig MakeWalkEstimateConfig(std::string walk,
                                      WalkEstimateOptions options,
                                      WalkEstimateVariant variant) {
-  SamplerConfig config;
-  config.sampler = "we";
-  config.walk = std::move(walk);
+  SamplerConfig config{.sampler = "we", .walk = std::move(walk)};
   ApplyVariant(variant, &options);
-  EncodeWalkEstimateParams(options, variant, &config);
+  EncodeKeys(kWalkEstimateKeys, options, &config);
   return config;
 }
 
 SamplerConfig MakeWalkEstimatePathConfig(
     std::string walk, const WalkEstimatePathSampler::Options& options) {
-  SamplerConfig config;
-  config.sampler = "we-path";
-  config.walk = std::move(walk);
-  EncodeWalkEstimateParams(options.base, WalkEstimateVariant::kFull, &config);
-  const WalkEstimatePathSampler::Options defaults;
-  if (options.min_candidate_step != defaults.min_candidate_step) {
-    config.SetInt("min_step", options.min_candidate_step);
-  }
-  if (options.stride != defaults.stride) {
-    config.SetInt("stride", options.stride);
-  }
-  if (options.max_walks_per_draw != defaults.max_walks_per_draw) {
-    config.SetInt("max_walks", options.max_walks_per_draw);
-  }
+  SamplerConfig config{.sampler = "we-path", .walk = std::move(walk)};
+  EncodeKeys(kWalkEstimateKeys, options.base, &config);
+  EncodeKeys(kPathKeys, options, &config);
   return config;
 }
 
@@ -571,31 +476,28 @@ SamplerRegistry& SamplerRegistry::Global() {
   static SamplerRegistry* registry = [] {
     auto* r = new SamplerRegistry();
     (void)r->Register(
-        "burnin",
-        {"random walk + Geweke burn-in, one sample per walk "
-         "(check_interval, min_steps, max_steps, geweke_*)",
-         MakeBurnIn});
+        "burnin", {"random walk + Geweke burn-in, one sample per walk",
+                   Make<BurnInSampler, ReadBurnInOptions>,
+                   Fields(kBurnInKeys)});
     (void)r->Register(
-        "longrun",
-        {"burn in once, then every visited node is a sample "
-         "(thinning + all burnin options)",
-         MakeLongRun});
+        "longrun", {"burn in once, then every visited node is a sample",
+                    Make<OneLongRunSampler, ReadLongRunOptions>,
+                    Fields(kBurnInKeys, kLongRunKeys)});
     (void)r->Register(
-        "we",
-        {"WALK-ESTIMATE, no burn-in (variant=full|none|crawl|weighted, "
-         "diameter, walk_length, crawl_hops, epsilon, base_reps, "
-         "max_extra_reps, target_rse, percentile, scale, max_candidates)",
-         MakeWalkEstimate});
+        "we", {"WALK-ESTIMATE, no burn-in",
+               Make<WalkEstimateSampler, ReadWalkEstimateOptions>,
+               Fields(kWalkEstimateKeys)});
     (void)r->Register(
-        "walk",
-        {"fixed-length walk chain: advance the persistent walk by `steps` "
-         "design steps per draw, the landing node is the sample (steps)",
-         MakeFixedWalk});
+        "walk", {"fixed-length walk chain: advance the persistent walk by "
+                 "`steps` design steps per draw, the landing node is the "
+                 "sample",
+                 Make<FixedWalkSampler, ReadFixedWalk>,
+                 Fields(kFixedWalkKeys)});
     (void)r->Register(
         "we-path",
-        {"WALK-ESTIMATE over whole walk paths, several samples per walk "
-         "(min_step, stride, max_walks + all we options)",
-         MakeWalkEstimatePath});
+        {"WALK-ESTIMATE over whole walk paths, several samples per walk",
+         Make<WalkEstimatePathSampler, ReadWalkEstimatePathOptions>,
+         Fields(kWalkEstimateKeys, kPathKeys)});
     return r;
   }();
   return *registry;
@@ -605,6 +507,15 @@ Status SamplerRegistry::Register(std::string name, Entry entry) {
   if (name.empty() || entry.make == nullptr) {
     return Status::InvalidArgument("sampler registration needs a name and "
                                    "a factory");
+  }
+  std::set<std::string_view> taken;
+  for (const SpecKey& row : ReservedSessionKeys()) taken.insert(row.field.key);
+  for (const SpecField& field : entry.keys) {
+    if (!taken.insert(field.key).second) {
+      return Status::InvalidArgument(
+          "sampler '" + name + "': key '" + std::string(field.key) +
+          "' is repeated or session-reserved");
+    }
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (!entries_.emplace(std::move(name), std::move(entry)).second) {
@@ -630,6 +541,12 @@ std::string SamplerRegistry::Summary(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(name);
   return it == entries_.end() ? "" : it->second.summary;
+}
+
+std::vector<SpecField> SamplerRegistry::Keys(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = entries_.find(name);
+  return it == entries_.end() ? std::vector<SpecField>{} : it->second.keys;
 }
 
 Result<std::unique_ptr<Sampler>> SamplerRegistry::Create(

@@ -17,13 +17,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/path_sampler.h"
 #include "core/samplers.h"
+#include "core/spec_keys.h"
 #include "core/walk_estimate.h"
 #include "estimation/aggregates.h"
 #include "util/status.h"
@@ -37,7 +37,7 @@ namespace wnw {
 struct SamplerConfig {
   std::string sampler;
   std::string walk = "srw";
-  std::map<std::string, std::string, std::less<>> params;
+  std::map<std::string, std::string, std::less<>> params = {};
 
   /// Parses a spec string. Syntax errors (empty sampler name, missing '=',
   /// duplicate or empty keys) come back as InvalidArgument; whether the
@@ -48,40 +48,9 @@ struct SamplerConfig {
   /// The canonical spec string for this config.
   std::string ToSpec() const;
 
-  // Typed param setters (values are stored as their shortest exact string
-  // form so specs round-trip).
   void Set(std::string key, std::string value);
-  void SetInt(std::string key, int64_t value);
-  void SetUint(std::string key, uint64_t value);
-  void SetDouble(std::string key, double value);
-  void SetBool(std::string key, bool value);
 
   bool operator==(const SamplerConfig&) const = default;
-};
-
-/// Helper for factories reading SamplerConfig::params into options structs.
-/// Each Read() consumes a key (absent keys leave *out untouched and return
-/// false); Finish() reports the first malformed value or any key nobody
-/// consumed — so misspelled options fail loudly instead of being ignored.
-class ParamReader {
- public:
-  explicit ParamReader(const SamplerConfig& config) : config_(config) {}
-
-  bool Read(std::string_view key, int* out);
-  bool Read(std::string_view key, uint64_t* out);
-  bool Read(std::string_view key, double* out);
-  bool Read(std::string_view key, bool* out);  // accepts 0/1/true/false
-  bool Read(std::string_view key, std::string* out);
-
-  Status Finish() const;
-
- private:
-  const std::string* Consume(std::string_view key);
-  void Fail(std::string_view key, std::string_view expected);
-
-  const SamplerConfig& config_;
-  std::set<std::string, std::less<>> consumed_;
-  Status status_;
 };
 
 /// String-keyed factory registry for samplers. Thread-safe; the global
@@ -92,21 +61,25 @@ class SamplerRegistry {
  public:
   /// Builds a sampler bound to an access session. `design` is the parsed
   /// config.walk transition design and outlives the sampler; the factory
-  /// validates config.params and returns InvalidArgument on unknown or
-  /// malformed options.
+  /// validates config.params against the entry's keys and returns
+  /// InvalidArgument on unknown or malformed options.
   using Factory = std::function<Result<std::unique_ptr<Sampler>>(
       const SamplerConfig& config, AccessInterface* access,
       const TransitionDesign* design, NodeId start, uint64_t seed)>;
 
   struct Entry {
-    std::string summary;  // one-line help: options and their meaning
+    std::string summary;  // one-line help: what the sampler does
     Factory make;
+    /// The spec keys the factory takes, for --help and the docs check.
+    std::vector<SpecField> keys = {};
   };
 
   /// The process-wide registry, built-ins included.
   static SamplerRegistry& Global();
 
-  /// Registers a sampler; fails with FailedPrecondition on duplicate names.
+  /// Registers a sampler; fails with FailedPrecondition on duplicate names
+  /// and InvalidArgument when its keys repeat a key or reuse a
+  /// session-reserved one (ReservedSessionKeys()).
   Status Register(std::string name, Entry entry);
 
   bool Contains(std::string_view name) const;
@@ -114,6 +87,8 @@ class SamplerRegistry {
 
   /// One-line summary for a registered sampler ("" when unknown).
   std::string Summary(std::string_view name) const;
+  /// A registered sampler's spec keys (empty when unknown).
+  std::vector<SpecField> Keys(std::string_view name) const;
 
   /// Looks up config.sampler and invokes its factory. Unknown sampler names
   /// return NotFound listing the registered ones.
@@ -127,35 +102,33 @@ class SamplerRegistry {
   std::map<std::string, Entry, std::less<>> entries_;
 };
 
-// --- config builders ---------------------------------------------------------
-// Programmatic options -> SamplerConfig, emitting only values that differ
-// from the defaults (compact, round-trippable specs). These are what the
-// experiment harness wrappers use.
+// --- option codecs -----------------------------------------------------------
+// SamplerConfig params <-> the typed option structs, driven by each
+// sampler's key rows. The readers check exactly what the registered
+// factories check (same keys, ranges and cross-field rules; unknown keys
+// rejected). The builders emit only values that differ from the defaults,
+// so their specs are compact and round-trip.
+
+Result<BurnInSampler::Options> ReadBurnInOptions(const SamplerConfig& config);
+Result<OneLongRunSampler::Options> ReadLongRunOptions(
+    const SamplerConfig& config);
+Status ReadFixedWalkOptions(const SamplerConfig& config,
+                            FixedWalkSampler::Options* out);
+Result<WalkEstimateOptions> ReadWalkEstimateOptions(const SamplerConfig& config);
+Result<WalkEstimatePathSampler::Options> ReadWalkEstimatePathOptions(
+    const SamplerConfig& config);
 
 SamplerConfig MakeBurnInConfig(std::string walk,
                                const BurnInSampler::Options& options = {});
 SamplerConfig MakeLongRunConfig(std::string walk,
                                 const OneLongRunSampler::Options& options = {});
+SamplerConfig MakeFixedWalkConfig(
+    std::string walk, const FixedWalkSampler::Options& options = {});
 SamplerConfig MakeWalkEstimateConfig(
     std::string walk, WalkEstimateOptions options = {},
     WalkEstimateVariant variant = WalkEstimateVariant::kFull);
 SamplerConfig MakeWalkEstimatePathConfig(
     std::string walk, const WalkEstimatePathSampler::Options& options = {});
-
-// --- option codecs -----------------------------------------------------------
-// Parse a SamplerConfig's params into the typed option structs exactly as the
-// registered factories do (same keys, same validation, unknown keys rejected),
-// for callers that need the typed options without constructing a Sampler
-// (the block engine's flat `walk` path, the benchmarks).
-
-Status ReadFixedWalkOptions(const SamplerConfig& config,
-                            FixedWalkSampler::Options* out);
-Result<WalkEstimateOptions> ReadWalkEstimateOptions(const SamplerConfig& config);
-
-/// Spec-string key for a Figure 9 variant ("full", "none", "crawl",
-/// "weighted") and its inverse.
-std::string_view VariantKey(WalkEstimateVariant variant);
-Result<WalkEstimateVariant> ParseVariantKey(std::string_view key);
 
 /// Which aggregate correction applies to samples drawn from walk design
 /// `walk_spec`: degree-proportional designs (srw, lazy) need the

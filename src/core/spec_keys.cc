@@ -31,151 +31,174 @@ int ClampInt(uint64_t value) {
 // Table order is application order: backend before the latency knobs it
 // creates a LatencyConfig for, window before threads/dispatch.
 constexpr SpecKey kKeys[] = {
-    {.key = "backend", .family = F::kBackend, .type = T::kEnum,
-     .choices = "memory|latency|remote", .default_value = "memory",
+    {.field = {.key = "backend", .type = T::kEnum,
+               .choices = "memory|latency|remote", .default_value = "memory",
+               .doc = "origin stack: latency wraps a simulated-RTT "
+                      "LatencyBackend, remote connects to a wnw_serve daemon"},
+     .family = F::kBackend,
      .needs = "remote:addr", .conflicts = "memory:addr latency:addr",
-     .doc = "origin stack: latency wraps a simulated-RTT LatencyBackend, "
-            "remote connects to a wnw_serve daemon",
      .apply = [](const V& v, S* s, E*) {
        if (v.text == "memory") s->latency.reset();
        if (v.text == "latency") s->latency.emplace();
      }},
-    {.key = "mean_ms", .family = F::kLatency, .type = T::kDouble, .hi = kInf,
-     .default_value = "50", .needs = "backend=latency",
-     .doc = "mean simulated round trip per request",
+    {.field = {.key = "mean_ms", .type = T::kDouble, .default_value = "50",
+               .doc = "mean simulated round trip per request"},
+     .family = F::kLatency, .needs = "backend=latency",
      .apply = [](const V& v, S* s, E*) { s->latency->mean_ms = v.real; }},
-    {.key = "jitter_ms", .family = F::kLatency, .type = T::kDouble,
-     .hi = kInf, .default_value = "0", .needs = "backend=latency",
-     .doc = "uniform jitter: each round trip draws from mean ± jitter",
+    {.field = {.key = "jitter_ms", .type = T::kDouble, .default_value = "0",
+               .doc = "uniform jitter: each round trip draws from mean ± "
+                      "jitter"},
+     .family = F::kLatency, .needs = "backend=latency",
      .apply = [](const V& v, S* s, E*) { s->latency->jitter_ms = v.real; }},
-    {.key = "fail_rate", .family = F::kLatency, .type = T::kDouble, .hi = 1.0,
-     .hi_open = true, .default_value = "0", .needs = "backend=latency",
-     .doc = "per-attempt failure probability",
+    {.field = {.key = "fail_rate", .type = T::kDouble, .hi = 1.0,
+               .hi_open = true, .default_value = "0",
+               .doc = "per-attempt failure probability"},
+     .family = F::kLatency, .needs = "backend=latency",
      .apply = [](const V& v, S* s, E*) {
        s->latency->failure_rate = v.real;
      }},
-    {.key = "retry_ms", .family = F::kLatency, .type = T::kDouble,
-     .hi = kInf, .default_value = "200", .needs = "backend=latency",
-     .doc = "simulated backoff before a retry",
+    {.field = {.key = "retry_ms", .type = T::kDouble, .default_value = "200",
+               .doc = "simulated backoff before a retry"},
+     .family = F::kLatency, .needs = "backend=latency",
      .apply = [](const V& v, S* s, E*) {
        s->latency->retry_backoff_ms = v.real;
      }},
-    {.key = "retries", .family = F::kLatency, .type = T::kUint, .hi = kInf,
-     .default_value = "64", .needs = "backend=latency",
-     .doc = "retry budget beyond the first attempt; exhausting it is a "
-            "ResourceExhausted draw error",
+    {.field = {.key = "retries", .type = T::kUint, .default_value = "64",
+               .doc = "retry budget beyond the first attempt; exhausting it "
+                      "is a ResourceExhausted draw error"},
+     .family = F::kLatency, .needs = "backend=latency",
      .apply = [](const V& v, S* s, E*) {
        s->latency->max_retries = ClampInt(v.uint);
      }},
-    {.key = "net_seed", .family = F::kLatency, .type = T::kUint, .hi = kInf,
-     .default_value = "0xfeed", .needs = "backend=latency",
-     .doc = "latency/failure RNG seed, independent of the walk RNG",
+    {.field = {.key = "net_seed", .type = T::kUint, .default_value = "0xfeed",
+               .doc = "latency/failure RNG seed, independent of the walk RNG"},
+     .family = F::kLatency, .needs = "backend=latency",
      .apply = [](const V& v, S* s, E*) { s->latency->seed = v.uint; }},
-    {.key = "sleep_scale", .family = F::kLatency, .type = T::kDouble,
-     .hi = kInf, .default_value = "0", .needs = "backend=latency",
-     .doc = "real-sleep factor: a request sleeps simulated * scale seconds "
-            "(0 = accounting only)",
+    {.field = {.key = "sleep_scale", .type = T::kDouble, .default_value = "0",
+               .doc = "real-sleep factor: a request sleeps simulated * scale "
+                      "seconds (0 = accounting only)"},
+     .family = F::kLatency, .needs = "backend=latency",
      .apply = [](const V& v, S* s, E*) { s->latency->sleep_scale = v.real; }},
-    {.key = "addr", .family = F::kRemote, .type = T::kString,
-     .default_value = "—", .needs = "backend=remote",
-     .doc = "host:port of a running wnw_serve",
+    {.field = {.key = "addr", .type = T::kString, .default_value = "—",
+               .doc = "host:port of a running wnw_serve"},
+     .family = F::kRemote, .needs = "backend=remote",
      .path = &S::remote_addr},
-    {.key = "deadline_ms", .family = F::kRemote, .type = T::kDouble,
-     .hi = kInf, .lo_open = true, .default_value = "5000",
-     .needs = "backend=remote", .doc = "per-request deadline (one attempt)",
+    {.field = {.key = "deadline_ms", .type = T::kDouble, .lo_open = true,
+               .default_value = "5000",
+               .doc = "per-request deadline (one attempt)"},
+     .family = F::kRemote, .needs = "backend=remote",
      .apply = [](const V& v, S* s, E*) { s->remote.deadline_ms = v.real; }},
-    {.key = "connections", .family = F::kRemote, .type = T::kUint, .lo = 1,
-     .hi = 64, .default_value = "2", .needs = "backend=remote",
-     .doc = "connection-pool size; requests pipeline per connection",
+    {.field = {.key = "connections", .type = T::kUint, .lo = 1, .hi = 64,
+               .default_value = "2",
+               .doc = "connection-pool size; requests pipeline per "
+                      "connection"},
+     .family = F::kRemote, .needs = "backend=remote",
      .apply = [](const V& v, S* s, E*) {
        s->remote.connections = static_cast<int>(v.uint);
      }},
-    {.key = "rpc_retries", .family = F::kRemote, .type = T::kUint, .hi = 100,
-     .default_value = "2", .needs = "backend=remote",
-     .doc = "retry budget beyond the first attempt for transient failures",
+    {.field = {.key = "rpc_retries", .type = T::kUint, .hi = 100,
+               .default_value = "2",
+               .doc = "retry budget beyond the first attempt for transient "
+                      "failures"},
+     .family = F::kRemote, .needs = "backend=remote",
      .apply = [](const V& v, S* s, E*) {
        s->remote.max_retries = static_cast<int>(v.uint);
      }},
-    {.key = "rpc_backoff_ms", .family = F::kRemote, .type = T::kDouble,
-     .hi = kInf, .default_value = "50", .needs = "backend=remote",
-     .doc = "linear backoff: retry k waits k * rpc_backoff_ms",
+    {.field = {.key = "rpc_backoff_ms", .type = T::kDouble,
+               .default_value = "50",
+               .doc = "linear backoff: retry k waits k * rpc_backoff_ms"},
+     .family = F::kRemote, .needs = "backend=remote",
      .apply = [](const V& v, S* s, E*) {
        s->remote.retry_backoff_ms = v.real;
      }},
-    {.key = "shards", .family = F::kShard, .type = T::kUint, .lo = 1,
-     .hi = ShardedGraph::kMaxShards, .default_value = "—",
-     .doc = "vertex-partitioned ShardedBackend origin with per-shard locks, "
-            "limiters and latency stacks",
+    {.field = {.key = "shards", .type = T::kUint, .lo = 1,
+               .hi = ShardedGraph::kMaxShards, .default_value = "—",
+               .doc = "vertex-partitioned ShardedBackend origin with "
+                      "per-shard locks, limiters and latency stacks"},
+     .family = F::kShard,
      .apply = [](const V& v, S* s, E*) {
        s->shards = static_cast<int>(v.uint);
      },
      .set_in = [](const S& s) { return s.shards >= 1; }},
-    {.key = "partition", .family = F::kShard, .type = T::kEnum,
-     .choices = "hash|range|degree", .default_value = "hash",
-     .needs = "shards", .doc = "the ShardedGraph partitioner",
+    {.field = {.key = "partition", .type = T::kEnum,
+               .choices = "hash|range|degree", .default_value = "hash",
+               .doc = "the ShardedGraph partitioner"},
+     .family = F::kShard, .needs = "shards",
      .apply = [](const V& v, S* s, E*) {
        s->partition = ParseShardPartition(v.text).value();
      }},
-    {.key = "snapshot", .family = F::kStorage, .type = T::kString,
-     .default_value = "—", .conflicts = "backend=memory",
-     .doc = "wnw_snapshot file the origin mmaps and serves instead of the "
-            "in-process graph",
+    {.field = {.key = "snapshot", .type = T::kString, .default_value = "—",
+               .doc = "wnw_snapshot file the origin mmaps and serves instead "
+                      "of the in-process graph"},
+     .family = F::kStorage, .conflicts = "backend=memory",
      .path = &S::snapshot},
-    {.key = "snapshot_verify", .family = F::kStorage, .type = T::kBool,
-     .default_value = "on", .needs = "snapshot",
-     .doc = "off skips the checksum and shard scans at open (trusted open)",
+    {.field = {.key = "snapshot_verify", .type = T::kBool,
+               .default_value = "on",
+               .doc = "off skips the checksum and shard scans at open "
+                      "(trusted open)"},
+     .family = F::kStorage, .needs = "snapshot",
      .apply = [](const V& v, S* s, E*) { s->snapshot_verify = v.flag; }},
-    {.key = "cache_file", .family = F::kStorage, .type = T::kString,
-     .default_value = "—",
-     .doc = "persistent query cache: loaded at open when present, saved on "
-            "session close",
+    {.field = {.key = "cache_file", .type = T::kString, .default_value = "—",
+               .doc = "persistent query cache: loaded at open when present, "
+                      "saved on session close"},
+     .family = F::kStorage,
      .path = &S::cache_file},
-    {.key = "window", .family = F::kExecutor, .type = T::kUint, .lo = 1,
-     .hi = 1024, .default_value = "—",
-     .doc = "CompletionExecutor in-flight bound; absent = synchronous fetches",
+    {.field = {.key = "window", .type = T::kUint, .lo = 1, .hi = 1024,
+               .default_value = "—",
+               .doc = "CompletionExecutor in-flight bound; absent = "
+                      "synchronous fetches"},
+     .family = F::kExecutor,
      .apply = [](const V& v, S* s, E*) {
        s->async = AsyncOptions{.window = static_cast<int>(v.uint)};
      }},
-    {.key = "threads", .family = F::kExecutor, .type = T::kUint, .hi = 256,
-     .default_value = "0", .needs = "window",
-     .doc = "executor worker cap; 0 sizes the pool automatically",
+    {.field = {.key = "threads", .type = T::kUint, .hi = 256,
+               .default_value = "0",
+               .doc = "executor worker cap; 0 sizes the pool automatically"},
+     .family = F::kExecutor, .needs = "window",
      .apply = [](const V& v, S* s, E*) {
        s->async->threads = static_cast<int>(v.uint);
      }},
-    {.key = "dispatch", .family = F::kExecutor, .type = T::kEnum,
-     .choices = "completion|threads", .default_value = "completion",
-     .needs = "window",
-     .doc = "threads runs every fetch on a pool worker (the ablation "
-            "baseline)",
+    {.field = {.key = "dispatch", .type = T::kEnum,
+               .choices = "completion|threads", .default_value = "completion",
+               .doc = "threads runs every fetch on a pool worker (the "
+                      "ablation baseline)"},
+     .family = F::kExecutor, .needs = "window",
      .apply = [](const V& v, S* s, E*) {
        s->async->dispatch = v.text == "threads"
                                 ? AsyncOptions::Dispatch::kThreadPool
                                 : AsyncOptions::Dispatch::kCompletion;
      }},
-    {.key = "engine", .family = F::kEngine, .type = T::kEnum,
-     .choices = "block", .default_value = "—",
-     .doc = "run the spec on the block walk engine (RunWalkEngine)",
+    {.field = {.key = "engine", .type = T::kEnum, .choices = "block",
+               .default_value = "—",
+               .doc = "run the spec on the block walk engine (RunWalkEngine)"},
+     .family = F::kEngine,
      .apply = [](const V&, S*, E*) {}},
-    {.key = "walkers", .family = F::kEngine, .type = T::kUint, .lo = 1,
-     .hi = 1 << 30, .default_value = "64",
-     .doc = "logical walkers multiplexed over the worker threads",
+    {.field = {.key = "walkers", .type = T::kUint, .lo = 1, .hi = 1 << 30,
+               .default_value = "64",
+               .doc = "logical walkers multiplexed over the worker threads"},
+     .family = F::kEngine,
      .apply = [](const V& v, S*, E* e) { e->walkers = v.uint; }},
-    {.key = "block", .family = F::kEngine, .type = T::kUint, .lo = 1,
-     .hi = std::numeric_limits<uint32_t>::max(), .default_value = "derived",
-     .doc = "nodes per scheduling block; default derives from graph size",
+    {.field = {.key = "block", .type = T::kUint, .lo = 1,
+               .hi = std::numeric_limits<uint32_t>::max(),
+               .default_value = "derived",
+               .doc = "nodes per scheduling block; default derives from "
+                      "graph size"},
+     .family = F::kEngine,
      .apply = [](const V& v, S*, E* e) {
        e->block_nodes = static_cast<uint32_t>(v.uint);
      }},
-    {.key = "residency_mb", .family = F::kEngine, .type = T::kUint,
-     .hi = 1 << 30, .default_value = "0",
-     .doc = "resident-byte budget in MiB for paging a snapshot-served graph "
-            "(0 = unbudgeted)",
+    {.field = {.key = "residency_mb", .type = T::kUint, .hi = 1 << 30,
+               .default_value = "0",
+               .doc = "resident-byte budget in MiB for paging a "
+                      "snapshot-served graph (0 = unbudgeted)"},
+     .family = F::kEngine,
      .apply = [](const V& v, S*, E* e) {
        e->residency_budget_bytes = v.uint << 20;
      }},
-    {.key = "prefetch", .family = F::kEngine, .type = T::kUint, .hi = 64,
-     .default_value = "2",
-     .doc = "scheduler picks prefetched ahead of the stepped block",
+    {.field = {.key = "prefetch", .type = T::kUint, .hi = 64,
+               .default_value = "2",
+               .doc = "scheduler picks prefetched ahead of the stepped block"},
+     .family = F::kEngine,
      .apply = [](const V& v, S*, E* e) {
        e->prefetch_depth = static_cast<int>(v.uint);
      }},
@@ -186,61 +209,15 @@ static_assert(kNumKeys <= 64, "SpecKeySet holds one bit per row");
 
 size_t RowOf(std::string_view key) {
   for (size_t i = 0; i < kNumKeys; ++i) {
-    if (kKeys[i].key == key) return i;
+    if (kKeys[i].field.key == key) return i;
   }
   return kNumKeys;
 }
 
-std::string FormatNumber(double value) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  (void)ec;
-  return std::string(buf, end);
-}
-
-Status BadValue(const SpecKey& row, std::string_view raw,
+Status BadValue(const SpecField& field, std::string_view raw,
                 const std::string& why) {
-  return Status::InvalidArgument("spec key '" + std::string(row.key) + "=" +
+  return Status::InvalidArgument("spec key '" + std::string(field.key) + "=" +
                                  std::string(raw) + "' " + why);
-}
-
-Result<SpecValue> CheckValue(const SpecKey& row, std::string_view raw) {
-  SpecValue value;
-  value.text = raw;
-  switch (row.type) {
-    case T::kUint:
-      if (!ParseUint64(raw, &value.uint)) {
-        return BadValue(row, raw, "is not a non-negative integer");
-      }
-      value.real = static_cast<double>(value.uint);
-      break;
-    case T::kDouble:
-      if (!ParseDouble(raw, &value.real) || !std::isfinite(value.real)) {
-        return BadValue(row, raw, "is not a finite number");
-      }
-      break;
-    case T::kEnum:
-      for (std::string_view choice : SplitString(row.choices, "|")) {
-        if (raw == choice) return value;
-      }
-      return BadValue(row, raw, "is not " + std::string(row.choices));
-    case T::kString:
-      if (raw.empty()) return BadValue(row, raw, "needs a value");
-      return value;
-    case T::kBool:
-      if (raw == "on" || raw == "true" || raw == "1") {
-        value.flag = true;
-      } else if (!(raw == "off" || raw == "false" || raw == "0")) {
-        return BadValue(row, raw, "is not on|off");
-      }
-      return value;
-  }
-  const bool below = row.lo_open ? value.real <= row.lo : value.real < row.lo;
-  const bool above = row.hi_open ? value.real >= row.hi : value.real > row.hi;
-  if (below || above) {
-    return BadValue(row, raw, "is out of range " + SpecRangeText(row));
-  }
-  return value;
 }
 
 // The checked value of each row the spec carries.
@@ -277,7 +254,7 @@ Status CheckRules(size_t row, const SpecInput& input,
         token = token.substr(colon + 1);
       }
       if (Holds(token, input, session) == required) continue;
-      return BadValue(key, value,
+      return BadValue(key.field, value,
                       required ? "requires " + std::string(token)
                                : "conflicts with " + std::string(token) +
                                      " — drop one of the two");
@@ -294,17 +271,17 @@ Result<SpecKeySet> ApplyKeys(SamplerConfig* config, SessionOptions* session,
   SpecInput input;
   for (size_t i = 0; i < kNumKeys; ++i) {
     const SpecKey& row = kKeys[i];
-    const auto it = config->params.find(row.key);
+    const auto it = config->params.find(row.field.key);
     if (it == config->params.end()) continue;
     if ((row.family == F::kEngine) != (engine != nullptr)) {
       if (engine != nullptr) continue;  // left for ApplySessionKeys
       return Status::InvalidArgument(
-          "spec key '" + std::string(row.key) +
+          "spec key '" + std::string(row.field.key) +
           "' selects the block walk engine, which a plain SamplingSession "
           "cannot host — run it through RunWalkEngine (wnw_sample routes "
           "?engine=block there automatically)");
     }
-    WNW_ASSIGN_OR_RETURN(input[i], CheckValue(row, it->second));
+    WNW_ASSIGN_OR_RETURN(input[i], CheckSpecValue(row.field, it->second));
   }
   if (session != nullptr) {
     for (size_t i = 0; i < kNumKeys; ++i) {
@@ -323,7 +300,7 @@ Result<SpecKeySet> ApplyKeys(SamplerConfig* config, SessionOptions* session,
     }
     std::string& field = session->*row.path;
     if (!field.empty() && field != value.text) {
-      return BadValue(row, value.text,
+      return BadValue(row.field, value.text,
                       "contradicts SessionOptions '" + field +
                           "' — drop one of the two");
     }
@@ -332,7 +309,7 @@ Result<SpecKeySet> ApplyKeys(SamplerConfig* config, SessionOptions* session,
   SpecKeySet seen;
   for (size_t i = 0; i < kNumKeys; ++i) {
     if (!input[i]) continue;
-    config->params.erase(config->params.find(kKeys[i].key));
+    config->params.erase(config->params.find(kKeys[i].field.key));
     seen.Add(i);
   }
   return seen;
@@ -380,10 +357,60 @@ std::string_view SpecTypeName(SpecType type) {
   return "";
 }
 
-std::string SpecRangeText(const SpecKey& row) {
-  switch (row.type) {
+Result<SpecValue> CheckSpecValue(const SpecField& field,
+                                 std::string_view raw) {
+  SpecValue value;
+  value.text = raw;
+  switch (field.type) {
+    case T::kUint:
+      if (!ParseUint64(raw, &value.uint)) {
+        return BadValue(field, raw, "is not a non-negative integer");
+      }
+      value.real = static_cast<double>(value.uint);
+      break;
+    case T::kDouble:
+      if (!ParseDouble(raw, &value.real) || !std::isfinite(value.real)) {
+        return BadValue(field, raw, "is not a finite number");
+      }
+      break;
     case T::kEnum:
-      return std::string(row.choices);
+      for (std::string_view choice : SplitString(field.choices, "|")) {
+        if (raw == choice) return value;
+        ++value.uint;
+      }
+      return BadValue(field, raw, "is not " + std::string(field.choices));
+    case T::kString:
+      if (raw.empty()) return BadValue(field, raw, "needs a value");
+      return value;
+    case T::kBool:
+      if (raw == "on" || raw == "true" || raw == "1") {
+        value.flag = true;
+      } else if (!(raw == "off" || raw == "false" || raw == "0")) {
+        return BadValue(field, raw, "is not on|off");
+      }
+      return value;
+  }
+  const bool below =
+      field.lo_open ? value.real <= field.lo : value.real < field.lo;
+  const bool above =
+      field.hi_open ? value.real >= field.hi : value.real > field.hi;
+  if (below || above) {
+    return BadValue(field, raw, "is out of range " + SpecRangeText(field));
+  }
+  return value;
+}
+
+std::string FormatSpecNumber(double value) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  (void)ec;
+  return std::string(buf, end);
+}
+
+std::string SpecRangeText(const SpecField& field) {
+  switch (field.type) {
+    case T::kEnum:
+      return std::string(field.choices);
     case T::kString:
       return "non-empty";
     case T::kBool:
@@ -392,11 +419,12 @@ std::string SpecRangeText(const SpecKey& row) {
     case T::kDouble:
       break;
   }
-  if (row.hi == kInf) {
-    return (row.lo_open ? "> " : ">= ") + FormatNumber(row.lo);
+  if (field.hi == kInf) {
+    return std::string(field.lo_open ? "> " : ">= ") +
+           FormatSpecNumber(field.lo);
   }
-  return (row.lo_open ? "(" : "[") + FormatNumber(row.lo) + ", " +
-         FormatNumber(row.hi) + (row.hi_open ? ")" : "]");
+  return std::string(field.lo_open ? "(" : "[") + FormatSpecNumber(field.lo) +
+         ", " + FormatSpecNumber(field.hi) + (field.hi_open ? ")" : "]");
 }
 
 }  // namespace wnw

@@ -1,9 +1,11 @@
-// The session-reserved spec keys as one declarative schema. Each row names a
-// key, its family, type, bounds, default, the keys it requires or conflicts
-// with, a one-line doc, and where its value lands in SessionOptions (or
-// EngineOptions for the engine family). One generic loop parses, checks and
-// applies the rows; `wnw_sample --help` and the docs check in
-// tests/registry_test.cc render the same rows, so a new key is one new row.
+// The spec-key schema. Every key a spec string can carry is a row whose
+// SpecField names it and gives its type, bounds, default and a one-line doc.
+// One checker (CheckSpecValue) parses every value, and `wnw_sample --help`
+// and the docs check in tests/registry_test.cc render the fields, so a new
+// key is one new row. A session-reserved row (SpecKey, below) adds a family,
+// requires/conflicts rules and where its value lands in SessionOptions (or
+// EngineOptions); one loop parses, checks and applies them. A sampler's rows
+// (src/core/registry.cc) land in its options struct instead.
 //
 //   "we:mhrw?diameter=8&backend=latency&mean_ms=50&window=8&threads=4"
 //
@@ -17,15 +19,16 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
 
-#include "core/registry.h"
 #include "util/status.h"
 
 namespace wnw {
 
+struct SamplerConfig;
 struct SessionOptions;
 struct EngineOptions;
 
@@ -41,8 +44,9 @@ enum class SpecFamily {
 
 enum class SpecType { kUint, kDouble, kEnum, kString, kBool };
 
-/// A checked value; the member matching the row's type is set (text holds
-/// the raw value for every type).
+/// A checked value; the member matching the row's type is set (an enum
+/// sets uint to the index of its choice; text holds the raw value for
+/// every type).
 struct SpecValue {
   uint64_t uint = 0;
   double real = 0.0;
@@ -50,21 +54,26 @@ struct SpecValue {
   std::string_view text;
 };
 
-struct SpecKey {
+/// What a key is, independent of where its value lands.
+struct SpecField {
   std::string_view key = {};
-  SpecFamily family = SpecFamily::kBackend;
   SpecType type = SpecType::kUint;
   /// Numeric bounds (uint, double), inclusive unless the *_open flag says
-  /// otherwise. Doubles must also be finite.
+  /// otherwise; hi defaults to unbounded. Doubles must also be finite.
   double lo = 0.0;
-  double hi = 0.0;
+  double hi = std::numeric_limits<double>::infinity();
   bool lo_open = false;
   bool hi_open = false;
   std::string_view choices = {};        // enum: "a|b|c"
   std::string_view default_value = {};  // as documented; "—" = unset
+  std::string_view doc = {};
+};
+
+struct SpecKey {
+  SpecField field;
+  SpecFamily family = SpecFamily::kBackend;
   std::string_view needs = {};          // see Rules
   std::string_view conflicts = {};      // see Rules
-  std::string_view doc = {};
   /// Writes a checked value. String rows leave this null and name their
   /// SessionOptions field in `path` instead.
   void (*apply)(const SpecValue& value, SessionOptions* session,
@@ -75,7 +84,8 @@ struct SpecKey {
 };
 
 /// The schema: every session-reserved key, in application order. No
-/// sampler may register an option under one of these names.
+/// sampler may register an option under one of these names
+/// (SamplerRegistry::Register enforces it).
 std::span<const SpecKey> ReservedSessionKeys();
 
 /// Which schema rows a spec carried.
@@ -100,10 +110,17 @@ Result<SpecKeySet> ApplySessionKeys(SamplerConfig* config,
 Result<SpecKeySet> ApplyEngineKeys(SamplerConfig* config,
                                    EngineOptions* engine);
 
+/// Parses `raw` as the field's type and checks it against its bounds or
+/// choices; InvalidArgument names the key, the value and why.
+Result<SpecValue> CheckSpecValue(const SpecField& field, std::string_view raw);
+
+/// Shortest decimal text that parses back to exactly `value`.
+std::string FormatSpecNumber(double value);
+
 std::string_view SpecTypeName(SpecType type);
 
-/// The valid values of a row for help text: "[1, 1024]", ">= 0",
-/// "memory|latency|remote", "path", ...
-std::string SpecRangeText(const SpecKey& row);
+/// The valid values of a field for help text: "[1, 1024]", ">= 0",
+/// "memory|latency|remote", "non-empty", ...
+std::string SpecRangeText(const SpecField& field);
 
 }  // namespace wnw

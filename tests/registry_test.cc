@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -132,6 +133,23 @@ TEST(SamplerRegistryTest, RejectsDuplicateRegistration) {
   EXPECT_EQ(again.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(SamplerRegistryTest, RejectsKeysThatRepeatOrShadowReservedOnes) {
+  const auto make = [](const SamplerConfig&, AccessInterface*,
+                       const TransitionDesign*, NodeId,
+                       uint64_t) -> Result<std::unique_ptr<Sampler>> {
+    return Status::Internal("unreachable");
+  };
+  SamplerRegistry registry;
+  const SpecField window{.key = "window", .type = SpecType::kUint};
+  const SpecField steps{.key = "steps", .type = SpecType::kUint};
+  EXPECT_EQ(registry.Register("shadow", {"", make, {window}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Register("twice", {"", make, {steps, steps}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(registry.Names().empty());
+  EXPECT_TRUE(registry.Register("ok", {"", make, {steps}}).ok());
+}
+
 TEST(SamplerRegistryTest, UnknownSamplerIsNotFound) {
   const Graph g = testing::MakeTestBA(50, 3);
   const auto session = SamplingSession::Open(&g, "nope:srw");
@@ -167,7 +185,9 @@ TEST(SamplerRegistryTest, OutOfRangeOptionsAreStatusesNotAborts) {
         "we-path:mhrw?diameter=0", "we-path:mhrw?diameter=3&min_step=100",
         "we-path:mhrw?stride=0", "we-path:srw?max_walks=0",
         "we:mhrw?diameter=2000000000", "we:mhrw?walk_length=2000000000",
-        "walk:srw?steps=0"}) {
+        "we:mhrw?crawl_hops=2000000000&diameter=4",
+        "we:mhrw?crawl_hops=100000", "walk:srw?steps=0",
+        "walk:srw?steps=4294967297"}) {
     const auto session = SamplingSession::Open(&g, spec);
     ASSERT_FALSE(session.ok()) << spec;
     EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument) << spec;
@@ -200,12 +220,156 @@ TEST(SpecKeySchemaTest, EveryKeyIsDocumentedWithItsTypeAndDefault) {
     }
     if (cells.size() >= 3) rows.try_emplace(cells[0], cells[1], cells[2]);
   }
-  for (const SpecKey& key : ReservedSessionKeys()) {
-    const auto it = rows.find(std::string(key.key));
-    ASSERT_NE(it, rows.end()) << key.key << " has no docs/SPEC_STRINGS.md row";
-    EXPECT_EQ(it->second.first, SpecTypeName(key.type)) << key.key;
-    EXPECT_EQ(it->second.second, key.default_value) << key.key;
+  std::vector<SpecField> fields;
+  for (const SpecKey& row : ReservedSessionKeys()) fields.push_back(row.field);
+  for (const std::string& name : SamplerRegistry::Global().Names()) {
+    for (const SpecField& field : SamplerRegistry::Global().Keys(name)) {
+      fields.push_back(field);
+    }
   }
+  for (const SpecField& field : fields) {
+    const auto it = rows.find(std::string(field.key));
+    ASSERT_NE(it, rows.end())
+        << field.key << " has no docs/SPEC_STRINGS.md row";
+    EXPECT_EQ(it->second.first, SpecTypeName(field.type)) << field.key;
+    EXPECT_EQ(it->second.second, field.default_value) << field.key;
+  }
+}
+
+// The canonical spec a sampler spec resolves to through the option codecs:
+// Parse -> Read*Options -> Make*Config -> ToSpec.
+Result<std::string> Canonical(const std::string& spec) {
+  WNW_ASSIGN_OR_RETURN(const SamplerConfig config, SamplerConfig::Parse(spec));
+  const std::string& walk = config.walk;
+  if (config.sampler == "burnin") {
+    WNW_ASSIGN_OR_RETURN(const BurnInSampler::Options options,
+                         ReadBurnInOptions(config));
+    return MakeBurnInConfig(walk, options).ToSpec();
+  }
+  if (config.sampler == "longrun") {
+    WNW_ASSIGN_OR_RETURN(const OneLongRunSampler::Options options,
+                         ReadLongRunOptions(config));
+    return MakeLongRunConfig(walk, options).ToSpec();
+  }
+  if (config.sampler == "walk") {
+    FixedWalkSampler::Options options;
+    WNW_RETURN_IF_ERROR(ReadFixedWalkOptions(config, &options));
+    return MakeFixedWalkConfig(walk, options).ToSpec();
+  }
+  if (config.sampler == "we") {
+    WNW_ASSIGN_OR_RETURN(const WalkEstimateOptions options,
+                         ReadWalkEstimateOptions(config));
+    // The builder's variant argument sets both heuristic switches.
+    const bool crawl = options.estimate.use_crawl;
+    const bool weighted = options.estimate.use_weighted;
+    const WalkEstimateVariant variant =
+        crawl ? (weighted ? WalkEstimateVariant::kFull
+                          : WalkEstimateVariant::kCrawlOnly)
+              : (weighted ? WalkEstimateVariant::kWeightedOnly
+                          : WalkEstimateVariant::kNone);
+    return MakeWalkEstimateConfig(walk, options, variant).ToSpec();
+  }
+  if (config.sampler == "we-path") {
+    WNW_ASSIGN_OR_RETURN(const WalkEstimatePathSampler::Options options,
+                         ReadWalkEstimatePathOptions(config));
+    return MakeWalkEstimatePathConfig(walk, options).ToSpec();
+  }
+  return Status::NotFound("no option codec for sampler '" + config.sampler +
+                          "'");
+}
+
+// Values worth trying as a valid non-default setting of a key.
+std::vector<std::string> Candidates(const SpecField& field) {
+  switch (field.type) {
+    case SpecType::kEnum: {
+      std::vector<std::string> choices;
+      for (std::string_view choice : SplitString(field.choices, "|")) {
+        choices.emplace_back(choice);
+      }
+      return choices;
+    }
+    case SpecType::kBool:
+      return {"0", "1"};
+    default:
+      break;
+  }
+  double d = field.lo;  // a default of "—" (unset) starts at the bound
+  (void)ParseDouble(field.default_value, &d);
+  if (field.type == SpecType::kUint) {
+    return {FormatSpecNumber(d + 1), FormatSpecNumber(d + 16),
+            FormatSpecNumber(field.lo + 1)};
+  }
+  return {FormatSpecNumber(d * 2), FormatSpecNumber(d / 2),
+          FormatSpecNumber(field.lo + 1)};
+}
+
+// Every key of every registered sampler, from its row alone: a value of
+// the wrong type and one past either bound are InvalidArgument, the
+// documented default changes nothing, every accepted candidate value
+// survives the option codecs, and at least one of them is not a default.
+TEST(SamplerKeyTableTest, EveryKeyChecksItsValueAndRoundTrips) {
+  const Graph g = testing::MakeTestBA(50, 3);
+  const auto expect_rejected = [&](const std::string& spec) {
+    const auto session = SamplingSession::Open(&g, spec);
+    ASSERT_FALSE(session.ok()) << spec;
+    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument) << spec;
+  };
+  const SamplerRegistry& registry = SamplerRegistry::Global();
+  for (const std::string& name : registry.Names()) {
+    const std::string base = name + ":srw";
+    const auto plain = Canonical(base);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    for (const SpecField& field : registry.Keys(name)) {
+      const std::string key = base + "?" + std::string(field.key) + "=";
+      expect_rejected(key + "abc");
+      if (field.type == SpecType::kUint || field.type == SpecType::kDouble) {
+        expect_rejected(key + FormatSpecNumber(field.lo - 1));
+        if (std::isfinite(field.hi)) {
+          expect_rejected(key + FormatSpecNumber(field.hi + 1));
+        }
+      }
+      if (CheckSpecValue(field, field.default_value).ok()) {
+        const auto same = Canonical(key + std::string(field.default_value));
+        ASSERT_TRUE(same.ok()) << key << ": " << same.status().ToString();
+        EXPECT_EQ(*same, *plain) << key << field.default_value;
+      }
+      bool changed = false;
+      for (const std::string& value : Candidates(field)) {
+        const auto once = Canonical(key + value);
+        if (!once.ok()) continue;
+        const auto twice = Canonical(*once);
+        ASSERT_TRUE(twice.ok()) << *once << ": " << twice.status().ToString();
+        EXPECT_EQ(*twice, *once) << key << value;
+        // One key in, at most one key out: the builders stay compact.
+        EXPECT_LE(SamplerConfig::Parse(*once)->params.size(), 1u) << *once;
+        changed |= *once != *plain;
+      }
+      EXPECT_TRUE(changed) << key << " has no valid non-default value";
+    }
+  }
+}
+
+// The two keys with side effects: variant presets both heuristic switches
+// and an explicit crawl or weighted overrides it, whatever the key order in
+// the spec; scale switches the acceptance scale to manual.
+TEST(SamplerKeyTableTest, KeysWithSideEffects) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"we:srw?crawl=1&variant=none", "we:srw?variant=crawl"},
+      {"we:srw?variant=crawl&crawl=0&weighted=1", "we:srw?variant=weighted"},
+      {"we:srw?weighted=off", "we:srw?variant=crawl"},
+      {"we-path:srw?variant=none&weighted=1", "we-path:srw?variant=weighted"},
+      {"we:srw?percentile=0.5&scale=2", "we:srw?percentile=0.5&scale=2"},
+  };
+  for (const auto& [spec, want] : cases) {
+    const auto got = Canonical(spec);
+    ASSERT_TRUE(got.ok()) << spec << ": " << got.status().ToString();
+    EXPECT_EQ(*got, want) << spec;
+  }
+  const auto manual =
+      ReadWalkEstimateOptions(*SamplerConfig::Parse("we:srw?scale=2"));
+  ASSERT_TRUE(manual.ok());
+  EXPECT_EQ(manual->rejection.mode, ScaleMode::kManual);
+  EXPECT_EQ(manual->rejection.manual_scale, 2.0);
 }
 
 TEST(SamplerRegistryTest, EveryBuiltinDrawsOnSmallDataset) {

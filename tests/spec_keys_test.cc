@@ -498,18 +498,21 @@ TEST_F(SpecKeyTableTest, EngineKeys) {
 
 TEST(SpecKeySchemaTest, RuleTokensNameSchemaKeysAndRowsWriteSomewhere) {
   std::vector<std::string_view> keys;
-  for (const SpecKey& row : ReservedSessionKeys()) keys.push_back(row.key);
+  for (const SpecKey& row : ReservedSessionKeys()) {
+    keys.push_back(row.field.key);
+  }
   for (const SpecKey& row : ReservedSessionKeys()) {
     // Exactly one way to land the value: an apply function or a string
     // field (string rows only).
-    EXPECT_NE(row.apply == nullptr, row.path == nullptr) << row.key;
-    EXPECT_EQ(row.path != nullptr, row.type == SpecType::kString) << row.key;
+    EXPECT_NE(row.apply == nullptr, row.path == nullptr) << row.field.key;
+    EXPECT_EQ(row.path != nullptr, row.field.type == SpecType::kString)
+        << row.field.key;
     for (std::string_view rules : {row.needs, row.conflicts}) {
       for (std::string_view token : SplitString(rules, " ")) {
         token = token.substr(token.find(':') + 1);  // own-value prefix
         token = token.substr(0, token.find('='));
         EXPECT_NE(std::find(keys.begin(), keys.end(), token), keys.end())
-            << row.key << " names unknown key '" << token << "'";
+            << row.field.key << " names unknown key '" << token << "'";
       }
     }
   }

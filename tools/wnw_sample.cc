@@ -72,6 +72,16 @@ struct Args {
   bool json = false;
 };
 
+// One help entry per spec key: name, type, valid values, default, doc.
+void PrintKey(const SpecField& field, const std::string& rules = "") {
+  std::fprintf(stderr, "  %-16s %-6s %s%s; default %s\n      %s\n",
+               std::string(field.key).c_str(),
+               std::string(SpecTypeName(field.type)).c_str(),
+               SpecRangeText(field).c_str(), rules.c_str(),
+               std::string(field.default_value).c_str(),
+               std::string(field.doc).c_str());
+}
+
 void PrintUsage() {
   std::fprintf(
       stderr,
@@ -82,23 +92,21 @@ void PrintUsage() {
       "dataset SPEC: ba:N,M | rand:N,M | gplus | yelp | twitter | small\n"
       "sampler SPEC: <sampler>[:<walk>][?key=value&...], "
       "walk = srw|mhrw|lazy|maxdeg:<bound>\n"
-      "registered samplers:\n");
-  for (const auto& name : SamplerRegistry::Global().Names()) {
-    std::fprintf(stderr, "  %-8s %s\n", name.c_str(),
-                 SamplerRegistry::Global().Summary(name).c_str());
+      "registered samplers and their spec keys:\n");
+  const SamplerRegistry& registry = SamplerRegistry::Global();
+  for (const auto& name : registry.Names()) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(),
+                 registry.Summary(name).c_str());
+    for (const SpecField& field : registry.Keys(name)) PrintKey(field);
   }
   std::fprintf(stderr, "session-reserved spec keys:\n");
   for (const SpecKey& row : ReservedSessionKeys()) {
-    std::string valid = SpecRangeText(row);
-    if (!row.needs.empty()) valid += "; requires " + std::string(row.needs);
+    std::string rules;
+    if (!row.needs.empty()) rules += "; requires " + std::string(row.needs);
     if (!row.conflicts.empty()) {
-      valid += "; conflicts " + std::string(row.conflicts);
+      rules += "; conflicts " + std::string(row.conflicts);
     }
-    std::fprintf(stderr, "  %-15s %-6s %s; default %s\n      %s\n",
-                 std::string(row.key).c_str(),
-                 std::string(SpecTypeName(row.type)).c_str(), valid.c_str(),
-                 std::string(row.default_value).c_str(),
-                 std::string(row.doc).c_str());
+    PrintKey(row.field, rules);
   }
   std::fprintf(stderr,
                "full spec reference (keys, defaults, valid ranges): "
@@ -361,7 +369,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "diameter bound (double sweep): %d\n",
                    diameter_bound);
     }
-    config.SetInt("diameter", diameter_bound);
+    config.Set("diameter", std::to_string(diameter_bound));
   }
 
   // engine=block in the spec routes the whole run through the block
