@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -14,6 +15,7 @@
 #include "access/access_interface.h"
 #include "access/remote_backend.h"
 #include "access/sharded_backend.h"
+#include "net/event_loop.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "storage/snapshot.h"
@@ -355,6 +357,38 @@ void BM_RemoteFetch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RemoteFetch);
+
+void BM_TimerWheelRpcTurn(benchmark::State& state) {
+  // One RPC's worth of reactor timer work, as RemoteBackend drives it: arm
+  // a 5 s deadline, derive the epoll timeout, cancel on the reply, sweep.
+  // Simulated time advances at ~4.5k RPC/s, the we_remote rate, so a wheel
+  // that kept cancelled deadlines until their tick would carry ~22k of them
+  // at steady state. `range(0)` other deadlines stay live throughout,
+  // spread over the 5 s window and re-armed when they fire. The time per
+  // iteration must not grow with the iteration count (= cancels so far).
+  constexpr double kDeadlineSeconds = 5.0;
+  constexpr double kRpcSeconds = 1.0 / 4500;
+  net::TimerWheel wheel;
+  double now = 0.0;
+  std::function<void()> rearm = [&] {
+    wheel.Add(now, kDeadlineSeconds, rearm);
+  };
+  const int64_t live = state.range(0);
+  for (int64_t i = 0; i < live; ++i) {
+    wheel.Add(now, kDeadlineSeconds * static_cast<double>(i + 1) /
+                       static_cast<double>(live),
+              rearm);
+  }
+  for (auto _ : state) {
+    const uint64_t id = wheel.Add(now, kDeadlineSeconds, [] {});
+    benchmark::DoNotOptimize(wheel.NextDelay(now));
+    wheel.Cancel(id);
+    now += kRpcSeconds;
+    wheel.AdvanceTo(now);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimerWheelRpcTurn)->Arg(0)->Arg(1000)->Arg(20000);
 
 void BM_ShardedBackendFetch(benchmark::State& state) {
   // Routed fetch through the sharded origin (service lock + shard lookup):

@@ -8,8 +8,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-
-#include "util/check.h"
+#include <limits>
 
 namespace wnw::net {
 
@@ -36,57 +35,55 @@ uint64_t TimerWheel::Add(double now, double delay_seconds,
                          std::function<void()> cb) {
   const uint64_t id = next_id_++;
   const double deadline = now + std::max(0.0, delay_seconds);
-  // Never bucket into the current (possibly already-swept) tick: a deadline
-  // landing exactly on a tick boundary would otherwise wait a full wheel
-  // rotation before its slot is visited again.
-  const uint64_t tick = std::max(
-      TickFor(deadline), static_cast<uint64_t>(now / kTickSeconds) + 1);
-  Entry entry{id, deadline, std::move(cb)};
-  slots_[tick % kSlots].push_back(std::move(entry));
-  live_.insert(id);
-  ++pending_;
+  // Never bucket into an already-swept tick: its slot would not be visited
+  // again for a full wheel rotation.
+  const uint64_t tick = std::max(TickFor(deadline), swept_tick_ + 1);
+  scan_from_ = std::min(scan_from_, tick);
+  const size_t slot = tick % kSlots;
+  index_.emplace(id, Position{slot, slots_[slot].size()});
+  slots_[slot].push_back(Entry{id, tick, deadline, std::move(cb)});
   return id;
 }
 
 void TimerWheel::Cancel(uint64_t id) {
-  // Only ids still resident in a slot may be cancelled; a fired, already
-  // cancelled, or unknown id must neither poison cancelled_ (the entry
-  // would never be swept out) nor undercount pending_.
-  const auto it = live_.find(id);
-  if (it == live_.end()) return;
-  live_.erase(it);
-  cancelled_.insert(id);
-  WNW_DCHECK(pending_ > 0);
-  --pending_;
+  const auto it = index_.find(id);
+  if (it == index_.end()) return;  // fired, cancelled, or never issued
+  std::vector<Entry>& slot = slots_[it->second.slot];
+  const size_t pos = it->second.pos;
+  index_.erase(it);
+  // Destroyed on return, after the wheel is consistent again: a captured
+  // object's destructor may itself touch the wheel.
+  std::function<void()> dropped = std::move(slot[pos].cb);
+  if (pos + 1 != slot.size()) {
+    slot[pos] = std::move(slot.back());
+    index_.at(slot[pos].id).pos = pos;
+  }
+  slot.pop_back();
 }
 
 void TimerWheel::AdvanceTo(double now) {
   const uint64_t target = static_cast<uint64_t>(now / kTickSeconds);
-  if (target <= swept_tick_ && swept_tick_ != 0) return;
+  if (target <= swept_tick_) return;
   // Visiting more than kSlots ticks revisits slots; clamp the sweep so a
   // long sleep costs one pass over the wheel, not one pass per tick.
   uint64_t first = swept_tick_ + 1;
-  if (target >= first && target - first >= kSlots) first = target - kSlots + 1;
+  if (target - first >= kSlots) first = target - kSlots + 1;
   std::vector<std::function<void()>> due;
   for (uint64_t tick = first; tick <= target; ++tick) {
     auto& slot = slots_[tick % kSlots];
     size_t keep = 0;
     for (size_t i = 0; i < slot.size(); ++i) {
       Entry& entry = slot[i];
-      const auto it = cancelled_.find(entry.id);
-      if (it != cancelled_.end()) {
-        cancelled_.erase(it);  // cancelled: drop silently
-        continue;
-      }
-      if (entry.deadline <= now) {
+      if (entry.tick <= target) {
         due.push_back(std::move(entry.cb));
-        live_.erase(entry.id);
-        WNW_DCHECK(pending_ > 0);
-        --pending_;
+        index_.erase(entry.id);
         continue;
       }
       // A later round of the wheel: stays in the slot.
-      if (keep != i) slot[keep] = std::move(entry);
+      if (keep != i) {
+        slot[keep] = std::move(entry);
+        index_.at(slot[keep].id).pos = keep;
+      }
       ++keep;
     }
     slot.resize(keep);
@@ -97,17 +94,26 @@ void TimerWheel::AdvanceTo(double now) {
 }
 
 double TimerWheel::NextDelay(double now) const {
-  if (pending_ == 0) return -1.0;
-  double earliest = -1.0;
-  for (const auto& slot : slots_) {
-    for (const Entry& entry : slot) {
-      if (cancelled_.count(entry.id)) continue;
-      if (earliest < 0.0 || entry.deadline < earliest) {
-        earliest = entry.deadline;
-      }
+  if (index_.empty()) return -1.0;
+  // Ticks order deadlines: a timer bucketed at tick t is due no later than
+  // any timer at a later tick (a tick is the deadline rounded up, or the
+  // first unswept tick for a deadline already past). So the first slot
+  // holding a timer of its own tick holds the earliest deadline; slots
+  // passed on the way hold only timers a lap or more out. A full lap
+  // without a hit has seen every pending timer once. Either way no pending
+  // timer's tick is below where the walk stopped, so the next walk starts
+  // there.
+  double earliest = std::numeric_limits<double>::infinity();
+  uint64_t tick = std::max(scan_from_, swept_tick_ + 1);
+  for (const uint64_t end = tick + kSlots; tick < end; ++tick) {
+    bool due_this_tick = false;
+    for (const Entry& entry : slots_[tick % kSlots]) {
+      earliest = std::min(earliest, entry.deadline);
+      due_this_tick |= entry.tick == tick;
     }
+    if (due_this_tick) break;
   }
-  if (earliest < 0.0) return -1.0;
+  scan_from_ = tick;
   return std::max(0.0, earliest - now);
 }
 

@@ -28,7 +28,6 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/status.h"
@@ -44,6 +43,11 @@ inline constexpr uint32_t kEventWrite = 1u << 1;
 /// Not thread-safe — it lives inside one EventLoop and is exposed
 /// separately only so the bucketing/cancellation logic is testable without
 /// sockets. Callbacks fire from AdvanceTo() in deadline-bucket order.
+///
+/// Every pending timer sits in exactly one slot and is indexed by id, so a
+/// cancelled timer leaves the wheel (callback included) the moment it is
+/// cancelled: a reactor that arms and cancels a 5 s deadline per RPC pays
+/// nothing later for the thousands of deadlines it has already cancelled.
 class TimerWheel {
  public:
   static constexpr double kTickSeconds = 0.010;
@@ -53,33 +57,48 @@ class TimerWheel {
   /// a handle for Cancel(); handles are never reused.
   uint64_t Add(double now, double delay_seconds, std::function<void()> cb);
 
-  /// Drops a pending timer. No-op for already-fired or unknown handles.
+  /// Drops a pending timer and destroys its callback before returning.
+  /// O(1): one index probe and a swap-remove from its slot. No-op for
+  /// already-fired, already-cancelled or unknown handles.
   void Cancel(uint64_t id);
 
-  /// Fires every timer whose deadline is <= now. Callbacks may Add() new
-  /// timers; they become eligible on the next advance.
+  /// Fires every timer whose deadline tick (the deadline rounded up to a
+  /// tick boundary) is <= now's tick. Callbacks run once the wheel is
+  /// consistent and may Add() or Cancel() freely; new timers become
+  /// eligible on the next advance, and a timer already collected as due in
+  /// this advance fires even if an earlier callback cancels it.
   void AdvanceTo(double now);
 
   /// Seconds until the earliest pending deadline (clamped to >= 0), or -1
-  /// when no timers are pending. O(pending + slots): called once per loop
-  /// iteration, against at most a few thousand in-flight deadlines.
+  /// when no timers are pending. Walks the slots in tick order from where
+  /// the previous walk stopped to the first tick that holds a timer due in
+  /// it: at most one lap (kSlots slots plus the pending timers in them),
+  /// and amortized O(1) when deadlines are armed in time order, as the
+  /// per-RPC ones are. Cancelled timers are no longer in the wheel, so
+  /// they cost nothing here.
   double NextDelay(double now) const;
 
-  size_t pending() const { return pending_; }
+  size_t pending() const { return index_.size(); }
 
  private:
   struct Entry {
     uint64_t id;
+    uint64_t tick;  // absolute tick the timer fires on
     double deadline;
     std::function<void()> cb;
   };
+  struct Position {
+    size_t slot;
+    size_t pos;  // index into slots_[slot]
+  };
 
   std::vector<Entry> slots_[kSlots];
-  std::unordered_set<uint64_t> live_;       // added, not yet fired/cancelled
-  std::unordered_set<uint64_t> cancelled_;  // cancelled, not yet swept out
+  std::unordered_map<uint64_t, Position> index_;  // every pending timer
   uint64_t next_id_ = 1;
   uint64_t swept_tick_ = 0;  // highest tick AdvanceTo has fully processed
-  size_t pending_ = 0;
+  // No pending timer's tick is below this: Add lowers it, NextDelay's walk
+  // raises it to where the walk stopped.
+  mutable uint64_t scan_from_ = 0;
 };
 
 /// One reactor thread's worth of event dispatch. Create() can fail (fd

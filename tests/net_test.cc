@@ -11,7 +11,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -234,6 +237,179 @@ TEST(TimerWheelTest, WrapsAroundTheWheel) {
   EXPECT_EQ(fired, 0);
   wheel.AdvanceTo(far + 0.02);
   EXPECT_EQ(fired, 1);
+}
+
+TEST(TimerWheelTest, CancelReleasesTheEntryAtOnce) {
+  // A cancel must free the timer and its callback now, not when the wheel
+  // reaches the deadline's slot: a reactor arming a 5 s deadline per RPC
+  // would otherwise carry every reply of the last 5 s as a dead entry.
+  net::TimerWheel wheel;
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  const uint64_t id = wheel.Add(0.0, 5.0, [s = std::move(sentinel)] {});
+  EXPECT_FALSE(watch.expired());
+  wheel.Cancel(id);
+  EXPECT_TRUE(watch.expired());
+
+  // The RPC pattern with every reply inside one tick: nothing is left.
+  for (int i = 0; i < 100'000; ++i) wheel.Cancel(wheel.Add(1.0, 5.0, [] {}));
+  EXPECT_EQ(wheel.pending(), 0u);
+  EXPECT_EQ(wheel.NextDelay(1.0), -1.0);
+
+  wheel.Add(1.0, 0.25, [] {});
+  EXPECT_EQ(wheel.NextDelay(1.0), 0.25);
+  EXPECT_EQ(wheel.pending(), 1u);
+}
+
+// A reference model of TimerWheel: the same tick rule (a timer fires on the
+// first advance whose tick reaches its deadline rounded up to a tick, and
+// never on an already-swept tick), kept in a multimap ordered by deadline
+// instead of a wheel. Every call goes to both, and
+// TimerWheelTest.DifferentialAgainstAMultimapModel compares them after each
+// step.
+class TimerWheelModel {
+ public:
+  explicit TimerWheelModel(uint64_t seed) : rng_(seed) {}
+
+  // Adds a timer to both. Its callback records its tag and may, chosen
+  // here, cancel an arbitrary tag (live, fired, cancelled or never issued)
+  // and/or add a new timer from inside the firing advance.
+  void Add(double delay) {
+    const size_t tag = ids_.size();
+    const double deadline = now_ + std::max(0.0, delay);
+    const auto deadline_tick = static_cast<uint64_t>(
+        std::ceil(deadline / net::TimerWheel::kTickSeconds));
+    const uint64_t tick = std::max(deadline_tick, swept_ + 1);
+    const bool cancel_from_cb = rng_.NextBool(0.2);
+    const size_t cancel_tag = RandomTag();
+    const bool add_from_cb = rng_.NextBool(0.2);
+    const double add_delay = RandomDelay();
+    ids_.push_back(wheel_.Add(now_, delay, [=, this] {
+      fired_.push_back(tag);
+      if (cancel_from_cb) Cancel(cancel_tag);
+      if (add_from_cb) Add(add_delay);
+    }));
+    model_.emplace(deadline, Timer{tag, tick});
+  }
+
+  void Cancel(size_t tag) {
+    // Tags past the end stand for handles the wheel never issued.
+    wheel_.Cancel(tag < ids_.size() ? ids_[tag] : 1'000'000'000 + tag);
+    for (auto it = model_.begin(); it != model_.end(); ++it) {
+      if (it->second.tag == tag) {
+        model_.erase(it);
+        return;
+      }
+    }
+  }
+
+  // Advances both to `now` and checks the fired set.
+  void AdvanceTo(double now) {
+    now_ = now;
+    const auto target =
+        static_cast<uint64_t>(now / net::TimerWheel::kTickSeconds);
+    std::vector<size_t> expected;
+    if (target > swept_) {
+      for (auto it = model_.begin(); it != model_.end();) {
+        if (it->second.tick <= target) {
+          expected.push_back(it->second.tag);
+          it = model_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      swept_ = target;
+    }
+    fired_.clear();
+    wheel_.AdvanceTo(now);
+    // Callbacks that fired may have added timers; those are not due yet.
+    std::sort(expected.begin(), expected.end());
+    std::vector<size_t> fired = fired_;
+    std::sort(fired.begin(), fired.end());
+    ASSERT_EQ(fired, expected) << "advance to " << now;
+  }
+
+  void ExpectAgrees() const {
+    ASSERT_EQ(wheel_.pending(), model_.size()) << "at " << now_;
+    const double want =
+        model_.empty() ? -1.0 : std::max(0.0, model_.begin()->first - now_);
+    ASSERT_EQ(wheel_.NextDelay(now_), want) << "at " << now_;
+  }
+
+  // One random step: mostly adds and cancels, with advances of every size
+  // from zero to several laps.
+  void Step() {
+    const uint64_t op = rng_.NextBounded(10);
+    if (op < 4) {
+      Add(RandomDelay());
+    } else if (op < 7) {
+      Cancel(RandomTag());
+    } else {
+      AdvanceTo(now_ + RandomAdvance());
+    }
+  }
+
+  size_t issued() const { return ids_.size(); }
+  size_t pending() const { return model_.size(); }
+
+ private:
+  struct Timer {
+    size_t tag;
+    uint64_t tick;
+  };
+
+  size_t RandomTag() { return rng_.NextBounded(ids_.size() + 4); }
+
+  double RandomDelay() {
+    constexpr double kTick = net::TimerWheel::kTickSeconds;
+    constexpr double kLap = kTick * net::TimerWheel::kSlots;
+    switch (rng_.NextBounded(6)) {
+      case 0: return 0.0;
+      case 1: return rng_.NextDouble(0.0, kTick);
+      case 2: return kTick * static_cast<double>(rng_.NextBounded(8));
+      case 3: return rng_.NextDouble(0.0, 0.5);
+      case 4: return 5.0;  // the RPC deadline
+      default: return rng_.NextDouble(0.0, 3.0 * kLap);  // up to three laps
+    }
+  }
+
+  double RandomAdvance() {
+    constexpr double kTick = net::TimerWheel::kTickSeconds;
+    constexpr double kLap = kTick * net::TimerWheel::kSlots;
+    switch (rng_.NextBounded(5)) {
+      case 0: return 0.0;
+      case 1: return rng_.NextDouble(0.0, kTick);
+      case 2: return kTick * static_cast<double>(rng_.NextBounded(4));
+      case 3: return rng_.NextDouble(0.0, 0.2);
+      default:  // rarely, a sleep past a whole lap
+        return rng_.NextBool(0.1) ? rng_.NextDouble(kLap, 2.5 * kLap)
+                                  : rng_.NextDouble(0.0, 1.0);
+    }
+  }
+
+  Rng rng_;
+  net::TimerWheel wheel_;
+  std::multimap<double, Timer> model_;  // deadline -> pending timer
+  std::vector<uint64_t> ids_;           // tag -> wheel handle
+  std::vector<size_t> fired_;
+  double now_ = 0.0;
+  uint64_t swept_ = 0;
+};
+
+TEST(TimerWheelTest, DifferentialAgainstAMultimapModel) {
+  for (uint64_t seed : {1u, 2u, 3u, 20260611u}) {
+    SCOPED_TRACE(seed);
+    TimerWheelModel model(seed);
+    size_t peak = 0;
+    for (int step = 0; step < 20'000; ++step) {
+      model.Step();
+      ASSERT_NO_FATAL_FAILURE(model.ExpectAgrees()) << "step " << step;
+      peak = std::max(peak, model.pending());
+    }
+    // The walk exercised a populated wheel, not an empty one.
+    EXPECT_GT(peak, 50u);
+    EXPECT_GT(model.issued(), 5'000u);
+  }
 }
 
 // --- event loop --------------------------------------------------------------
