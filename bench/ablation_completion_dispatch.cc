@@ -1,28 +1,23 @@
-// Completion-dispatch ablation + acceptance gate: the promise PR 8 makes
-// — a window of in-flight remote requests costs pending frames, not parked
-// threads — checked against the thread-pool dispatch it replaced, over a
-// REAL loopback wnw server in a forked child process (so the parent's
-// /proc/self/task count measures only the client side: main thread, the
-// RemoteBackend event loop, and whatever the executor spawns).
+// Completion-dispatch gate: a window of in-flight remote requests costs
+// pending frames, not parked threads. It runs over a REAL loopback wnw
+// server in a forked child process, so the parent's /proc/self/task count
+// measures only the client side: the main thread, the RemoteBackend event
+// loop, and whatever the executor spawns (nothing).
 //
 //   identity — for every registered sampler family, RunWalkEngine over the
 //     remote backend must emit byte-identical per-walker samples at
-//     identical logical query cost under BOTH dispatch modes, and both
-//     must match the in-process run. A dispatcher that changes the
-//     estimator is wrong, not fast.
+//     identical logical query cost to the in-process run. A dispatcher that
+//     changes the estimator is wrong, not fast.
 //
-//   threads — with 512 fetches in flight under completion dispatch, the
-//     process's live OS thread count must stay <= cores + 4. This is the
-//     whole point: the old dispatch parked one worker per window slot.
+//   threads — with 512 fetches in flight, the process's live OS thread
+//     count must stay <= cores + 4.
 //
-//   wall-clock — at each window in {64, 512}, completion dispatch must
-//     match or beat thread-pool dispatch (best of WNW_TRIALS runs each,
-//     with WNW_TOLERANCE slack, default 1.10): fewer threads may not cost
-//     throughput.
+// The sweep's wall-clock (best of WNW_TRIALS runs per window) is printed,
+// not gated. The thread-pool dispatch this once raced is gone; its last
+// numbers are frozen in bench/results/BENCH_completion_dispatch.json.
 //
 // Exits nonzero on any violation. Env: WNW_TRIALS, WNW_SEED, WNW_SCALE
-// (scales the graph and the request count), WNW_TOLERANCE, WNW_BENCH_JSON
-// (when set, writes the sweep as JSON for the CI artifact).
+// (scales the graph and the request count).
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -144,9 +139,7 @@ constexpr IdentityCase kIdentityCases[] = {
     {"we-path", "we-path:srw?diameter=3"},
 };
 
-constexpr const char* kDispatchModes[] = {"completion", "threads"};
-
-/// Gate 1: in-process vs remote-completion vs remote-threads, per family.
+/// Gate 1: in-process vs remote, per family.
 bool RunIdentityGate(const Graph& graph, const std::string& addr,
                      uint64_t seed) {
   bool ok = true;
@@ -177,78 +170,62 @@ bool RunIdentityGate(const Graph& graph, const std::string& addr,
       continue;
     }
 
-    for (const char* dispatch : kDispatchModes) {
-      EngineOptions remote_options;
-      remote_options.walkers = kWalkers;
-      remote_options.samples_per_walker = kSamples;
-      remote_options.session.seed = seed;
-      remote_options.session.remote = ClientOptions();
-      const std::string spec = StrFormat(
-          "%s%cbackend=remote&addr=%s&window=8&dispatch=%s", c.spec,
-          std::string_view(c.spec).find('?') == std::string_view::npos ? '?'
-                                                                       : '&',
-          addr.c_str(), dispatch);
-      const auto remote = RunWalkEngine(&graph, spec, remote_options);
-      ++runs;
-      if (!remote.ok()) {
-        std::fprintf(stderr, "GATE: remote run failed for %s: %s\n",
-                     spec.c_str(), remote.status().ToString().c_str());
+    EngineOptions remote_options;
+    remote_options.walkers = kWalkers;
+    remote_options.samples_per_walker = kSamples;
+    remote_options.session.seed = seed;
+    remote_options.session.remote = ClientOptions();
+    const std::string spec = StrFormat(
+        "%s%cbackend=remote&addr=%s&window=8", c.spec,
+        std::string_view(c.spec).find('?') == std::string_view::npos ? '?'
+                                                                     : '&',
+        addr.c_str());
+    const auto remote = RunWalkEngine(&graph, spec, remote_options);
+    ++runs;
+    if (!remote.ok()) {
+      std::fprintf(stderr, "GATE: remote run failed for %s: %s\n",
+                   spec.c_str(), remote.status().ToString().c_str());
+      ok = false;
+      continue;
+    }
+    for (size_t w = 0; w < kWalkers; ++w) {
+      const auto remote_span = remote->SamplesFor(w);
+      const auto local_span = local->SamplesFor(w);
+      if (!std::equal(remote_span.begin(), remote_span.end(),
+                      local_span.begin(), local_span.end())) {
+        std::fprintf(stderr, "GATE: samples diverged: %s walker %zu\n",
+                     c.spec, w);
         ok = false;
-        continue;
       }
-      for (size_t w = 0; w < kWalkers; ++w) {
-        const auto remote_span = remote->SamplesFor(w);
-        const auto local_span = local->SamplesFor(w);
-        if (!std::equal(remote_span.begin(), remote_span.end(),
-                        local_span.begin(), local_span.end())) {
-          std::fprintf(stderr,
-                       "GATE: samples diverged: %s walker %zu (dispatch=%s)\n",
-                       c.spec, w, dispatch);
-          ok = false;
-        }
-        if (remote->walker_stats[w].query_cost !=
-                local->walker_stats[w].query_cost ||
-            remote->walker_stats[w].total_queries !=
-                local->walker_stats[w].total_queries) {
-          std::fprintf(
-              stderr,
-              "GATE: query cost diverged: %s walker %zu (dispatch=%s)\n",
-              c.spec, w, dispatch);
-          ok = false;
-        }
+      if (remote->walker_stats[w].query_cost !=
+              local->walker_stats[w].query_cost ||
+          remote->walker_stats[w].total_queries !=
+              local->walker_stats[w].total_queries) {
+        std::fprintf(stderr, "GATE: query cost diverged: %s walker %zu\n",
+                     c.spec, w);
+        ok = false;
       }
     }
   }
   if (ok) {
     std::printf(
-        "# identity: %d remote engine runs (%zu families x %zu dispatch "
-        "modes) byte-identical to in-process at identical query cost\n",
-        runs, std::size(kIdentityCases), std::size(kDispatchModes));
+        "# identity: %d remote engine runs (one per family) byte-identical "
+        "to in-process at identical query cost\n",
+        runs);
   }
   return ok;
 }
 
 struct SweepPoint {
   int window = 0;
-  const char* dispatch = "";
   double wall_seconds = 0.0;  // best of env.trials
   double qps = 0.0;
   int thread_peak = 0;  // sampled while the executor was live
-  uint64_t pool_tasks = 0;
-  uint64_t native = 0;
 };
 
 int Run() {
   const BenchEnv env = ReadBenchEnv(/*default_trials=*/3,
                                     /*default_scale=*/1.0);
-  double tolerance = 1.10;
-  if (const char* raw = std::getenv("WNW_TOLERANCE")) {
-    tolerance = std::atof(raw);
-    if (tolerance <= 0.0) {
-      std::fprintf(stderr, "error: bad WNW_TOLERANCE '%s'\n", raw);
-      return 1;
-    }
-  }
 
   const NodeId n = static_cast<NodeId>(20000.0 * env.scale);
   constexpr uint32_t kM = 5;
@@ -268,10 +245,10 @@ int Run() {
       return 1;
     }
 
-    // --- gate 1: identity across dispatch modes -----------------------------
+    // --- gate 1: identity against the in-process origin ---------------------
     bool ok = RunIdentityGate(*graph, addr, env.seed + 1);
 
-    // --- gates 2+3: thread ceiling and wall-clock ---------------------------
+    // --- gate 2: thread ceiling ---------------------------------------------
     auto connected = RemoteBackend::Connect(addr, ClientOptions());
     if (!connected.ok()) {
       std::fprintf(stderr, "error: %s\n",
@@ -291,139 +268,67 @@ int Run() {
 
     const int cores = std::max(1u, std::thread::hardware_concurrency());
     std::vector<SweepPoint> sweep;
-    std::vector<std::vector<NodeId>> reference_lists;  // cross-mode identity
+    std::vector<std::vector<NodeId>> reference_lists;  // cross-window identity
     for (const int window : {64, 512}) {
-      for (const char* dispatch : kDispatchModes) {
-        AsyncOptions options;
-        options.window = window;
-        options.threads = 0;
-        options.dispatch = dispatch == std::string_view("completion")
-                               ? AsyncOptions::Dispatch::kCompletion
-                               : AsyncOptions::Dispatch::kThreadPool;
-        SweepPoint point;
-        point.window = window;
-        point.dispatch = dispatch;
-        point.wall_seconds = 0.0;
-        for (int trial = 0; trial < env.trials; ++trial) {
-          CompletionExecutor executor(options);
-          const double t0 = NowSeconds();
-          auto handle = executor.SubmitBatch(remote, nodes);
-          auto reply = handle.Wait();
-          const double wall = NowSeconds() - t0;
-          // Sample while the executor (and its persistent pool) is live:
-          // pool workers are never reaped before destruction, so this IS
-          // the peak for the trial.
-          point.thread_peak =
-              std::max(point.thread_peak, CountProcessThreads());
-          const auto stats = executor.stats();
-          point.pool_tasks = stats.pool_tasks;
-          point.native = stats.native_completions;
-          if (!reply.ok()) {
-            std::fprintf(stderr, "GATE: batch failed (window=%d, %s): %s\n",
-                         window, dispatch,
-                         reply.status().ToString().c_str());
-            ok = false;
-            break;
-          }
-          if (reference_lists.empty()) {
-            reference_lists = reply->lists;
-          } else if (reply->lists != reference_lists) {
-            std::fprintf(stderr,
-                         "GATE: batch replies diverged across modes "
-                         "(window=%d, %s)\n",
-                         window, dispatch);
-            ok = false;
-          }
-          if (trial == 0 || wall < point.wall_seconds) {
-            point.wall_seconds = wall;
-          }
+      SweepPoint point;
+      point.window = window;
+      for (int trial = 0; trial < env.trials; ++trial) {
+        CompletionExecutor executor({.window = window});
+        const double t0 = NowSeconds();
+        auto handle = executor.SubmitBatch(remote, nodes);
+        auto reply = handle.Wait();
+        const double wall = NowSeconds() - t0;
+        // Sampled while the executor and the remote client are live.
+        point.thread_peak = std::max(point.thread_peak, CountProcessThreads());
+        if (!reply.ok()) {
+          std::fprintf(stderr, "GATE: batch failed (window=%d): %s\n",
+                       window, reply.status().ToString().c_str());
+          ok = false;
+          break;
         }
-        point.qps = point.wall_seconds > 0.0
-                        ? static_cast<double>(kRequests) / point.wall_seconds
-                        : 0.0;
-        sweep.push_back(point);
+        if (reference_lists.empty()) {
+          reference_lists = reply->lists;
+        } else if (reply->lists != reference_lists) {
+          std::fprintf(stderr,
+                       "GATE: batch replies diverged (window=%d)\n", window);
+          ok = false;
+        }
+        if (trial == 0 || wall < point.wall_seconds) {
+          point.wall_seconds = wall;
+        }
       }
+      point.qps = point.wall_seconds > 0.0
+                      ? static_cast<double>(kRequests) / point.wall_seconds
+                      : 0.0;
+      if (window == 512 && point.thread_peak > cores + 4) {
+        std::fprintf(stderr,
+                     "GATE: window=512 reached %d live threads (limit "
+                     "cores+4 = %d)\n",
+                     point.thread_peak, cores + 4);
+        ok = false;
+      }
+      sweep.push_back(point);
     }
 
-    TablePrinter table({"window", "dispatch", "wall_s", "qps", "threads",
-                        "native", "pool_tasks"});
+    TablePrinter table({"window", "wall_s", "qps", "threads"});
     table.AddComment(StrFormat(
         "Completion-dispatch sweep: %llu FetchNeighbors over loopback "
         "(best of %d; cores=%d)",
         static_cast<unsigned long long>(kRequests), env.trials, cores));
     for (const SweepPoint& p : sweep) {
-      table.AddRow({TablePrinter::Cell(static_cast<uint64_t>(p.window)),
-                    TablePrinter::Cell(p.dispatch),
+      table.AddRow({TablePrinter::Cell(p.window),
                     TablePrinter::CellPrec(p.wall_seconds, 4),
                     TablePrinter::Cell(StrFormat("%.0f", p.qps)),
-                    TablePrinter::Cell(static_cast<uint64_t>(p.thread_peak)),
-                    TablePrinter::Cell(p.native),
-                    TablePrinter::Cell(p.pool_tasks)});
+                    TablePrinter::Cell(p.thread_peak)});
     }
     table.Print(stdout);
-
-    if (const char* json_path = std::getenv("WNW_BENCH_JSON")) {
-      std::FILE* f = std::fopen(json_path, "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n", json_path);
-        StopServerChild(child);
-        return 1;
-      }
-      std::fprintf(f,
-                   "{\n  \"bench\": \"ablation_completion_dispatch\",\n"
-                   "  \"graph_nodes\": %u,\n  \"requests\": %llu,\n"
-                   "  \"cores\": %d,\n  \"sweep\": [\n",
-                   static_cast<unsigned>(n),
-                   static_cast<unsigned long long>(kRequests), cores);
-      for (size_t i = 0; i < sweep.size(); ++i) {
-        const SweepPoint& p = sweep[i];
-        std::fprintf(
-            f,
-            "    {\"window\": %d, \"dispatch\": \"%s\", "
-            "\"wall_seconds\": %.6f, \"qps\": %.1f, \"thread_peak\": %d, "
-            "\"native_completions\": %llu, \"pool_tasks\": %llu}%s\n",
-            p.window, p.dispatch, p.wall_seconds, p.qps, p.thread_peak,
-            static_cast<unsigned long long>(p.native),
-            static_cast<unsigned long long>(p.pool_tasks),
-            i + 1 < sweep.size() ? "," : "");
-      }
-      std::fprintf(f, "  ]\n}\n");
-      std::fclose(f);
-    }
-
-    for (size_t i = 0; i + 1 < sweep.size(); i += 2) {
-      const SweepPoint& completion = sweep[i];
-      const SweepPoint& threads = sweep[i + 1];
-      if (completion.window == 512 &&
-          completion.thread_peak > cores + 4) {
-        std::fprintf(stderr,
-                     "GATE: completion dispatch at window=512 reached %d "
-                     "live threads (limit cores+4 = %d)\n",
-                     completion.thread_peak, cores + 4);
-        ok = false;
-      }
-      if (completion.wall_seconds > threads.wall_seconds * tolerance) {
-        std::fprintf(stderr,
-                     "GATE: completion dispatch at window=%d took %.4fs vs "
-                     "thread pool %.4fs (tolerance %.2fx)\n",
-                     completion.window, completion.wall_seconds,
-                     threads.wall_seconds, tolerance);
-        ok = false;
-      }
-      std::printf(
-          "# window=%d: completion %.0f qps on %d threads vs pool %.0f qps "
-          "on %d threads\n",
-          completion.window, completion.qps, completion.thread_peak,
-          threads.qps, threads.thread_peak);
-    }
 
     if (!ok) {
       exit_code = 1;
     } else {
       std::printf(
-          "# GATE OK: identity held across dispatch modes, completion kept "
-          "threads <= cores+4 at window=512, and matched the pool's "
-          "wall-clock\n");
+          "# GATE OK: remote samples identical to in-process, threads <= "
+          "cores+4 at window=512\n");
     }
   }  // remote backend and executors destroyed before the server goes away
 

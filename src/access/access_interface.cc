@@ -28,8 +28,7 @@ void BillBatch(CostMeter& meter, const BatchReply& reply, size_t requests) {
 
 AccessInterface::AccessInterface(const Graph* graph, AccessOptions options)
     : AccessInterface(BuildBackendStack(graph, {.access = options,
-                                                .latency = std::nullopt,
-                                                .executor = nullptr})) {}
+                                                .latency = std::nullopt})) {}
 
 AccessInterface::AccessInterface(std::shared_ptr<AccessBackend> backend,
                                  std::shared_ptr<QueryCache> cache,

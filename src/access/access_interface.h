@@ -160,7 +160,7 @@ class AccessInterface {
 
  private:
   /// One in-flight PrefetchAsync batch: the (sorted, deduped) node set and
-  /// the executor handle joining its per-node tasks.
+  /// the executor handle joining its per-node fetches.
   struct PendingBatch {
     std::vector<NodeId> nodes;
     CompletionExecutor::BatchHandle handle;

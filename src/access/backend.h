@@ -187,30 +187,23 @@ class AccessBackend {
   virtual Result<FetchReply> FetchNeighbors(NodeId u) = 0;
 
   /// Completion callback for FetchNeighborsCompletion: invoked exactly once
-  /// with the reply, possibly on the backend's internal event-loop thread
-  /// and possibly before the submission returns (inline completion). Must
-  /// not block.
+  /// with the reply, possibly on a thread of the backend's own (an event
+  /// loop, a deadline timer) and possibly before the submission returns
+  /// (inline completion). Must not block.
   using CompletionCallback = std::function<void(Result<FetchReply>)>;
 
-  /// Callback-completed counterpart of FetchNeighbors. The default adapter
-  /// runs the synchronous fetch on the calling thread and completes inline —
-  /// correct for every backend, but it occupies the caller for the fetch's
-  /// duration, so CompletionExecutor only routes here when
-  /// completion_native() says the backend overlaps submissions itself.
+  /// Callback-completed counterpart of FetchNeighbors, and the only way
+  /// CompletionExecutor dispatches. The default adapter runs the
+  /// synchronous fetch on the calling thread and completes inline — right
+  /// for origins that answer from memory. A backend whose fetch waits (a
+  /// network round trip, a simulated sleep) overrides it to return without
+  /// waiting and complete later: only then do its requests overlap under an
+  /// executor window. Decorators forward it to their inner backend.
   virtual void FetchNeighborsCompletion(NodeId u, CompletionCallback done);
 
-  /// True when FetchNeighborsCompletion returns without waiting for the
-  /// reply (the backend pipelines the request and completes from its own
-  /// event loop). Such backends take a whole in-flight window with zero
-  /// executor threads. Decorators do NOT forward this: a decorator's
-  /// synchronous FetchNeighbors wrapper is where its semantics live, so a
-  /// decorated stack dispatches thread-backed.
-  virtual bool completion_native() const { return false; }
-
   /// True when FetchNeighbors can sleep the serving thread for real wall
-  /// time (not just simulated billing) — e.g. LatencyConfig::sleep_scale
-  /// > 0. The executor sizes such backends' worker pool at the window, not
-  /// at ≈ cores, so real waits still overlap. Decorators forward/extend.
+  /// time. Informational: nothing in the library reads it; every backend is
+  /// dispatched through FetchNeighborsCompletion.
   virtual bool may_block() const { return false; }
 
   /// Batched query: semantically equivalent to one FetchNeighbors per node,

@@ -64,22 +64,6 @@ Result<BatchReply> CompletionExecutor::BatchHandle::Wait() {
 CompletionExecutor::CompletionExecutor(AsyncOptions options)
     : options_(options) {
   WNW_CHECK(options_.window >= 1);
-  WNW_CHECK(options_.threads >= 0);
-  // Blocking operations (real sleeps) need a thread each to overlap, so
-  // their cap tracks the window — the pre-completion sizing. Non-blocking
-  // thread-backed operations finish as fast as a core can run them, so
-  // their pool stays ≈ cores no matter how wide the window is. An explicit
-  // `threads` caps both classes (the documented "pool smaller than the
-  // window caps effective concurrency" contract).
-  blocking_cap_ = options_.threads > 0 ? options_.threads : options_.window;
-  blocking_cap_ = std::clamp(blocking_cap_, 1, 256);
-  const int cores = static_cast<int>(std::thread::hardware_concurrency());
-  compute_cap_ = options_.threads > 0 ? options_.threads
-                                      : std::clamp(cores, 1, 8);
-  compute_cap_ = std::clamp(std::min(compute_cap_, options_.window), 1, 256);
-  if (options_.dispatch == AsyncOptions::Dispatch::kThreadPool) {
-    compute_cap_ = blocking_cap_;
-  }
 }
 
 CompletionExecutor::~CompletionExecutor() {
@@ -95,17 +79,13 @@ CompletionExecutor::~CompletionExecutor() {
     for (Op& op : queue_) cancelled.push_back(std::move(op.done));
     queue_.clear();
   }
-  worker_cv_.notify_all();
   for (FetchCallback& done : cancelled) {
     done(Status::FailedPrecondition("fetch executor shut down before the "
                                     "request was dispatched"));
   }
-  // Pool workers finish their current operation and exit; no new worker
-  // can spawn once stopping_ is set.
-  for (std::thread& worker : workers_) worker.join();
-  // Native operations already handed to a backend complete off its event
-  // loop; completion-native backends guarantee every callback eventually
-  // fires (deadline timers, connection teardown), so this wait is bounded.
+  // Operations already handed to a backend complete on their own; every
+  // backend guarantees its callback eventually fires (deadline timers,
+  // connection teardown), so this wait is bounded.
   {
     std::unique_lock<std::mutex> lock(mu_);
     drain_cv_.wait(lock, [this] { return in_flight_ == 0; });
@@ -117,37 +97,17 @@ void CompletionExecutor::SubmitFetch(std::shared_ptr<AccessBackend> backend,
                                      NodeId node, FetchCallback done) {
   WNW_CHECK(backend != nullptr);
   WNW_CHECK(done != nullptr);
-  Op op;
-  op.done = std::move(done);
-  const bool native =
-      options_.dispatch == AsyncOptions::Dispatch::kCompletion &&
-      backend->completion_native();
-  if (native) {
-    op.backend = std::move(backend);
-    op.node = node;
-  } else {
-    op.blocking = options_.dispatch == AsyncOptions::Dispatch::kThreadPool ||
-                  backend->may_block();
-    op.fn = [backend = std::move(backend), node] {
-      return backend->FetchNeighbors(node);
-    };
+  DrainRetired();
+  std::unique_lock<std::mutex> lock(mu_);
+  if (stopping_) {
+    lock.unlock();
+    done(Status::FailedPrecondition(
+        "fetch executor is shutting down; request rejected"));
+    return;
   }
-  Enqueue(std::move(op));
-}
-
-CompletionExecutor::FetchFuture CompletionExecutor::Submit(
-    std::function<Result<FetchReply>()> fn) {
-  WNW_CHECK(fn != nullptr);
-  auto promise = std::make_shared<std::promise<Result<FetchReply>>>();
-  FetchFuture future = promise->get_future();
-  Op op;
-  op.fn = std::move(fn);
-  op.blocking = true;  // unknown closure: assume it may sleep
-  op.done = [promise = std::move(promise)](Result<FetchReply> result) {
-    promise->set_value(std::move(result));
-  };
-  Enqueue(std::move(op));
-  return future;
+  ++stats_.submitted;
+  queue_.push_back({std::move(backend), node, std::move(done)});
+  PumpLocked(lock);
 }
 
 CompletionExecutor::FetchFuture CompletionExecutor::SubmitFetch(
@@ -175,25 +135,6 @@ CompletionExecutor::FetchCallback CompletionExecutor::BatchSlotCallback(
 }
 
 CompletionExecutor::BatchHandle CompletionExecutor::SubmitBatch(
-    std::function<Result<FetchReply>(NodeId)> fetch,
-    std::span<const NodeId> nodes) {
-  WNW_CHECK(fetch != nullptr);
-  BatchHandle handle;
-  handle.state_ = std::make_shared<BatchHandle::State>();
-  handle.state_->remaining = nodes.size();
-  handle.state_->slots.resize(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId node = nodes[i];
-    Op op;
-    op.fn = [fetch, node] { return fetch(node); };
-    op.blocking = true;  // unknown closure: assume it may sleep
-    op.done = BatchSlotCallback(handle.state_, i);
-    Enqueue(std::move(op));
-  }
-  return handle;
-}
-
-CompletionExecutor::BatchHandle CompletionExecutor::SubmitBatch(
     std::shared_ptr<AccessBackend> backend, std::span<const NodeId> nodes) {
   WNW_CHECK(backend != nullptr);
   BatchHandle handle;
@@ -211,21 +152,6 @@ CompletionExecutor::Stats CompletionExecutor::stats() const {
   return stats_;
 }
 
-void CompletionExecutor::Enqueue(Op op) {
-  DrainRetired();
-  std::unique_lock<std::mutex> lock(mu_);
-  if (stopping_) {
-    FetchCallback done = std::move(op.done);
-    lock.unlock();
-    done(Status::FailedPrecondition(
-        "fetch executor is shutting down; request rejected"));
-    return;
-  }
-  ++stats_.submitted;
-  queue_.push_back(std::move(op));
-  PumpLocked(lock);
-}
-
 void CompletionExecutor::PumpLocked(std::unique_lock<std::mutex>& lock) {
   if (pumping_) {
     // Another frame of this function is live below us on the stack (an
@@ -238,13 +164,6 @@ void CompletionExecutor::PumpLocked(std::unique_lock<std::mutex>& lock) {
   while (again) {
     repump_ = false;
     while (!stopping_ && !queue_.empty() && in_flight_ < options_.window) {
-      if (queue_.front().IsPool()) {
-        // A worker admits pool ops itself (that keeps FIFO order between
-        // the two kinds); make sure one is coming.
-        MaybeSpawnWorkerLocked(queue_.front().blocking);
-        worker_cv_.notify_one();
-        break;
-      }
       Op op = std::move(queue_.front());
       queue_.pop_front();
       ++in_flight_;
@@ -252,7 +171,7 @@ void CompletionExecutor::PumpLocked(std::unique_lock<std::mutex>& lock) {
       lock.unlock();
       // The backend may invoke the completion before returning; the
       // pumping_ flag turns that recursion into another `again` turn.
-      DispatchNative(std::move(op));
+      Dispatch(std::move(op));
       lock.lock();
     }
     again = repump_;
@@ -260,14 +179,14 @@ void CompletionExecutor::PumpLocked(std::unique_lock<std::mutex>& lock) {
   pumping_ = false;
 }
 
-void CompletionExecutor::DispatchNative(Op op) {
-  struct NativeOp {
+void CompletionExecutor::Dispatch(Op op) {
+  struct InFlight {
     CompletionExecutor* self = nullptr;
     std::shared_ptr<AccessBackend> backend;
     FetchCallback done;
     std::atomic<bool> fired{false};
   };
-  auto ctx = std::make_shared<NativeOp>();
+  auto ctx = std::make_shared<InFlight>();
   ctx->self = this;
   ctx->backend = std::move(op.backend);
   ctx->done = std::move(op.done);
@@ -280,41 +199,32 @@ void CompletionExecutor::DispatchNative(Op op) {
     {
       // Retire the backend reference BEFORE the completion runs: once
       // `done` fires, the waiter may release the last outside reference,
-      // and if this wrapper (destroyed later, on the backend's loop
+      // and if this wrapper (destroyed later, maybe on the backend's own
       // thread) still held one, the backend's destructor would join its
-      // own loop thread. Retired references are released from submission
-      // paths / the executor destructor instead. The op is counted here
-      // too, so a waiter returning from Wait() sees it in stats().
+      // own thread. Retired references are released from submission paths
+      // / the executor destructor instead. The op is counted here too, so
+      // a waiter returning from Wait() sees it in stats().
       std::lock_guard<std::mutex> lock(self->mu_);
       self->retired_.push_back(std::move(ctx->backend));
       ++self->stats_.completed;
-      ++self->stats_.native_completions;
     }
     FetchCallback done = std::move(ctx->done);
     done(std::move(result));
-    self->OnNativeComplete();
+    self->OnComplete();
   });
 }
 
-void CompletionExecutor::OnNativeComplete() {
+void CompletionExecutor::OnComplete() {
   std::unique_lock<std::mutex> lock(mu_);
   --in_flight_;
   if (stopping_) {
-    // The destructor may be waiting for the last native completion. Only
-    // the notify happens after the counters — nothing below touches the
+    // The destructor may be waiting for the last completion. Only the
+    // notify happens after the counters — nothing below touches the
     // executor once the destructor can proceed.
     drain_cv_.notify_all();
     return;
   }
   PumpLocked(lock);
-}
-
-void CompletionExecutor::MaybeSpawnWorkerLocked(bool blocking) {
-  const int cap = blocking ? blocking_cap_ : compute_cap_;
-  if (stopping_ || idle_workers_ > 0 || pool_threads_ >= cap) return;
-  ++pool_threads_;
-  stats_.peak_threads = std::max(stats_.peak_threads, pool_threads_);
-  workers_.emplace_back([this] { WorkerLoop(); });
 }
 
 void CompletionExecutor::DrainRetired() {
@@ -323,56 +233,9 @@ void CompletionExecutor::DrainRetired() {
     std::lock_guard<std::mutex> lock(mu_);
     retired.swap(retired_);
   }
-  // Released here, outside the lock, on a caller (never event-loop)
-  // thread. A release that is the last reference may run a backend
-  // destructor that joins its own loop thread — safe from here.
-}
-
-void CompletionExecutor::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    ++idle_workers_;
-    worker_cv_.wait(lock, [this] {
-      return stopping_ || (!queue_.empty() && queue_.front().IsPool() &&
-                           in_flight_ < options_.window);
-    });
-    --idle_workers_;
-    if (stopping_) return;
-    if (queue_.empty() || !queue_.front().IsPool() ||
-        in_flight_ >= options_.window) {
-      continue;  // lost a race for the op; wait again
-    }
-    Op op = std::move(queue_.front());
-    queue_.pop_front();
-    ++in_flight_;
-    stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
-    ++stats_.pool_tasks;
-    // Taking the front may have exposed an admissible native op (or
-    // another pool op needing a second worker); keep the window full.
-    if (!queue_.empty() && in_flight_ < options_.window) {
-      PumpLocked(lock);
-    }
-    lock.unlock();
-    Result<FetchReply> result = op.fn();
-    // Drop the op's captured resources (notably the backend shared_ptr)
-    // BEFORE publishing the result. A backend with an attached executor
-    // points back at this executor, so once the waiter's completion fires
-    // it may release the last outside reference — if the closure still
-    // held the backend at that point, this worker thread would run the
-    // backend's and then the executor's destructor, and the executor would
-    // join() its own thread (EDEADLK abort).
-    op.fn = nullptr;
-    lock.lock();
-    ++stats_.completed;  // counted before `done` publishes the result
-    lock.unlock();
-    FetchCallback done = std::move(op.done);
-    done(std::move(result));
-    done = nullptr;
-    lock.lock();
-    // The slot frees only after `done` returns: that bounds the window.
-    --in_flight_;
-    if (!stopping_) PumpLocked(lock);
-  }
+  // Released here, outside the lock, on a submitting (never a backend's
+  // own) thread. A release that is the last reference may run a backend
+  // destructor that joins its own thread — safe from here.
 }
 
 }  // namespace wnw

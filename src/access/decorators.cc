@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "access/completion_executor.h"
 #include "access/sharded_backend.h"
 #include "util/check.h"
 
@@ -25,10 +24,13 @@ std::string WrapName(std::string_view outer, std::string_view inner) {
 // --- LatencyBackend ----------------------------------------------------------
 
 LatencyBackend::LatencyBackend(std::shared_ptr<AccessBackend> inner,
-                               LatencyConfig config)
+                               LatencyConfig config,
+                               std::shared_ptr<DeadlineTimer> timer)
     : inner_(std::move(inner)),
       config_(config),
       name_(WrapName("latency", inner_->name())),
+      timer_(timer != nullptr ? std::move(timer)
+                              : std::make_shared<DeadlineTimer>()),
       rng_(Mix64(config.seed)) {
   WNW_CHECK(inner_ != nullptr);
   WNW_CHECK(config_.mean_ms >= 0.0 && config_.jitter_ms >= 0.0);
@@ -37,75 +39,83 @@ LatencyBackend::LatencyBackend(std::shared_ptr<AccessBackend> inner,
   WNW_CHECK(config_.sleep_scale >= 0.0);
 }
 
-void LatencyBackend::AttachExecutor(
-    std::shared_ptr<CompletionExecutor> executor) {
-  executor_ = std::move(executor);
+LatencyBackend::Schedule LatencyBackend::DrawSchedule() {
+  // The whole schedule (round trips + retry backoffs) is drawn under the
+  // RNG lock; any real wait happens outside it, so concurrent requests
+  // overlap their waits instead of serializing on the mutex.
+  Schedule schedule;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (int attempt = 0;; ++attempt) {
+    double rtt_ms = config_.mean_ms;
+    if (config_.jitter_ms > 0.0) {
+      rtt_ms += rng_.NextDouble(-config_.jitter_ms, config_.jitter_ms);
+    }
+    schedule.seconds += std::max(0.0, rtt_ms) * 1e-3;
+    if (config_.failure_rate <= 0.0 || !rng_.NextBool(config_.failure_rate)) {
+      return schedule;
+    }
+    if (attempt >= config_.max_retries) {
+      schedule.status = Status::ResourceExhausted(
+          "simulated network request failed after " +
+          std::to_string(config_.max_retries + 1) + " attempts");
+      return schedule;
+    }
+    schedule.seconds += config_.retry_backoff_ms * 1e-3;
+  }
 }
 
-Result<double> LatencyBackend::SimulateRequestSeconds() {
-  // Draw the whole request schedule (round trips + retry backoffs) under
-  // the RNG lock, then sleep outside it — concurrent requests must overlap
-  // their sleeps, not serialize on the mutex.
-  Status failed = Status::OK();
-  double seconds = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int attempt = 0;; ++attempt) {
-      double rtt_ms = config_.mean_ms;
-      if (config_.jitter_ms > 0.0) {
-        rtt_ms += rng_.NextDouble(-config_.jitter_ms, config_.jitter_ms);
-      }
-      seconds += std::max(0.0, rtt_ms) * 1e-3;
-      if (config_.failure_rate <= 0.0 ||
-          !rng_.NextBool(config_.failure_rate)) {
-        break;
-      }
-      if (attempt >= config_.max_retries) {
-        failed = Status::ResourceExhausted(
-            "simulated network request failed after " +
-            std::to_string(config_.max_retries + 1) + " attempts");
-        break;
-      }
-      seconds += config_.retry_backoff_ms * 1e-3;
-    }
-  }
+void LatencyBackend::Sleep(double seconds) const {
   if (config_.sleep_scale > 0.0 && seconds > 0.0) {
-    // An aborted request still occupied the wire for its attempts.
     std::this_thread::sleep_for(
         std::chrono::duration<double>(seconds * config_.sleep_scale));
   }
-  if (!failed.ok()) return failed;
-  return seconds;
 }
 
 Result<FetchReply> LatencyBackend::FetchNeighbors(NodeId u) {
   WNW_ASSIGN_OR_RETURN(FetchReply reply, inner_->FetchNeighbors(u));
-  WNW_ASSIGN_OR_RETURN(double seconds, SimulateRequestSeconds());
-  reply.simulated_seconds += seconds;
+  const Schedule schedule = DrawSchedule();
+  Sleep(schedule.seconds);
+  WNW_RETURN_IF_ERROR(schedule.status);
+  reply.simulated_seconds += schedule.seconds;
   return reply;
 }
 
+void LatencyBackend::FetchNeighborsCompletion(NodeId u,
+                                              CompletionCallback done) {
+  // `this` is alive until `done` fires: whoever submitted holds the stack.
+  inner_->FetchNeighborsCompletion(
+      u, [this, done = std::move(done)](Result<FetchReply> reply) {
+        double wait = 0.0;
+        if (reply.ok()) {
+          const Schedule schedule = DrawSchedule();
+          wait = schedule.seconds * config_.sleep_scale;
+          if (schedule.status.ok()) {
+            reply->simulated_seconds += schedule.seconds;
+          } else {
+            reply = schedule.status;
+          }
+        }
+        if (wait <= 0.0) return done(std::move(reply));
+        // std::function needs a copyable closure; the reply is move-only.
+        auto boxed = std::make_shared<Result<FetchReply>>(std::move(reply));
+        timer_->After(wait, [done, boxed] { done(std::move(*boxed)); });
+      });
+}
+
 Result<BatchReply> LatencyBackend::FetchBatch(std::span<const NodeId> nodes) {
-  if (executor_ != nullptr) {
-    // Truly concurrent dispatch: every request is an independent executor
-    // task (real sleeps on worker threads, bounded by the in-flight
-    // window). Safe against the window bound because these are leaf tasks:
-    // FetchNeighbors never submits further work, and this frame — never
-    // itself an executor task — just blocks until the batch drains.
-    return executor_
-        ->SubmitBatch([this](NodeId u) { return FetchNeighbors(u); }, nodes)
-        .Wait();
-  }
   WNW_ASSIGN_OR_RETURN(BatchReply reply, inner_->FetchBatch(nodes));
-  // Accounting-only concurrency: the batch completes when the slowest
-  // request (including its retries) does. With sleep_scale > 0 but no
-  // executor the sleeps serialize — attach an executor to overlap them.
-  double slowest = 0.0;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    WNW_ASSIGN_OR_RETURN(double seconds, SimulateRequestSeconds());
-    slowest = std::max(slowest, seconds);
+  // The requests are dispatched concurrently: the batch completes when the
+  // slowest one (including its retries) does, so it bills and sleeps that
+  // one request's time, once.
+  Schedule slowest;
+  for (size_t i = 0; i < nodes.size() && slowest.status.ok(); ++i) {
+    const Schedule schedule = DrawSchedule();
+    slowest.seconds = std::max(slowest.seconds, schedule.seconds);
+    slowest.status = schedule.status;
   }
-  reply.simulated_seconds += slowest;
+  Sleep(slowest.seconds);
+  WNW_RETURN_IF_ERROR(slowest.status);
+  reply.simulated_seconds += slowest.seconds;
   return reply;
 }
 
@@ -134,14 +144,26 @@ double RateLimitBackend::Consume(uint64_t n) {
   return limiter_.waited_seconds() - before;
 }
 
-Result<FetchReply> RateLimitBackend::FetchNeighbors(NodeId u) {
-  WNW_ASSIGN_OR_RETURN(FetchReply reply, inner_->FetchNeighbors(u));
+Result<FetchReply> RateLimitBackend::Stall(Result<FetchReply> reply) {
+  if (!reply.ok()) return reply;
   // Token stalls are server-enforced per query and do not parallelize:
   // mark them serial so concurrent batch aggregation sums (not maxes) them.
   const double stall = Consume(1);
-  reply.simulated_seconds += stall;
-  reply.serial_seconds += stall;
+  reply->simulated_seconds += stall;
+  reply->serial_seconds += stall;
   return reply;
+}
+
+Result<FetchReply> RateLimitBackend::FetchNeighbors(NodeId u) {
+  return Stall(inner_->FetchNeighbors(u));
+}
+
+void RateLimitBackend::FetchNeighborsCompletion(NodeId u,
+                                                CompletionCallback done) {
+  inner_->FetchNeighborsCompletion(
+      u, [this, done = std::move(done)](Result<FetchReply> reply) {
+        done(Stall(std::move(reply)));
+      });
 }
 
 Result<BatchReply> RateLimitBackend::FetchBatch(std::span<const NodeId> nodes) {
@@ -192,22 +214,16 @@ std::shared_ptr<AccessBackend> BuildBackendStack(
     auto partitioned = ShardedGraph::FromGraph(*graph, options.shards,
                                                options.partition);
     WNW_CHECK(partitioned.ok());
-    auto sharded = std::make_shared<ShardedBackend>(
+    return std::make_shared<ShardedBackend>(
         std::make_shared<const ShardedGraph>(std::move(partitioned).value()),
         ShardedBackendOptions{.access = options.access,
                               .latency = options.latency});
-    if (options.executor != nullptr) {
-      sharded->AttachExecutor(options.executor);
-    }
-    return sharded;
   }
   std::shared_ptr<AccessBackend> backend =
       std::make_shared<InMemoryBackend>(graph, options.access);
   if (options.latency.has_value()) {
-    auto latency = std::make_shared<LatencyBackend>(std::move(backend),
-                                                    *options.latency);
-    if (options.executor != nullptr) latency->AttachExecutor(options.executor);
-    backend = std::move(latency);
+    backend = std::make_shared<LatencyBackend>(std::move(backend),
+                                               *options.latency);
   }
   if (options.access.rate_limit.queries_per_window > 0) {
     backend = std::make_shared<RateLimitBackend>(std::move(backend),

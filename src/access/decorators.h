@@ -7,19 +7,22 @@
 //                      so a batch pays the slowest request, not the sum —
 //                      this is what makes Prefetch() calls from the samplers
 //                      pay off. With sleep_scale > 0 each request genuinely
-//                      sleeps its simulated duration (retry backoffs
-//                      included), and with a CompletionExecutor attached
-//                      batches dispatch as real concurrent tasks instead of
-//                      accounting-only concurrency — wall clock then tracks
-//                      simulated waiting.
+//                      waits its simulated duration (retry backoffs
+//                      included): a synchronous fetch sleeps the caller's
+//                      thread (a synchronous batch sleeps once, for its
+//                      slowest request), and FetchNeighborsCompletion fires
+//                      its callback from a DeadlineTimer thread, so a whole
+//                      executor window of sleeping requests overlaps on that
+//                      one thread.
 //   RateLimitBackend — the paper §1 query budget (e.g. Twitter's 15 requests
 //                      per 15 minutes) as a decorator around the token-bucket
 //                      SimulatedRateLimiter. Rate-limit waits are server-
 //                      enforced and do NOT parallelize across a batch.
 //
-// Both decorators are thread-safe and attribute their simulated waiting to
-// the individual FetchReply, so each concurrent session sees exactly the
-// time its own requests would have cost.
+// Both decorators are thread-safe, forward FetchNeighborsCompletion to their
+// inner backend, and attribute their simulated waiting to the individual
+// FetchReply, so each concurrent session sees exactly the time its own
+// requests would have cost.
 #pragma once
 
 #include <memory>
@@ -27,6 +30,7 @@
 #include <string>
 
 #include "access/backend.h"
+#include "access/deadline_timer.h"
 #include "graph/sharded_graph.h"
 
 namespace wnw {
@@ -54,19 +58,22 @@ struct LatencyConfig {
   /// Seeds the latency/failure randomness (independent of the walk RNG).
   uint64_t seed = 0xfeedu;
 
-  /// Real-sleep factor: when > 0, each request genuinely sleeps
-  /// simulated_seconds * sleep_scale on the thread serving it (an executor
-  /// worker under async dispatch), so wall clock tracks the simulated
-  /// service. 1 sleeps the full simulated time; 0.1 shrinks a 50ms RTT to a
-  /// 5ms sleep (same accounting, faster experiments). 0 = accounting only.
+  /// Real-sleep factor: when > 0, each request genuinely waits
+  /// simulated_seconds * sleep_scale before it completes (the synchronous
+  /// caller sleeps; a completion fires from the deadline timer), so wall
+  /// clock tracks the simulated service. 1 sleeps the full simulated time;
+  /// 0.1 shrinks a 50ms RTT to a 5ms sleep (same accounting, faster
+  /// experiments). 0 = accounting only.
   double sleep_scale = 0.0;
 };
 
-class CompletionExecutor;
-
 class LatencyBackend final : public AccessBackend {
  public:
-  LatencyBackend(std::shared_ptr<AccessBackend> inner, LatencyConfig config);
+  /// `timer` fires sleeping completions; null gives the backend a timer of
+  /// its own (ShardedBackend passes one timer to all its shards). Its thread
+  /// starts only on the first sleeping FetchNeighborsCompletion.
+  LatencyBackend(std::shared_ptr<AccessBackend> inner, LatencyConfig config,
+                 std::shared_ptr<DeadlineTimer> timer = nullptr);
 
   std::string_view name() const override { return name_; }
   uint64_t num_nodes() const override { return inner_->num_nodes(); }
@@ -78,36 +85,36 @@ class LatencyBackend final : public AccessBackend {
     return inner_->AsRemote();
   }
   Result<FetchReply> FetchNeighbors(NodeId u) override;
+
+  /// Serves the inner fetch and draws the request's schedule, then
+  /// completes inline (sleep_scale == 0) or from the deadline timer once
+  /// the scaled schedule has elapsed — no thread waits on the request.
+  void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override;
   Result<BatchReply> FetchBatch(std::span<const NodeId> nodes) override;
   void ResetSimulation() override;
-
-  /// With sleep_scale > 0 every fetch really sleeps the serving thread, so
-  /// the executor must size this stack's pool at the window for the sleeps
-  /// to overlap.
-  bool may_block() const override {
-    return config_.sleep_scale > 0.0 || inner_->may_block();
-  }
-
-  /// Truly concurrent batch dispatch: FetchBatch fans its requests out as
-  /// independent executor tasks (window-bounded, real sleeps overlapping)
-  /// instead of the accounting-only max(). Callers going through an
-  /// AccessInterface that owns an executor never reach this path — it serves
-  /// plain backend->FetchBatch users sharing the crawler's executor.
-  void AttachExecutor(std::shared_ptr<CompletionExecutor> executor);
 
   const LatencyConfig& config() const { return config_; }
 
  private:
-  /// Simulated completion time of one request: per-attempt round trips plus
-  /// retry backoffs. Errors out past max_retries. With sleep_scale > 0 the
-  /// calling thread really sleeps the (scaled) duration, outside the RNG
-  /// lock so concurrent requests overlap.
-  Result<double> SimulateRequestSeconds();
+  /// One request's simulated duration: per-attempt round trips plus retry
+  /// backoffs, and ResourceExhausted once max_retries is spent (an aborted
+  /// request still occupied the wire for its attempts).
+  struct Schedule {
+    double seconds = 0.0;
+    Status status;
+  };
+
+  /// Draws one request's schedule under the RNG lock.
+  Schedule DrawSchedule();
+
+  /// Sleeps the calling thread for `seconds` of simulated time scaled by
+  /// sleep_scale (no-op when the scale is 0).
+  void Sleep(double seconds) const;
 
   std::shared_ptr<AccessBackend> inner_;
   LatencyConfig config_;
   std::string name_;
-  std::shared_ptr<CompletionExecutor> executor_;  // set once, before use
+  std::shared_ptr<DeadlineTimer> timer_;
   std::mutex mu_;
   Rng rng_;  // guarded by mu_
 };
@@ -127,9 +134,11 @@ class RateLimitBackend final : public AccessBackend {
     return inner_->AsRemote();
   }
   Result<FetchReply> FetchNeighbors(NodeId u) override;
+
+  /// Forwards the completion; the stall is added when the reply arrives.
+  void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override;
   Result<BatchReply> FetchBatch(std::span<const NodeId> nodes) override;
   void ResetSimulation() override;
-  bool may_block() const override { return inner_->may_block(); }
 
   /// Total simulated seconds all sessions together spent rate-limited.
   double total_waited_seconds() const;
@@ -137,6 +146,9 @@ class RateLimitBackend final : public AccessBackend {
  private:
   // Consumes `n` tokens and returns the simulated wait incurred.
   double Consume(uint64_t n);
+
+  // Bills one query's token stall to an answered reply.
+  Result<FetchReply> Stall(Result<FetchReply> reply);
 
   std::shared_ptr<AccessBackend> inner_;
   std::string name_;
@@ -154,11 +166,6 @@ class RateLimitBackend final : public AccessBackend {
 struct BackendStackOptions {
   AccessOptions access;
   std::optional<LatencyConfig> latency;
-
-  /// Attached to the LatencyBackend or ShardedBackend (when one is built)
-  /// for truly concurrent batch dispatch; see
-  /// LatencyBackend::AttachExecutor / ShardedBackend::AttachExecutor.
-  std::shared_ptr<CompletionExecutor> executor;
 
   /// >= 1 builds a vertex-sharded origin with this many shards; 0 keeps the
   /// unsharded InMemoryBackend. Must be within [1, ShardedGraph::kMaxShards]

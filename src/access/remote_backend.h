@@ -84,7 +84,6 @@ class RemoteBackend final : public AccessBackend {
   /// the completion fires (CompletionExecutor holds the operation's
   /// shared_ptr, so stacks composed through it satisfy this for free).
   void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override;
-  bool completion_native() const override { return true; }
 
   /// One FetchBatch frame per call: the server runs the whole batch behind
   /// a single round trip and its BatchReply — per-request shards, stall

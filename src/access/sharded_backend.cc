@@ -1,8 +1,10 @@
 #include "access/sharded_backend.h"
 
 #include <algorithm>
+#include <deque>
+#include <functional>
+#include <future>
 
-#include "access/completion_executor.h"
 #include "access/decorators.h"
 #include "util/check.h"
 #include "util/string_util.h"
@@ -54,10 +56,84 @@ class ShardOriginBackend final : public AccessBackend {
 }  // namespace
 
 struct ShardedBackend::Shard {
-  std::mutex service_mu;  // held across a request when serial_service
   std::shared_ptr<AccessBackend> stack;
+
+  // serial_service: requests waiting for the shard, as closures that start
+  // them, and whether one is in service.
+  std::mutex service_mu;
+  std::deque<std::function<void()>> waiting;
+  bool busy = false;
+  bool pumping = false;  // a thread is inside Pump's start loop
+  bool repump = false;   // state changed while pumping; loop again
+
   mutable std::mutex counters_mu;
   ShardCounters counters;
+
+  /// Queues `start` behind the request in service. It runs once the shard
+  /// is free, on whichever thread frees it, and its request must end in
+  /// exactly one Finish().
+  void Enqueue(std::function<void()> start) {
+    std::unique_lock<std::mutex> lock(service_mu);
+    waiting.push_back(std::move(start));
+    Pump(lock);
+  }
+
+  /// The request in service is done: the next one in the FIFO starts.
+  void Finish() {
+    std::unique_lock<std::mutex> lock(service_mu);
+    busy = false;
+    Pump(lock);
+  }
+
+  /// Blocks the calling thread until the shard is its to use.
+  void AwaitTurn() {
+    {
+      std::lock_guard<std::mutex> lock(service_mu);
+      if (!busy && waiting.empty()) {  // free: no one to queue behind
+        busy = true;
+        return;
+      }
+    }
+    auto turn = std::make_shared<std::promise<void>>();
+    std::future<void> ready = turn->get_future();
+    Enqueue([turn] { turn->set_value(); });
+    ready.wait();
+  }
+
+  void Count(uint64_t fetches, double stall_seconds) {
+    std::lock_guard<std::mutex> lock(counters_mu);
+    counters.fetches += fetches;
+    counters.stall_seconds += stall_seconds;
+  }
+
+  void Count(const Result<FetchReply>& reply) {
+    if (reply.ok()) Count(1, reply->serial_seconds);
+  }
+
+ private:
+  // Starts waiting requests while the shard is free. A request completing
+  // inside its start calls Finish() from within this loop; the pumping flag
+  // turns that recursion into another turn of the loop.
+  void Pump(std::unique_lock<std::mutex>& lock) {
+    if (pumping) {
+      repump = true;
+      return;
+    }
+    pumping = true;
+    do {
+      repump = false;
+      while (!busy && !waiting.empty()) {
+        std::function<void()> start = std::move(waiting.front());
+        waiting.pop_front();
+        busy = true;
+        lock.unlock();
+        start();
+        start = nullptr;
+        lock.lock();
+      }
+    } while (repump);
+    pumping = false;
+  }
 };
 
 ShardedBackend::ShardedBackend(std::shared_ptr<const ShardedGraph> graph,
@@ -65,15 +141,16 @@ ShardedBackend::ShardedBackend(std::shared_ptr<const ShardedGraph> graph,
     : graph_(std::move(graph)), options_(options) {
   WNW_CHECK(graph_ != nullptr && graph_->num_shards() >= 1);
   shards_.reserve(static_cast<size_t>(graph_->num_shards()));
+  auto timer = std::make_shared<DeadlineTimer>();  // shared by all shards
   for (int s = 0; s < graph_->num_shards(); ++s) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_shared<Shard>();
     std::shared_ptr<AccessBackend> stack = std::make_shared<ShardOriginBackend>(
         graph_, s, options_.access, options_.origin_name);
     if (options_.latency.has_value()) {
       // Independent network randomness per endpoint; same distribution.
       LatencyConfig config = *options_.latency;
       config.seed = Mix64(config.seed ^ static_cast<uint64_t>(s));
-      stack = std::make_shared<LatencyBackend>(std::move(stack), config);
+      stack = std::make_shared<LatencyBackend>(std::move(stack), config, timer);
     }
     if (options_.access.rate_limit.queries_per_window > 0) {
       // One §1 query budget per endpoint: stalls sum within a shard and
@@ -90,36 +167,46 @@ ShardedBackend::ShardedBackend(std::shared_ptr<const ShardedGraph> graph,
                     std::string(shards_[0]->stack->name()).c_str());
 }
 
-ShardedBackend::~ShardedBackend() = default;
-
-void ShardedBackend::AttachExecutor(
-    std::shared_ptr<CompletionExecutor> executor) {
-  executor_ = std::move(executor);
-}
-
-Result<FetchReply> ShardedBackend::ServeOne(int s, NodeId u) {
-  Shard& shard = *shards_[static_cast<size_t>(s)];
-  // The shard is a single-threaded server: the request (including any real
-  // latency sleep inside the stack) occupies it exclusively, so concurrent
-  // callers queue here — that queueing is the wall-clock cost sharding
-  // exists to divide.
-  std::unique_lock<std::mutex> lock(shard.service_mu, std::defer_lock);
-  if (options_.serial_service) lock.lock();
-  Result<FetchReply> reply = shard.stack->FetchNeighbors(u);
-  if (lock.owns_lock()) lock.unlock();
-  if (reply.ok()) {
-    std::lock_guard<std::mutex> lock(shard.counters_mu);
-    ++shard.counters.fetches;
-    shard.counters.stall_seconds += reply->serial_seconds;
-  }
-  return reply;
-}
-
 Result<FetchReply> ShardedBackend::FetchNeighbors(NodeId u) {
   if (u >= graph_->num_nodes()) {
     return NodeOutOfRangeError(u, graph_->num_nodes());
   }
-  return ServeOne(graph_->ShardOf(u), u);
+  Shard& shard = *shards_[static_cast<size_t>(graph_->ShardOf(u))];
+  // The shard is a single-threaded server: the request (including any real
+  // latency sleep inside the stack) occupies it exclusively, so concurrent
+  // callers queue — the wall-clock cost sharding exists to divide.
+  if (options_.serial_service) shard.AwaitTurn();
+  Result<FetchReply> reply = shard.stack->FetchNeighbors(u);
+  if (options_.serial_service) shard.Finish();
+  shard.Count(reply);
+  return reply;
+}
+
+void ShardedBackend::FetchNeighborsCompletion(NodeId u,
+                                              CompletionCallback done) {
+  if (u >= graph_->num_nodes()) {
+    done(NodeOutOfRangeError(u, graph_->num_nodes()));
+    return;
+  }
+  // Completions hold the shard itself, never `this`: the last reference to
+  // the backend may be released the moment `done` fires.
+  std::shared_ptr<Shard> shard =
+      shards_[static_cast<size_t>(graph_->ShardOf(u))];
+  const bool serial = options_.serial_service;
+  auto start = [shard, u, serial, done = std::move(done)]() mutable {
+    shard->stack->FetchNeighborsCompletion(
+        u, [shard, serial, done = std::move(done)](Result<FetchReply> reply) {
+          shard->Count(reply);
+          // The next request starts before this one's callback chain runs.
+          if (serial) shard->Finish();
+          done(std::move(reply));
+        });
+  };
+  if (serial) {
+    shard->Enqueue(std::move(start));
+  } else {
+    start();
+  }
 }
 
 Result<BatchReply> ShardedBackend::FetchBatch(std::span<const NodeId> nodes) {
@@ -128,18 +215,10 @@ Result<BatchReply> ShardedBackend::FetchBatch(std::span<const NodeId> nodes) {
       return NodeOutOfRangeError(u, graph_->num_nodes());
     }
   }
-  if (executor_ != nullptr) {
-    // Truly concurrent dispatch: one leaf task per request, each routed
-    // through its shard's service lock, so shards really serve in parallel
-    // while requests to one shard queue. BatchHandle::Wait aggregates
-    // shard-aware: the batch pays the slowest shard.
-    return executor_
-        ->SubmitBatch([this](NodeId u) { return FetchNeighbors(u); }, nodes)
-        .Wait();
-  }
 
-  // Synchronous path: per-shard sub-batches, accounting-only concurrency
-  // across shards (the batch pays the slowest shard's completion time).
+  // Per-shard sub-batches, each taking its turn in the shard's FIFO, with
+  // accounting-only concurrency across shards (the batch pays the slowest
+  // shard's completion time).
   std::vector<std::vector<NodeId>> sub_nodes(shards_.size());
   std::vector<std::vector<size_t>> sub_index(shards_.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
@@ -154,20 +233,15 @@ Result<BatchReply> ShardedBackend::FetchBatch(std::span<const NodeId> nodes) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (sub_nodes[s].empty()) continue;
     Shard& shard = *shards_[s];
-    std::unique_lock<std::mutex> lock(shard.service_mu, std::defer_lock);
-    if (options_.serial_service) lock.lock();
+    if (options_.serial_service) shard.AwaitTurn();
     Result<BatchReply> sub = shard.stack->FetchBatch(sub_nodes[s]);
-    if (lock.owns_lock()) lock.unlock();
+    if (options_.serial_service) shard.Finish();
     WNW_RETURN_IF_ERROR(sub.status());
     slowest_shard = std::max(slowest_shard, sub->simulated_seconds);
     double stall = 0.0;
     for (double v : sub->shard_stalls) stall += v;
     reply.BillStall(static_cast<int32_t>(s), stall);
-    {
-      std::lock_guard<std::mutex> lock(shard.counters_mu);
-      shard.counters.fetches += sub_nodes[s].size();
-      shard.counters.stall_seconds += stall;
-    }
+    shard.Count(sub_nodes[s].size(), stall);
     for (size_t j = 0; j < sub_index[s].size(); ++j) {
       reply.lists[sub_index[s][j]] = std::move(sub->lists[j]);
       reply.shards[sub_index[s][j]] = static_cast<int32_t>(s);

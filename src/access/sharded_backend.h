@@ -11,29 +11,27 @@
 //   - RestrictionServer state and randomness stream (responses are keyed on
 //     (seed, node, call#), so they are bit-identical to the unsharded
 //     InMemoryBackend's — sharding is invisible to samplers),
-//   - mutex: by default each shard serves ONE request at a time (a
-//     single-threaded origin server). Concurrent requests to the same shard
-//     queue on its service lock — real wall-clock queueing when the latency
-//     decorator really sleeps — while different shards serve in parallel.
-//     shards=1 therefore IS the "every walker serializes on a single
-//     origin" baseline, and shards=N divides the queueing by the partition
-//     balance (see ShardedGraph::MaxEdgeImbalance).
+//   - service FIFO: by default each shard serves ONE request at a time (a
+//     single-threaded origin server). A request to a busy shard waits in
+//     the shard's FIFO and starts when the one in service completes — real
+//     wall-clock queueing when the latency decorator really sleeps — while
+//     different shards serve in parallel. Synchronous callers take their
+//     turn in the same FIFO (and block until it comes), so a shard never
+//     serves two requests at once whichever path they arrive by. shards=1
+//     therefore IS the "every walker serializes on a single origin"
+//     baseline, and shards=N divides the queueing by the partition balance
+//     (see ShardedGraph::MaxEdgeImbalance).
 //   - latency decorator stack (independent RTT/jitter/failure RNG per
-//     shard) and rate limiter (the §1 query budget applies per endpoint).
+//     shard; one deadline timer shared by all shards) and rate limiter (the
+//     §1 query budget applies per endpoint).
 //
-// Billing semantics extend PR 3's: FetchBatch splits into per-shard
-// sub-batches dispatched concurrently (through an attached
-// CompletionExecutor when available), the batch pays the slowest *shard*,
-// and serial stalls (rate-limit tokens) bill against each shard's own
-// limiter — they sum within a shard and overlap across shards.
-//
-// Like LatencyBackend::AttachExecutor, FetchBatch with an attached executor
-// must not be called from inside an executor task (its per-node submissions
-// are leaf tasks; the calling frame blocks until they drain).
+// Billing: FetchBatch splits into per-shard sub-batches with accounting-only
+// concurrency across shards — the batch pays the slowest *shard* — and
+// serial stalls (rate-limit tokens) bill against each shard's own limiter:
+// they sum within a shard and overlap across shards.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,8 +41,6 @@
 #include "graph/sharded_graph.h"
 
 namespace wnw {
-
-class CompletionExecutor;
 
 struct ShardedBackendOptions {
   /// Restriction / rate-limit / server-seed scenario. The same options an
@@ -56,9 +52,9 @@ struct ShardedBackendOptions {
   std::optional<LatencyConfig> latency;
 
   /// Each shard serves one request at a time (single-threaded origin
-  /// server): requests to the same shard queue on its service lock, which
-  /// is genuine wall-clock queueing when the latency decorator really
-  /// sleeps. False models an infinitely concurrent server per shard.
+  /// server): requests to the same shard wait in its FIFO, which is genuine
+  /// wall-clock queueing when the latency decorator really sleeps. False
+  /// models an infinitely concurrent server per shard.
   bool serial_service = true;
 
   /// Telemetry label for the per-shard origin servers: "memory" for
@@ -71,7 +67,6 @@ class ShardedBackend final : public AccessBackend {
  public:
   ShardedBackend(std::shared_ptr<const ShardedGraph> graph,
                  ShardedBackendOptions options = {});
-  ~ShardedBackend() override;
 
   /// e.g. "sharded[hash:8](latency(memory))" — partition, shard count, and
   /// one shard's decorator stack.
@@ -80,22 +75,13 @@ class ShardedBackend final : public AccessBackend {
   const AccessOptions& options() const override { return options_.access; }
   const ShardedBackend* AsSharded() const override { return this; }
   Result<FetchReply> FetchNeighbors(NodeId u) override;
+
+  /// Routes to the owning shard's stack; under serial_service the request
+  /// waits in the shard's FIFO and returns at once, starting when the
+  /// shard frees up.
+  void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override;
   Result<BatchReply> FetchBatch(std::span<const NodeId> nodes) override;
   void ResetSimulation() override;
-
-  /// Shards really sleep (latency sleep_scale > 0) and queue on their
-  /// serial service locks, so fetches against them need a window-sized
-  /// pool to overlap.
-  bool may_block() const override {
-    return options_.latency.has_value() &&
-           options_.latency->sleep_scale > 0.0;
-  }
-
-  /// Concurrent per-shard dispatch for FetchBatch: requests fan out as
-  /// per-node leaf tasks, so shards genuinely serve in parallel (real
-  /// sleeps overlapping) instead of the accounting-only max. Set once,
-  /// before use; never call FetchBatch from inside a task of this executor.
-  void AttachExecutor(std::shared_ptr<CompletionExecutor> executor);
 
   int num_shards() const { return graph_->num_shards(); }
   ShardPartition partition() const { return graph_->partition(); }
@@ -113,15 +99,12 @@ class ShardedBackend final : public AccessBackend {
  private:
   struct Shard;
 
-  /// Serves one request through shard s's stack, honoring serial_service
-  /// and updating the shard's counters.
-  Result<FetchReply> ServeOne(int s, NodeId u);
-
   std::shared_ptr<const ShardedGraph> graph_;
   ShardedBackendOptions options_;
   std::string name_;
-  std::shared_ptr<CompletionExecutor> executor_;  // set once, before use
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Shared with in-flight completions, which may outlive this object's
+  // other state by a few instructions on the completing thread.
+  std::vector<std::shared_ptr<Shard>> shards_;
 };
 
 }  // namespace wnw

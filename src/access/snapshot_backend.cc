@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "access/completion_executor.h"
 #include "access/sharded_backend.h"
 #include "util/check.h"
 
@@ -50,26 +49,18 @@ Result<std::shared_ptr<AccessBackend>> BuildSnapshotBackendStack(
                                   options.partition));
       sharded = std::make_shared<const ShardedGraph>(std::move(repartitioned));
     }
-    auto backend = std::make_shared<ShardedBackend>(
+    return std::shared_ptr<AccessBackend>(std::make_shared<ShardedBackend>(
         std::move(sharded),
         ShardedBackendOptions{.access = options.access,
                               .latency = options.latency,
-                              .origin_name = "snapshot"});
-    if (options.executor != nullptr) {
-      backend->AttachExecutor(options.executor);
-    }
-    return std::shared_ptr<AccessBackend>(std::move(backend));
+                              .origin_name = "snapshot"}));
   }
 
   std::shared_ptr<AccessBackend> backend = std::make_shared<SnapshotBackend>(
       std::move(loaded), options.access);
   if (options.latency.has_value()) {
-    auto latency =
+    backend =
         std::make_shared<LatencyBackend>(std::move(backend), *options.latency);
-    if (options.executor != nullptr) {
-      latency->AttachExecutor(options.executor);
-    }
-    backend = std::move(latency);
   }
   if (options.access.rate_limit.queries_per_window > 0) {
     backend = std::make_shared<RateLimitBackend>(std::move(backend),

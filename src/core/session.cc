@@ -133,7 +133,6 @@ Status ResolveSessionResources(const Graph* graph, SamplerConfig* config,
   if (options->backend == nullptr) {
     const BackendStackOptions stack{.access = options->access,
                                     .latency = options->latency,
-                                    .executor = options->executor,
                                     .shards = options->shards,
                                     .partition = options->partition,
                                     .snapshot = options->snapshot,

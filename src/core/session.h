@@ -14,7 +14,7 @@
 // reserved parameters (consumed before the sampler factory sees the config;
 // the schema is ReservedSessionKeys() in core/spec_keys.h):
 //
-//   "we:mhrw?diameter=8&backend=latency&mean_ms=50&window=8&threads=4"
+//   "we:mhrw?diameter=8&backend=latency&mean_ms=50&window=8"
 //   "we:mhrw?diameter=8&shards=8&partition=degree&window=16"
 //
 // or programmatically through SessionOptions: an explicit shared backend
@@ -102,7 +102,7 @@ struct SessionOptions {
   std::string cache_file;
 
   /// Builds a private CompletionExecutor for this session (also reachable
-  /// via the ?window=&threads= spec parameters). Fetches then flow through
+  /// via the ?window= spec parameter). Fetches then flow through
   /// a bounded in-flight window and PrefetchAsync overlaps compute with
   /// round trips.
   std::optional<AsyncOptions> async;

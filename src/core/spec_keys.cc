@@ -29,7 +29,7 @@ int ClampInt(uint64_t value) {
 }
 
 // Table order is application order: backend before the latency knobs it
-// creates a LatencyConfig for, window before threads/dispatch.
+// creates a LatencyConfig for.
 constexpr SpecKey kKeys[] = {
     {.field = {.key = "backend", .type = T::kEnum,
                .choices = "memory|latency|remote", .default_value = "memory",
@@ -150,23 +150,6 @@ constexpr SpecKey kKeys[] = {
      .family = F::kExecutor,
      .apply = [](const V& v, S* s, E*) {
        s->async = AsyncOptions{.window = static_cast<int>(v.uint)};
-     }},
-    {.field = {.key = "threads", .type = T::kUint, .hi = 256,
-               .default_value = "0",
-               .doc = "executor worker cap; 0 sizes the pool automatically"},
-     .family = F::kExecutor, .needs = "window",
-     .apply = [](const V& v, S* s, E*) {
-       s->async->threads = static_cast<int>(v.uint);
-     }},
-    {.field = {.key = "dispatch", .type = T::kEnum,
-               .choices = "completion|threads", .default_value = "completion",
-               .doc = "threads runs every fetch on a pool worker (the "
-                      "ablation baseline)"},
-     .family = F::kExecutor, .needs = "window",
-     .apply = [](const V& v, S* s, E*) {
-       s->async->dispatch = v.text == "threads"
-                                ? AsyncOptions::Dispatch::kThreadPool
-                                : AsyncOptions::Dispatch::kCompletion;
      }},
     {.field = {.key = "engine", .type = T::kEnum, .choices = "block",
                .default_value = "—",

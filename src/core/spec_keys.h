@@ -7,7 +7,7 @@
 // EngineOptions); one loop parses, checks and applies them. A sampler's rows
 // (src/core/registry.cc) land in its options struct instead.
 //
-//   "we:mhrw?diameter=8&backend=latency&mean_ms=50&window=8&threads=4"
+//   "we:mhrw?diameter=8&backend=latency&mean_ms=50&window=8"
 //
 // Rules. `needs` and `conflicts` hold space-separated tokens `key` or
 // `key=value`, optionally prefixed `own_value:` to bind the rule to one

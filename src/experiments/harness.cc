@@ -115,7 +115,6 @@ std::vector<CurvePoint> RunErrorVsCost(const SocialDataset& dataset,
     BackendStackOptions stack;
     stack.access = config.access;
     stack.latency = config.latency;
-    stack.executor = shared_executor;
     stack.shards = config.shards;
     stack.partition = config.partition;
     if (!config.snapshot.empty()) {

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <set>
+#include <thread>
 
 #include "access/access_interface.h"
 #include "access/backend.h"
@@ -117,6 +120,58 @@ TEST(LatencyBackendTest, BatchPaysSlowestRoundTripNotSum) {
   EXPECT_LE(batch->simulated_seconds, 0.060);
 }
 
+TEST(LatencyBackendTest, SleepingSyncBatchSleepsOnceForTheSlowest) {
+  const Graph g = testing::MakeTestBA(60, 3);
+  LatencyConfig config;
+  config.mean_ms = 20.0;
+  config.sleep_scale = 1.0;
+  LatencyBackend backend(std::make_shared<InMemoryBackend>(&g), config);
+  const std::vector<NodeId> nodes = {0, 1, 2, 3, 4, 5, 6, 7};
+  const auto start = std::chrono::steady_clock::now();
+  auto batch = backend.FetchBatch(nodes);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(batch.ok());
+  // The batch bills one round trip, and its wall clock agrees: it sleeps
+  // the slowest request once instead of every request in turn (8 x 20ms).
+  EXPECT_DOUBLE_EQ(batch->simulated_seconds, 0.020);
+  EXPECT_GE(elapsed, 0.020);
+  EXPECT_LT(elapsed, 4 * 0.020);
+}
+
+TEST(LatencyBackendTest, CompletionBillsLikeTheSyncFetch) {
+  const Graph g = testing::MakeTestBA(60, 3);
+  for (const double sleep_scale : {0.0, 0.02}) {
+    LatencyConfig config;
+    config.mean_ms = 50.0;
+    config.jitter_ms = 10.0;
+    config.failure_rate = 0.3;
+    config.retry_backoff_ms = 100.0;
+    config.sleep_scale = sleep_scale;
+    LatencyBackend sync(std::make_shared<InMemoryBackend>(&g), config);
+    LatencyBackend async(std::make_shared<InMemoryBackend>(&g), config);
+    for (NodeId u = 0; u < 5; ++u) {
+      auto want = sync.FetchNeighbors(u);
+      ASSERT_TRUE(want.ok());
+      std::promise<Result<FetchReply>> promise;
+      std::thread::id completed_on;
+      async.FetchNeighborsCompletion(u, [&](Result<FetchReply> reply) {
+        completed_on = std::this_thread::get_id();
+        promise.set_value(std::move(reply));
+      });
+      auto got = promise.get_future().get();
+      ASSERT_TRUE(got.ok());
+      // Same schedule from the same RNG stream, same neighbors.
+      EXPECT_DOUBLE_EQ(got->simulated_seconds, want->simulated_seconds);
+      EXPECT_EQ(got->TakeNeighbors(), want->TakeNeighbors());
+      // Unslept requests complete inline; slept ones from the timer thread.
+      EXPECT_EQ(completed_on == std::this_thread::get_id(), sleep_scale == 0.0)
+          << "sleep_scale " << sleep_scale;
+    }
+  }
+}
+
 TEST(LatencyBackendTest, FailuresAddRetryBackoff) {
   const Graph g = testing::MakeHouseGraph();
   LatencyConfig config;
@@ -173,6 +228,22 @@ TEST(RateLimitBackendTest, BatchStillPaysTokenWaits) {
   ASSERT_TRUE(batch.ok());
   // Rate limits are server-enforced per query: batching does not help.
   EXPECT_DOUBLE_EQ(batch->simulated_seconds, 120.0);
+}
+
+TEST(RateLimitBackendTest, CompletionAddsTheStallAsSerialTime) {
+  const Graph g = MakeCycle(100).value();
+  RateLimitBackend backend(std::make_shared<InMemoryBackend>(&g), {10, 60.0});
+  double waited = 0.0;
+  double serial = 0.0;
+  for (NodeId u = 0; u < 25; ++u) {
+    backend.FetchNeighborsCompletion(u, [&](Result<FetchReply> reply) {
+      ASSERT_TRUE(reply.ok());
+      waited += reply->simulated_seconds;
+      serial += reply->serial_seconds;
+    });
+  }
+  EXPECT_DOUBLE_EQ(waited, 120.0);
+  EXPECT_DOUBLE_EQ(serial, 120.0);
 }
 
 TEST(AccessInterfaceBackendTest, SessionViewBillsWaitingPerSession) {
@@ -442,7 +513,7 @@ TEST(ShardedAcceptanceTest, EverySamplerDrawsIdenticallyAcrossShardCounts) {
       for (const bool async : {false, true}) {
         std::string spec = base + sep + "shards=" + std::to_string(shards) +
                            "&partition=degree";
-        if (async) spec += "&window=4&threads=2";
+        if (async) spec += "&window=4";
         auto session = SamplingSession::Open(&g, spec, opts);
         ASSERT_TRUE(session.ok()) << spec << ": "
                                   << session.status().ToString();

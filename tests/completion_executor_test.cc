@@ -31,7 +31,7 @@ FetchReply ReplyFor(NodeId u) {
 
 std::vector<NodeId> ListFor(NodeId u) { return {u + 1, u + 2}; }
 
-/// Completion-native backend whose completions fire only when the test
+/// Asynchronous backend whose completions fire only when the test
 /// triggers them: FetchNeighborsCompletion parks the callback in a FIFO of
 /// pending operations. Tests complete them in any order (reordered), fire
 /// one twice (hostile double completion), or set one aside and fire it much
@@ -44,7 +44,6 @@ class FakeCompletionBackend : public AccessBackend {
   std::string_view name() const override { return "fake-completion"; }
   uint64_t num_nodes() const override { return num_nodes_; }
   const AccessOptions& options() const override { return access_; }
-  bool completion_native() const override { return true; }
 
   Result<FetchReply> FetchNeighbors(NodeId u) override { return ReplyFor(u); }
 
@@ -150,7 +149,7 @@ class FakeCompletionBackend : public AccessBackend {
   std::vector<Pending> detached_;
 };
 
-/// Completion-native backend that completes before the submission returns —
+/// Backend that completes before the submission returns —
 /// the sharpest-edged legal behavior (drives the executor's pump
 /// reentrancy guard).
 class InlineCompletionBackend : public AccessBackend {
@@ -158,7 +157,6 @@ class InlineCompletionBackend : public AccessBackend {
   std::string_view name() const override { return "inline-completion"; }
   uint64_t num_nodes() const override { return 1u << 20; }
   const AccessOptions& options() const override { return access_; }
-  bool completion_native() const override { return true; }
   Result<FetchReply> FetchNeighbors(NodeId u) override { return ReplyFor(u); }
   void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override {
     done(ReplyFor(u));
@@ -178,7 +176,7 @@ TEST(CompletionDispatch, WindowBoundsInFlightWithZeroThreads) {
     futures.push_back(executor.SubmitFetch(fake, u));
   }
   // Admission is synchronous and bounded: exactly `window` operations
-  // reached the backend, none of them on a pool thread.
+  // reached the backend.
   EXPECT_EQ(fake->PendingCount(), 4u);
   for (NodeId u = 0; u < 10; ++u) {
     ASSERT_TRUE(fake->CompleteOne(u)) << "op " << u << " never admitted";
@@ -192,9 +190,6 @@ TEST(CompletionDispatch, WindowBoundsInFlightWithZeroThreads) {
   const auto stats = executor.stats();
   EXPECT_EQ(stats.submitted, 10u);
   EXPECT_EQ(stats.completed, 10u);
-  EXPECT_EQ(stats.native_completions, 10u);
-  EXPECT_EQ(stats.pool_tasks, 0u);
-  EXPECT_EQ(stats.peak_threads, 0);
   EXPECT_EQ(stats.max_in_flight, 4);
 }
 
@@ -308,31 +303,8 @@ TEST(CompletionDispatch, InlineCompletionsDoNotRecurse) {
   }
   EXPECT_EQ(completions.load(), 50'000u);
   const auto stats = executor.stats();
-  EXPECT_EQ(stats.native_completions, 50'000u);
-  EXPECT_EQ(stats.peak_threads, 0);
+  EXPECT_EQ(stats.completed, 50'000u);
   EXPECT_EQ(stats.max_in_flight, 1);
-}
-
-TEST(CompletionDispatch, ThreadPoolModeForcesNativeBackendsOntoWorkers) {
-  auto inline_fake = std::make_shared<InlineCompletionBackend>();
-  CompletionExecutor executor({.window = 4,
-                               .threads = 2,
-                               .dispatch =
-                                   AsyncOptions::Dispatch::kThreadPool});
-  std::vector<CompletionExecutor::FetchFuture> futures;
-  for (NodeId u = 0; u < 20; ++u) {
-    futures.push_back(executor.SubmitFetch(inline_fake, u));
-  }
-  for (NodeId u = 0; u < 20; ++u) {
-    auto reply = futures[u].get();
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply->TakeNeighbors(), ListFor(u));
-  }
-  const auto stats = executor.stats();
-  EXPECT_EQ(stats.native_completions, 0u);  // completion path not taken
-  EXPECT_EQ(stats.pool_tasks, 20u);
-  EXPECT_GE(stats.peak_threads, 1);
-  EXPECT_LE(stats.peak_threads, 2);
 }
 
 TEST(CompletionDispatch, BatchHandleAggregatesManualCompletions) {
@@ -438,7 +410,7 @@ TEST(CompletionDispatch, SingleFetchThroughExecutorCompletesInline) {
   EXPECT_EQ(testing::ToVec(access.Neighbors(21)), ListFor(21));
   EXPECT_EQ(testing::ToVec(access.Neighbors(22)), ListFor(22));
   EXPECT_EQ(access.query_cost(), 2u);
-  EXPECT_EQ(executor->stats().native_completions, 2u);
+  EXPECT_EQ(executor->stats().completed, 2u);
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
 // The CompletionExecutor integrated with the layers above it: the bounded
-// in-flight window under a genuinely slow backend, the access layer's async
-// prefetch and billing, sample-for-sample determinism of executor-backed
-// sessions against synchronous ones for EVERY registered sampler, shutdown
-// with requests still in flight, the ?window=&threads= spec keys, and
-// walker pools sharing one executor. (The executor's own unit tests are in
+// in-flight window over a really sleeping origin (completed from its
+// deadline timer, so the window costs one thread, not one per slot), the
+// access layer's async prefetch and billing, sample-for-sample determinism
+// of executor-backed sessions against synchronous ones for EVERY registered
+// sampler, shutdown with requests still in flight, the ?window= spec key,
+// and walker pools sharing one executor. (The executor's own unit tests are in
 // completion_executor_test.cc; key validation is in spec_keys_test.cc.)
 // The ASan/UBSan CI job runs this file too — the threading here is
 // load-bearing, not decorative.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -18,80 +21,183 @@
 #include "access/access_interface.h"
 #include "access/completion_executor.h"
 #include "access/decorators.h"
+#include "access/sharded_backend.h"
 #include "core/session.h"
 #include "graph/generators.h"
 #include "test_util.h"
+#include "util/thread_stats.h"
 
 namespace wnw {
 namespace {
 
-/// Wraps a backend with a real per-request delay and records the maximum
-/// number of requests it ever observed concurrently in flight.
-class SlowProbeBackend final : public AccessBackend {
+/// Counts the fetches that reach the origin; wrapped in a sleeping
+/// LatencyBackend, it tells served requests apart from cancelled ones.
+class CountingBackend final : public AccessBackend {
  public:
-  SlowProbeBackend(std::shared_ptr<AccessBackend> inner,
-                   std::chrono::milliseconds delay)
-      : inner_(std::move(inner)), delay_(delay) {}
+  explicit CountingBackend(std::shared_ptr<AccessBackend> inner)
+      : inner_(std::move(inner)) {}
 
-  std::string_view name() const override { return "slowprobe"; }
+  std::string_view name() const override { return "counting"; }
   uint64_t num_nodes() const override { return inner_->num_nodes(); }
   const AccessOptions& options() const override { return inner_->options(); }
 
   Result<FetchReply> FetchNeighbors(NodeId u) override {
-    const int now = 1 + in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    int seen = max_in_flight_.load(std::memory_order_relaxed);
-    while (now > seen &&
-           !max_in_flight_.compare_exchange_weak(seen, now)) {
-    }
-    std::this_thread::sleep_for(delay_);
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     fetches_.fetch_add(1, std::memory_order_relaxed);
     return inner_->FetchNeighbors(u);
   }
 
-  int max_in_flight() const {
-    return max_in_flight_.load(std::memory_order_relaxed);
-  }
   uint64_t fetches() const {
     return fetches_.load(std::memory_order_relaxed);
   }
 
  private:
   std::shared_ptr<AccessBackend> inner_;
-  std::chrono::milliseconds delay_;
-  std::atomic<int> in_flight_{0};
-  std::atomic<int> max_in_flight_{0};
   std::atomic<uint64_t> fetches_{0};
 };
 
-TEST(CompletionExecutorTest, WindowBoundsInFlightRequests) {
+/// A LatencyBackend whose every request really waits `ms` milliseconds
+/// (sleep_scale = 1, no jitter, no failures).
+std::shared_ptr<LatencyBackend> Sleeping(std::shared_ptr<AccessBackend> inner,
+                                         double ms) {
+  LatencyConfig config;
+  config.mean_ms = ms;
+  config.sleep_scale = 1.0;
+  return std::make_shared<LatencyBackend>(std::move(inner), config);
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+std::vector<NodeId> FirstNodes(NodeId n) {
+  std::vector<NodeId> nodes(n);
+  for (NodeId u = 0; u < n; ++u) nodes[u] = u;
+  return nodes;
+}
+
+TEST(CompletionExecutorTest, SleepingOriginOverlapsOnOneTimerThread) {
   const Graph g = testing::MakeTestBA(128, 3);
-  auto probe = std::make_shared<SlowProbeBackend>(
-      std::make_shared<InMemoryBackend>(&g), std::chrono::milliseconds(2));
-  // More workers than window slots: the window, not the pool, must bind.
-  CompletionExecutor executor({.window = 3, .threads = 8});
-  std::vector<NodeId> nodes(64);
-  for (NodeId u = 0; u < 64; ++u) nodes[u] = u;
-  auto reply = executor.SubmitBatch(probe, nodes).Wait();
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->lists.size(), 64u);
-  EXPECT_GT(probe->max_in_flight(), 1);  // it really ran concurrently
-  EXPECT_LE(probe->max_in_flight(), 3);
+  constexpr double kMs = 5.0;
+  auto sleeping = Sleeping(std::make_shared<InMemoryBackend>(&g), kMs);
+  CompletionExecutor executor({.window = 3});
+  // Sanitizer runtimes start a helper thread along with the process's
+  // first thread; let that happen before taking the baseline.
+  std::thread([] {}).join();
+  const int threads_before = CountProcessThreads();
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<CompletionExecutor::FetchFuture> futures;
+  for (NodeId u = 0; u < 64; ++u) {
+    futures.push_back(executor.SubmitFetch(sleeping, u));
+  }
+  // Sample the process's threads while the window drains: the sleeps
+  // overlap on the latency decorator's one timer thread, not on a thread
+  // per window slot.
+  int threads_peak = threads_before;
+  for (auto& future : futures) {
+    while (future.wait_for(std::chrono::milliseconds(1)) !=
+           std::future_status::ready) {
+      threads_peak = std::max(threads_peak, CountProcessThreads());
+    }
+    ASSERT_TRUE(future.get().ok());
+  }
+  const double elapsed = SecondsSince(start);
+  const double serial = 64 * kMs * 1e-3;
+  EXPECT_LT(elapsed, 0.6 * serial) << "window 3 should overlap the sleeps";
+  EXPECT_LE(threads_peak, threads_before + 1);
   const auto stats = executor.stats();
   EXPECT_EQ(stats.submitted, 64u);
   EXPECT_EQ(stats.completed, 64u);
+  EXPECT_GT(stats.max_in_flight, 1);  // it really overlapped
   EXPECT_LE(stats.max_in_flight, 3);
 }
 
-TEST(CompletionExecutorTest, WindowOneFullySerializes) {
+TEST(CompletionExecutorTest, WindowOneSerializesSleepingOrigin) {
   const Graph g = testing::MakeTestBA(64, 3);
-  auto probe = std::make_shared<SlowProbeBackend>(
-      std::make_shared<InMemoryBackend>(&g), std::chrono::milliseconds(1));
-  CompletionExecutor executor({.window = 1, .threads = 4});
-  std::vector<NodeId> nodes(32);
-  for (NodeId u = 0; u < 32; ++u) nodes[u] = u;
-  ASSERT_TRUE(executor.SubmitBatch(probe, nodes).Wait().ok());
-  EXPECT_EQ(probe->max_in_flight(), 1);
+  constexpr double kMs = 4.0;
+  auto sleeping = Sleeping(std::make_shared<InMemoryBackend>(&g), kMs);
+  CompletionExecutor executor({.window = 1});
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(executor.SubmitBatch(sleeping, FirstNodes(16)).Wait().ok());
+  // Timers never fire early, so a serialized run takes at least the sum.
+  EXPECT_GE(SecondsSince(start), 16 * kMs * 1e-3);
+  EXPECT_EQ(executor.stats().max_in_flight, 1);
+}
+
+TEST(CompletionExecutorTest, ExhaustedRetriesComeBackAsAStatus) {
+  const Graph g = testing::MakeTestBA(64, 3);
+  for (const double sleep_scale : {0.0, 0.05}) {
+    LatencyConfig config;
+    config.mean_ms = 20.0;
+    config.failure_rate = 0.95;
+    config.max_retries = 0;
+    config.sleep_scale = sleep_scale;
+    auto flaky = std::make_shared<LatencyBackend>(
+        std::make_shared<InMemoryBackend>(&g), config);
+    CompletionExecutor executor({.window = 4});
+    auto reply = executor.SubmitBatch(flaky, FirstNodes(16)).Wait();
+    ASSERT_FALSE(reply.ok()) << "sleep_scale " << sleep_scale;
+    EXPECT_EQ(reply.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(executor.stats().completed, 16u);
+  }
+}
+
+/// A sharded origin (modulo partition) whose every request really waits
+/// `ms` milliseconds, serving each shard one request at a time.
+std::shared_ptr<AccessBackend> SleepingShards(const Graph* g, int shards,
+                                              double ms) {
+  BackendStackOptions stack;
+  stack.latency = LatencyConfig{.mean_ms = ms, .sleep_scale = 1.0};
+  stack.shards = shards;
+  stack.partition = ShardPartition::kModulo;
+  return BuildBackendStack(g, stack);
+}
+
+TEST(ShardedCompletionTest, SerialShardsServeOneRequestAtATime) {
+  const Graph g = testing::MakeTestBA(64, 3);
+  constexpr double kMs = 5.0;
+  const double serial = 16 * kMs * 1e-3;
+  {
+    // One shard: the window admits 8, but the shard's FIFO serves them one
+    // after another.
+    CompletionExecutor executor({.window = 8});
+    const auto start = std::chrono::steady_clock::now();
+    auto backend = SleepingShards(&g, 1, kMs);
+    ASSERT_TRUE(executor.SubmitBatch(backend, FirstNodes(16)).Wait().ok());
+    EXPECT_GE(SecondsSince(start), serial);
+    EXPECT_EQ(executor.stats().max_in_flight, 8);
+  }
+  {
+    // Four shards, four requests each: the shards serve in parallel.
+    CompletionExecutor executor({.window = 8});
+    const auto start = std::chrono::steady_clock::now();
+    auto backend = SleepingShards(&g, 4, kMs);
+    ASSERT_TRUE(executor.SubmitBatch(backend, FirstNodes(16)).Wait().ok());
+    EXPECT_LT(SecondsSince(start), 0.6 * serial);
+  }
+}
+
+TEST(ShardedCompletionTest, SyncCallerTakesItsTurnInTheShardFifo) {
+  const Graph g = testing::MakeTestBA(64, 3);
+  constexpr double kMs = 4.0;
+  auto backend = SleepingShards(&g, 1, kMs);
+  CompletionExecutor executor({.window = 8});
+  const auto start = std::chrono::steady_clock::now();
+  auto handle = executor.SubmitBatch(backend, FirstNodes(8));
+  std::thread sync_caller([&] {
+    for (NodeId u = 8; u < 16; ++u) {
+      ASSERT_TRUE(backend->FetchNeighbors(u).ok());
+    }
+  });
+  ASSERT_TRUE(handle.Wait().ok());
+  sync_caller.join();
+  // Had the synchronous fetches bypassed the FIFO, the shard would have
+  // served two requests at once and finished in about half this time.
+  EXPECT_GE(SecondsSince(start), 16 * kMs * 1e-3);
+  const auto counters = backend->AsSharded()->CountersSnapshot();
+  ASSERT_EQ(counters.size(), 1u);
+  EXPECT_EQ(counters[0].fetches, 16u);
 }
 
 TEST(CompletionExecutorTest, BatchRepliesKeepRequestOrder) {
@@ -110,15 +216,17 @@ TEST(CompletionExecutorTest, BatchRepliesKeepRequestOrder) {
 
 TEST(CompletionExecutorTest, ShutdownWithInFlightRequestsIsSafe) {
   const Graph g = testing::MakeTestBA(128, 3);
-  auto probe = std::make_shared<SlowProbeBackend>(
-      std::make_shared<InMemoryBackend>(&g), std::chrono::milliseconds(5));
+  auto counting =
+      std::make_shared<CountingBackend>(std::make_shared<InMemoryBackend>(&g));
+  auto sleeping = Sleeping(counting, 5.0);
   std::vector<CompletionExecutor::FetchFuture> futures;
   {
-    CompletionExecutor executor({.window = 2, .threads = 2});
+    CompletionExecutor executor({.window = 2});
     for (NodeId u = 0; u < 40; ++u) {
-      futures.push_back(executor.SubmitFetch(probe, u));
+      futures.push_back(executor.SubmitFetch(sleeping, u));
     }
-    // Destroy immediately: some requests are mid-sleep, most still queued.
+    // Destroy immediately: two requests wait on the timer, the rest are
+    // still queued.
   }
   // Every future resolves — either with a served reply or with the
   // cancellation status — and none hangs or crashes (ASan checks the rest).
@@ -133,25 +241,24 @@ TEST(CompletionExecutorTest, ShutdownWithInFlightRequestsIsSafe) {
     }
   }
   EXPECT_EQ(served + cancelled, 40u);
-  EXPECT_EQ(served, probe->fetches());
-  EXPECT_GT(cancelled, 0u);  // with 5ms tasks, shutdown won the race
+  EXPECT_EQ(served, counting->fetches());
+  EXPECT_GT(cancelled, 0u);  // with 5ms requests, shutdown won the race
 }
 
 TEST(CompletionExecutorTest, DroppedBatchHandleStillRunsToCompletion) {
   const Graph g = testing::MakeTestBA(64, 3);
-  auto probe = std::make_shared<SlowProbeBackend>(
-      std::make_shared<InMemoryBackend>(&g), std::chrono::milliseconds(1));
+  auto sleeping = Sleeping(std::make_shared<InMemoryBackend>(&g), 1.0);
   CompletionExecutor executor({.window = 4});
-  std::vector<NodeId> nodes(16);
-  for (NodeId u = 0; u < 16; ++u) nodes[u] = u;
   {
-    auto handle = executor.SubmitBatch(probe, nodes);
+    auto handle = executor.SubmitBatch(sleeping, FirstNodes(16));
     EXPECT_TRUE(handle.pending());
     // Dropped without Wait(): results are discarded, nothing hangs, and the
-    // backend (captured by shared_ptr) stays alive for the tasks.
+    // backend (captured by shared_ptr) stays alive for the requests.
   }
-  // Drain by submitting and waiting one more task through the same queue.
-  ASSERT_TRUE(executor.SubmitFetch(probe, 0).get().ok());
+  // Drain by submitting and waiting one more request through the same
+  // FIFO queue.
+  ASSERT_TRUE(executor.SubmitFetch(sleeping, 0).get().ok());
+  EXPECT_EQ(executor.stats().completed, 17u);
 }
 
 TEST(AccessInterfaceAsyncTest, PrefetchAsyncFoldsOnWaitWithIdenticalBilling) {
@@ -217,18 +324,16 @@ TEST(AccessInterfaceAsyncTest, QueryOnPendingNodeFoldsLazily) {
 
 TEST(AccessInterfaceAsyncTest, DestructionWithPendingPrefetchIsSafe) {
   const Graph g = testing::MakeTestBA(200, 3);
-  auto probe = std::make_shared<SlowProbeBackend>(
-      std::make_shared<InMemoryBackend>(&g), std::chrono::milliseconds(1));
-  auto executor = std::make_shared<CompletionExecutor>(
-      AsyncOptions{.window = 2, .threads = 2});
+  auto counting =
+      std::make_shared<CountingBackend>(std::make_shared<InMemoryBackend>(&g));
+  auto executor =
+      std::make_shared<CompletionExecutor>(AsyncOptions{.window = 2});
   {
-    AccessInterface access(probe, nullptr, executor);
-    std::vector<NodeId> nodes(64);
-    for (NodeId u = 0; u < 64; ++u) nodes[u] = u;
-    access.PrefetchAsync(nodes);
+    AccessInterface access(Sleeping(counting, 1.0), nullptr, executor);
+    access.PrefetchAsync(FirstNodes(64));
     // Dropped with the batch still in flight; the destructor folds it.
   }
-  EXPECT_EQ(probe->fetches(), 64u);
+  EXPECT_EQ(counting->fetches(), 64u);
 }
 
 // --- the acceptance bar ------------------------------------------------------
@@ -252,7 +357,7 @@ TEST(AsyncAcceptanceTest, EverySamplerDrawsIdenticallyAsyncVsSync) {
     // must change WHEN requests fly, never what they return or cost.
     SessionOptions async_opts;
     async_opts.seed = 99;
-    async_opts.async = AsyncOptions{.window = 4, .threads = 4};
+    async_opts.async = AsyncOptions{.window = 4};
     auto async_session = SamplingSession::Open(&g, sync_spec, async_opts);
     ASSERT_TRUE(async_session.ok()) << sync_spec;
     std::vector<NodeId> async_samples;
@@ -266,12 +371,12 @@ TEST(AsyncAcceptanceTest, EverySamplerDrawsIdenticallyAsyncVsSync) {
   }
 }
 
-TEST(AsyncSpecTest, WindowAndThreadsRideInSpecStrings) {
+TEST(AsyncSpecTest, WindowRidesInSpecStrings) {
   const Graph g = testing::MakeTestBA(60, 3);
   SessionOptions opts;
   opts.seed = 7;
   auto session =
-      SamplingSession::Open(&g, "we:mhrw?diameter=4&window=4&threads=2", opts);
+      SamplingSession::Open(&g, "we:mhrw?diameter=4&window=4", opts);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   std::vector<NodeId> samples;
   ASSERT_TRUE((*session)->DrawInto(&samples, 5).ok());

@@ -68,10 +68,7 @@ std::string Describe(const SessionOptions& o) {
   }
   if (o.executor != nullptr) {
     const AsyncOptions& a = o.executor->options();
-    out += " window=" + std::to_string(a.window) +
-           " threads=" + std::to_string(a.threads) + " dispatch=" +
-           (a.dispatch == AsyncOptions::Dispatch::kCompletion ? "completion"
-                                                              : "threads");
+    out += " window=" + std::to_string(a.window);
   }
   if (o.query_cache != nullptr) out += " cache";
   return out;
@@ -383,30 +380,15 @@ TEST_F(SpecKeyTableTest, ExecutorKeys) {
   };
   ExpectSessionRows({
       // window: uint in [1, 1024].
-      {"window=1", "backend=memory window=1 threads=0 dispatch=completion"},
-      {"window=1024",
-       "backend=memory window=1024 threads=0 dispatch=completion"},
+      {"window=1", "backend=memory window=1"},
+      {"window=1024", "backend=memory window=1024"},
       {"window=0", kInvalid},
       {"window=1025", kInvalid},
       {"window=9999", kInvalid},
       {"window=two", kInvalid},
-      // threads: uint in [0, 256], requires window.
-      {"window=4&threads=0",
-       "backend=memory window=4 threads=0 dispatch=completion"},
-      {"window=4&threads=256",
-       "backend=memory window=4 threads=256 dispatch=completion"},
-      {"window=4&threads=257", kInvalid},
-      {"threads=4", kInvalid},
-      // dispatch: completion | threads, requires window.
-      {"window=4&dispatch=completion",
-       "backend=memory window=4 threads=0 dispatch=completion"},
-      {"window=4&threads=2&dispatch=threads",
-       "backend=memory window=4 threads=2 dispatch=threads"},
-      {"window=4&dispatch=carrier", kInvalid},
-      {"dispatch=threads", kInvalid},
       // A spec window replaces SessionOptions::async; it conflicts with an
       // explicit shared executor.
-      {"window=2", "backend=memory window=2 threads=0 dispatch=completion",
+      {"window=2", "backend=memory window=2",
        [](SessionOptions* o) { o->async = AsyncOptions{.window = 6}; }},
       {"window=4", kInvalid, explicit_executor},
       {"", kInvalid,
@@ -415,9 +397,34 @@ TEST_F(SpecKeyTableTest, ExecutorKeys) {
          o->executor = std::make_shared<CompletionExecutor>(AsyncOptions{});
        }},
       {"shards=2&window=8",
-       "backend=sharded[hash:2](memory) shards=2/hash window=8 threads=0 "
-       "dispatch=completion"},
+       "backend=sharded[hash:2](memory) shards=2/hash window=8"},
   });
+}
+
+TEST_F(SpecKeyTableTest, RetiredExecutorKeysAreRejected) {
+  // threads= and dispatch= are not reserved keys: the session leaves them
+  // to the sampler, which rejects them like any unknown key.
+  for (const char* keys :
+       {"window=4&threads=0", "window=4&threads=4", "threads=4",
+        "window=4&dispatch=completion", "window=4&dispatch=threads",
+        "dispatch=threads"}) {
+    const std::string spec = Spec(keys);
+    EXPECT_EQ(SamplingSession::Open(graph_, spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+    WalkerPoolOptions pool;
+    pool.walkers = 2;
+    EXPECT_EQ(RunWalkerPool(graph_, spec, pool).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+    EngineOptions engine;
+    engine.threads = 1;
+    EXPECT_EQ(RunWalkEngine(graph_, spec + "&engine=block", engine)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
 }
 
 TEST_F(SpecKeyTableTest, EngineKeysAreRejectedOutsideTheEngine) {
