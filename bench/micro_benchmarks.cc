@@ -4,10 +4,12 @@
 // rather than reproduce a paper artifact.
 #include <benchmark/benchmark.h>
 
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -330,11 +332,8 @@ void BM_FrameDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameDecode);
 
-void BM_RemoteFetch(benchmark::State& state) {
-  // A full remote fetch over loopback — encode, syscall, epoll dispatch,
-  // server-side arena fetch, reply encode, decode — against the in-process
-  // BM_BackendFetchArena baseline. This is the paper's regime: the wire,
-  // not the lookup, dominates per-query cost.
+// One connection to a one-reactor loopback server over BenchGraph().
+RemoteBackend& BenchRemote() {
   static const auto server = [] {
     auto backend = std::make_shared<InMemoryBackend>(&BenchGraph());
     net::ServerOptions options;
@@ -347,16 +346,62 @@ void BM_RemoteFetch(benchmark::State& state) {
                {.connections = 1})
         .value();
   }();
+  return *remote;
+}
+
+void BM_RemoteFetch(benchmark::State& state) {
+  // A full remote fetch over loopback — encode, syscall, epoll dispatch,
+  // server-side arena fetch, reply encode, decode — against the in-process
+  // BM_BackendFetchArena baseline. This is the paper's regime: the wire,
+  // not the lookup, dominates per-query cost.
+  RemoteBackend& remote = BenchRemote();
   const Graph& g = BenchGraph();
   NodeId u = 0;
   for (auto _ : state) {
-    auto reply = remote->FetchNeighbors(u);
+    auto reply = remote.FetchNeighbors(u);
     benchmark::DoNotOptimize(reply->neighbors.data());
     u = (u + 1) % static_cast<NodeId>(g.num_nodes());
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RemoteFetch);
+
+void BM_RemoteFetchChained(benchmark::State& state) {
+  // BM_RemoteFetch's fetches, one in flight, but each issued from the
+  // previous one's completion on the client event loop: no thread hands a
+  // fetch to the loop or wakes on its reply. The wall-time gap to
+  // BM_RemoteFetch is that cross-thread hand-off. Wall time only: the
+  // benchmark thread just waits for each chain of kChain fetches.
+  constexpr int64_t kChain = 256;
+  RemoteBackend& remote = BenchRemote();
+  const NodeId n = static_cast<NodeId>(BenchGraph().num_nodes());
+  NodeId u = 0;
+  int64_t left = 0;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::function<void(Result<FetchReply>)> next =
+      [&](Result<FetchReply> reply) {
+        benchmark::DoNotOptimize(reply->neighbors.data());
+        if (--left > 0) {
+          u = (u + 1) % n;
+          remote.FetchNeighborsCompletion(u, next);
+          return;
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        done = true;
+        cv.notify_one();
+      };
+  while (state.KeepRunningBatch(kChain)) {
+    left = kChain;
+    done = false;
+    remote.FetchNeighborsCompletion(u, next);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done; });
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RemoteFetchChained)->UseRealTime();
 
 void BM_TimerWheelRpcTurn(benchmark::State& state) {
   // One RPC's worth of reactor timer work, as RemoteBackend drives it: arm

@@ -1,15 +1,11 @@
 #include "access/remote_backend.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
@@ -32,8 +28,7 @@ bool TransientCode(StatusCode code) {
          code == StatusCode::kDeadlineExceeded;
 }
 
-Result<std::pair<std::string, uint16_t>> ParseAddress(
-    const std::string& addr) {
+Result<sockaddr_in> ParseAddress(const std::string& addr) {
   const size_t colon = addr.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size()) {
     return Status::InvalidArgument("remote address '" + addr +
@@ -54,92 +49,74 @@ Result<std::pair<std::string, uint16_t>> ParseAddress(
                                      "' port is above 65535");
     }
   }
-  return std::make_pair(std::move(host), static_cast<uint16_t>(port));
+  sockaddr_in peer{};
+  peer.sin_family = AF_INET;
+  peer.sin_port = htons(static_cast<uint16_t>(port));
+  if (inet_pton(AF_INET, host.c_str(), &peer.sin_addr) != 1) {
+    return Status::InvalidArgument("remote host '" + host +
+                                   "' is not a dotted IPv4 address");
+  }
+  return peer;
+}
+
+Result<FetchReply> DecodeFetchReply(std::span<const std::byte> payload) {
+  WNW_ASSIGN_OR_RETURN(net::NeighborsReply decoded,
+                       net::DecodeNeighborsReply(payload));
+  FetchReply reply;
+  reply.SetOwned(std::move(decoded.neighbors));
+  reply.simulated_seconds = decoded.simulated_seconds;
+  reply.serial_seconds = decoded.serial_seconds;
+  reply.shard = decoded.shard;
+  return reply;
 }
 
 }  // namespace
 
-/// One call's rendezvous with the loop thread. Completion is one-shot:
-/// whoever completes first (reply, deadline timer, connection death,
-/// shutdown) wins; later completions are silently ignored. Synchronous
-/// calls park on the cv; asynchronous calls set `on_complete` instead and
-/// it fires on the completing thread, outside the lock.
-struct RemoteBackend::PendingCall {
-  using CompletionFn =
-      std::function<void(Status, uint16_t, std::vector<std::byte>)>;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Status status = Status::OK();
+/// One RPC across its attempts. Attempts never overlap: the next one is
+/// started by the completion of the previous, so once the first attempt is
+/// registered every field but the immutable opcode and payload is touched
+/// by the loop thread only.
+struct RemoteBackend::Rpc {
   uint16_t opcode = 0;
   std::vector<std::byte> payload;
-  uint64_t timer_id = 0;  // loop-thread only
-  CompletionFn on_complete;  // set before registration; never after
-
-  void Complete(Status status_in, uint16_t opcode_in,
-                std::vector<std::byte> payload_in) {
-    CompletionFn fire;
-    Status fire_status = Status::OK();
-    std::vector<std::byte> fire_payload;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (done) return;
-      done = true;
-      if (on_complete != nullptr) {
-        fire = std::move(on_complete);
-        fire_status = std::move(status_in);
-        fire_payload = std::move(payload_in);
-      } else {
-        status = std::move(status_in);
-        opcode = opcode_in;
-        payload = std::move(payload_in);
-      }
-    }
-    if (fire != nullptr) {
-      fire(std::move(fire_status), opcode_in, std::move(fire_payload));
-      return;
-    }
-    cv.notify_all();
-  }
-
-  Status Wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return done; });
-    return status;
-  }
+  int attempt = 0;
+  uint64_t timer_id = 0;  // the current attempt's deadline
+  /// Fires once, on the loop thread. `reply` views the connection's input
+  /// buffer and is only valid during the call.
+  std::function<void(Status, std::span<const std::byte> reply)> done;
 };
 
-/// One pool connection. `mu` guards the shared fields: calling threads
-/// append request frames and register pending calls, the loop thread reads,
-/// flushes, and completes. The critical sections are buffer appends and map
-/// operations — never a syscall that blocks.
+/// One pool connection. `mu` guards what submitting threads share with the
+/// loop thread: they append request frames to `out` and register their
+/// RPC in `pending`. The critical sections are buffer appends and map
+/// operations, never a syscall. Everything else is the loop thread's.
 struct RemoteBackend::Conn {
-  std::mutex connect_mu;  // serializes EnsureConnected per connection
-
   std::mutex mu;
-  int fd = -1;  // -1 = down
-  std::vector<std::byte> in;
-  std::vector<std::byte> out;  // staging: callers append encoded frames
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> pending;
+  std::vector<std::byte> out;  // staging: frames not yet handed to flush
+  std::unordered_map<uint64_t, std::shared_ptr<Rpc>> pending;
 
-  // Loop-thread-only flush state. FlushConn moves `out` into `flushing`
-  // with one swap under `mu`, then sends from `flushing` with no lock held:
-  // a caller appending to `out` meanwhile may reallocate *that* vector, but
-  // never the bytes in flight.
+  int fd = -1;  // -1 = down
+  bool connecting = false;  // fd's non-blocking connect has not finished
+  uint64_t connect_timer = 0;
+  std::vector<std::byte> in;
+  // FlushConn moves `out` into `flushing` with one swap under `mu`, then
+  // sends from `flushing` with no lock held: a caller appending to `out`
+  // meanwhile may reallocate *that* vector, but never the bytes in flight.
   std::vector<std::byte> flushing;
   size_t flush_pos = 0;
   bool want_write = false;  // EPOLLOUT interest currently registered
 };
 
-RemoteBackend::RemoteBackend(std::string addr, RemoteBackendOptions options)
+RemoteBackend::RemoteBackend(std::string addr, const sockaddr_in& peer,
+                             RemoteBackendOptions options)
     : addr_(std::move(addr)),
+      peer_(peer),
       name_("remote(" + addr_ + ")"),
       options_(options) {}
 
 Result<std::shared_ptr<RemoteBackend>> RemoteBackend::Connect(
     const std::string& addr, RemoteBackendOptions options) {
-  WNW_RETURN_IF_ERROR(ParseAddress(addr).status());
+  WNW_ASSIGN_OR_RETURN(const sockaddr_in peer, ParseAddress(addr));
   if (options.connections < 1 || options.connections > 64) {
     return Status::InvalidArgument("remote connections must be in [1, 64]");
   }
@@ -152,7 +129,8 @@ Result<std::shared_ptr<RemoteBackend>> RemoteBackend::Connect(
   if (options.max_retries < 0 || options.max_retries > 100) {
     return Status::InvalidArgument("remote rpc_retries must be in [0, 100]");
   }
-  std::shared_ptr<RemoteBackend> backend(new RemoteBackend(addr, options));
+  std::shared_ptr<RemoteBackend> backend(
+      new RemoteBackend(addr, peer, options));
   WNW_ASSIGN_OR_RETURN(backend->loop_, net::EventLoop::Create());
   for (int i = 0; i < options.connections; ++i) {
     backend->conns_.push_back(std::make_unique<Conn>());
@@ -166,40 +144,58 @@ Result<std::shared_ptr<RemoteBackend>> RemoteBackend::Connect(
 RemoteBackend::~RemoteBackend() {
   destroyed_.store(true, std::memory_order_release);
   if (loop_thread_.joinable()) {
-    // Fail whatever is still in flight, then stop the loop. Sessions own
-    // the backend via shared_ptr, so no *new* call can race destruction.
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    bool done = false;
-    loop_->Post([&] {
+    // Close the sockets and fail whatever is still in flight, then stop.
+    // Sessions own the backend via shared_ptr, so no *new* call can race
+    // destruction; the loop's final drain runs this post before Run returns.
+    loop_->Post([this] {
       for (auto& conn : conns_) {
         KillConn(conn.get(),
                  Status::Unavailable("remote backend destroyed"));
       }
-      {
-        // Under the lock: done_cv lives on the destructing thread's
-        // stack, which deallocates the moment its wait returns (see
-        // EnsureConnected for the full argument).
-        std::lock_guard<std::mutex> lock(done_mu);
-        done = true;
-        done_cv.notify_all();
-      }
     });
-    {
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&] { return done; });
-    }
     loop_->Stop();
     loop_thread_.join();
   }
 }
 
+Result<std::vector<std::byte>> RemoteBackend::RoundTrip(
+    uint16_t opcode, std::vector<std::byte> payload) {
+  WNW_DCHECK(!loop_->in_loop_thread());
+  // The caller's latch rides in the RPC record, which the loop thread holds
+  // while it runs `done`. So `done` may notify after releasing the lock:
+  // the waiter can wake and return, but the condition variable lives on.
+  struct Waiter : Rpc {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool finished = false;
+    Status status = Status::OK();
+    std::vector<std::byte> reply;
+  };
+  auto waiter = std::make_shared<Waiter>();
+  waiter->opcode = opcode;
+  waiter->payload = std::move(payload);
+  waiter->done = [w = waiter.get()](Status status,
+                                    std::span<const std::byte> reply) {
+    {
+      std::lock_guard<std::mutex> lock(w->mu);
+      w->finished = true;
+      w->status = std::move(status);
+      w->reply.assign(reply.begin(), reply.end());
+    }
+    w->cv.notify_one();
+  };
+  StartAttempt(waiter);
+  std::unique_lock<std::mutex> lock(waiter->mu);
+  waiter->cv.wait(lock, [&] { return waiter->finished; });
+  WNW_RETURN_IF_ERROR(waiter->status);
+  return std::move(waiter->reply);
+}
+
 Status RemoteBackend::Handshake() {
-  std::vector<std::byte> response;
-  WNW_RETURN_IF_ERROR(
-      Call(static_cast<uint16_t>(Opcode::kStats), {}, &response));
+  WNW_ASSIGN_OR_RETURN(const std::vector<std::byte> reply,
+                       RoundTrip(static_cast<uint16_t>(Opcode::kStats), {}));
   WNW_ASSIGN_OR_RETURN(const net::StatsReply stats,
-                       net::DecodeStatsReply(response));
+                       net::DecodeStatsReply(reply));
   if (stats.num_nodes == 0) {
     return Status::InvalidArgument("remote server '" + addr_ +
                                    "' reports an empty graph");
@@ -217,17 +213,11 @@ Status RemoteBackend::Handshake() {
 Result<FetchReply> RemoteBackend::FetchNeighbors(NodeId u) {
   std::vector<std::byte> payload;
   net::EncodeFetchRequest(u, &payload);
-  std::vector<std::byte> response;
-  WNW_RETURN_IF_ERROR(Call(static_cast<uint16_t>(Opcode::kFetchNeighbors),
-                           std::move(payload), &response));
-  WNW_ASSIGN_OR_RETURN(net::NeighborsReply decoded,
-                       net::DecodeNeighborsReply(response));
-  FetchReply reply;
-  reply.SetOwned(std::move(decoded.neighbors));
-  reply.simulated_seconds = decoded.simulated_seconds;
-  reply.serial_seconds = decoded.serial_seconds;
-  reply.shard = decoded.shard;
-  return reply;
+  WNW_ASSIGN_OR_RETURN(
+      const std::vector<std::byte> reply,
+      RoundTrip(static_cast<uint16_t>(Opcode::kFetchNeighbors),
+                std::move(payload)));
+  return DecodeFetchReply(reply);
 }
 
 Result<BatchReply> RemoteBackend::FetchBatch(std::span<const NodeId> nodes) {
@@ -240,10 +230,11 @@ Result<BatchReply> RemoteBackend::FetchBatch(std::span<const NodeId> nodes) {
   }
   std::vector<std::byte> payload;
   net::EncodeBatchRequest(nodes, &payload);
-  std::vector<std::byte> response;
-  WNW_RETURN_IF_ERROR(Call(static_cast<uint16_t>(Opcode::kFetchBatch),
-                           std::move(payload), &response));
-  WNW_ASSIGN_OR_RETURN(BatchReply reply, net::DecodeBatchReply(response));
+  WNW_ASSIGN_OR_RETURN(
+      const std::vector<std::byte> bytes,
+      RoundTrip(static_cast<uint16_t>(Opcode::kFetchBatch),
+                std::move(payload)));
+  WNW_ASSIGN_OR_RETURN(BatchReply reply, net::DecodeBatchReply(bytes));
   if (reply.lists.size() != nodes.size()) {
     return Status::InvalidArgument(
         "remote FetchBatch answered " + std::to_string(reply.lists.size()) +
@@ -253,351 +244,165 @@ Result<BatchReply> RemoteBackend::FetchBatch(std::span<const NodeId> nodes) {
 }
 
 Result<RemoteBackend::ServerCounters> RemoteBackend::FetchServerCounters() {
-  std::vector<std::byte> response;
-  WNW_RETURN_IF_ERROR(
-      Call(static_cast<uint16_t>(Opcode::kStats), {}, &response));
+  WNW_ASSIGN_OR_RETURN(const std::vector<std::byte> reply,
+                       RoundTrip(static_cast<uint16_t>(Opcode::kStats), {}));
   WNW_ASSIGN_OR_RETURN(const net::StatsReply stats,
-                       net::DecodeStatsReply(response));
+                       net::DecodeStatsReply(reply));
   return ServerCounters{stats.requests_served, stats.connections_accepted};
 }
 
-Status RemoteBackend::Call(uint16_t opcode,
-                           std::vector<std::byte> request_payload,
-                           std::vector<std::byte>* response) {
-  rpcs_.fetch_add(1, std::memory_order_relaxed);
-  Status last = Status::OK();
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      const double backoff_ms = options_.retry_backoff_ms * attempt;
-      if (backoff_ms > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff_ms));
-      }
+void RemoteBackend::FetchNeighborsCompletion(NodeId u,
+                                             CompletionCallback done) {
+  auto rpc = std::make_shared<Rpc>();
+  rpc->opcode = static_cast<uint16_t>(Opcode::kFetchNeighbors);
+  net::EncodeFetchRequest(u, &rpc->payload);
+  rpc->done = [done = std::move(done)](Status status,
+                                       std::span<const std::byte> reply) {
+    if (!status.ok()) {
+      done(std::move(status));
+      return;
     }
-    Conn* conn =
-        conns_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
-               conns_.size()]
-            .get();
-    last = CallOnce(conn, opcode, request_payload, response);
-    if (last.ok() || !TransientCode(last.code())) return last;
-  }
-  return last;
+    done(DecodeFetchReply(reply));
+  };
+  StartAttempt(std::move(rpc));
 }
 
-Status RemoteBackend::CallOnce(Conn* conn, uint16_t opcode,
-                               const std::vector<std::byte>& request_payload,
-                               std::vector<std::byte>* response) {
-  WNW_RETURN_IF_ERROR(EnsureConnected(conn));
+void RemoteBackend::StartAttempt(std::shared_ptr<Rpc> rpc) {
+  if (rpc->attempt == 0) rpcs_.fetch_add(1, std::memory_order_relaxed);
+  Conn* conn = conns_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
+                      conns_.size()]
+                   .get();
   const uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  auto call = std::make_shared<PendingCall>();
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->fd < 0) {
-      return Status::Unavailable("remote connection to '" + addr_ +
-                                 "' went down");
-    }
     Frame frame;
-    frame.opcode = static_cast<Opcode>(opcode);
+    frame.opcode = static_cast<Opcode>(rpc->opcode);
     frame.request_id = id;
-    frame.payload = request_payload;
+    frame.payload = rpc->payload;
     const size_t before = conn->out.size();
     net::EncodeFrame(frame, &conn->out);
     bytes_sent_.fetch_add(conn->out.size() - before,
                           std::memory_order_relaxed);
-    conn->pending[id] = call;
+    conn->pending.emplace(id, std::move(rpc));
   }
-  const double deadline_seconds = options_.deadline_ms / 1e3;
-  loop_->Post([this, conn, id, deadline_seconds] {
-    // Arm the deadline before flushing: once bytes hit the wire a reply can
-    // race in, and the reply path cancels by timer_id. Posts are executed
-    // in order, so the reply cannot be processed before this runs.
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      const auto it = conn->pending.find(id);
-      if (it == conn->pending.end()) return;  // already failed/timed out
-      it->second->timer_id = loop_->AddTimer(
-          deadline_seconds, [this, conn, id] { TimeoutCall(conn, id); });
-    }
-    FlushConn(conn);
-  });
-  WNW_RETURN_IF_ERROR(call->Wait());
-  if (call->opcode != opcode) {
-    return Status::InvalidArgument(
-        "remote server answered request " + std::to_string(id) +
-        " with opcode " + std::to_string(call->opcode) + ", expected " +
-        std::to_string(opcode));
-  }
-  *response = std::move(call->payload);
-  return Status::OK();
+  loop_->Post([this, conn, id] { Dispatch(conn, id); });
 }
 
-/// One asynchronous RPC across its retry attempts. Immutable after
-/// creation except `attempt`, which only the thread currently driving the
-/// call touches (attempts never overlap: the next one is scheduled by the
-/// completion of the previous).
-struct RemoteBackend::AsyncCall {
-  uint16_t opcode = 0;
-  std::vector<std::byte> payload;
-  int attempt = 0;
-  std::function<void(Status, std::vector<std::byte>)> done;
-};
+void RemoteBackend::FinishOrRetry(std::shared_ptr<Rpc> rpc, Status status,
+                                  uint16_t opcode,
+                                  std::span<const std::byte> payload) {
+  WNW_DCHECK(loop_->in_loop_thread());
+  if (status.ok() && opcode != rpc->opcode) {
+    status = Status::InvalidArgument(
+        "remote server answered with opcode " + std::to_string(opcode) +
+        ", expected " + std::to_string(rpc->opcode));
+  }
+  if (status.ok() || !TransientCode(status.code()) ||
+      rpc->attempt >= options_.max_retries ||
+      destroyed_.load(std::memory_order_acquire)) {
+    if (!status.ok()) payload = {};
+    rpc->done(std::move(status), payload);
+    return;
+  }
+  ++rpc->attempt;
+  retries_.fetch_add(1, std::memory_order_relaxed);
+  // The backoff parks on the timer wheel, not a thread.
+  const double backoff_seconds =
+      options_.retry_backoff_ms * rpc->attempt / 1e3;
+  if (backoff_seconds > 0.0) {
+    loop_->AddTimer(backoff_seconds,
+                    [this, rpc = std::move(rpc)]() mutable {
+                      StartAttempt(std::move(rpc));
+                    });
+  } else {
+    StartAttempt(std::move(rpc));
+  }
+}
 
-void RemoteBackend::FetchNeighborsCompletion(NodeId u,
-                                             CompletionCallback done) {
-  std::vector<std::byte> payload;
-  net::EncodeFetchRequest(u, &payload);
-  CallAsync(
-      static_cast<uint16_t>(Opcode::kFetchNeighbors), std::move(payload),
-      [done = std::move(done)](Status status,
-                               std::vector<std::byte> response) {
-        if (!status.ok()) {
-          done(std::move(status));
-          return;
-        }
-        Result<net::NeighborsReply> decoded =
-            net::DecodeNeighborsReply(response);
-        if (!decoded.ok()) {
-          done(decoded.status());
-          return;
-        }
-        FetchReply reply;
-        reply.SetOwned(std::move(decoded->neighbors));
-        reply.simulated_seconds = decoded->simulated_seconds;
-        reply.serial_seconds = decoded->serial_seconds;
-        reply.shard = decoded->shard;
-        done(std::move(reply));
+void RemoteBackend::Dispatch(Conn* conn, uint64_t request_id) {
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    const auto it = conn->pending.find(request_id);
+    if (it == conn->pending.end()) return;  // already answered or failed
+    it->second->timer_id =
+        loop_->AddTimer(options_.deadline_ms / 1e3, [this, conn, request_id] {
+          TimeoutCall(conn, request_id);
+        });
+  }
+  if (conn->fd < 0) {
+    StartConnect(conn);  // the queued frames flush once it is up
+  } else if (!conn->connecting) {
+    FlushConn(conn);
+  }
+}
+
+void RemoteBackend::StartConnect(Conn* conn) {
+  conn->fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (conn->fd < 0) {
+    KillConn(conn, Status::IOError(std::string("socket: ") +
+                                   std::strerror(errno)));
+    return;
+  }
+  conn->connecting = true;
+  if (::connect(conn->fd, reinterpret_cast<const sockaddr*>(&peer_),
+                sizeof(peer_)) != 0 &&
+      errno != EINPROGRESS) {
+    KillConn(conn, Status::Unavailable("connect to " + addr_ + ": " +
+                                       std::strerror(errno)));
+    return;
+  }
+  // Writability reports the outcome, success or failure alike.
+  const Status added = loop_->Add(
+      conn->fd, net::kEventWrite,
+      [this, conn](uint32_t events) { OnConnIo(conn, events); });
+  if (!added.ok()) {
+    KillConn(conn, added);
+    return;
+  }
+  conn->connect_timer =
+      loop_->AddTimer(options_.connect_timeout_ms / 1e3, [this, conn] {
+        KillConn(conn, Status::Unavailable(
+                           "connect to " + addr_ + ": timed out after " +
+                           std::to_string(options_.connect_timeout_ms) +
+                           "ms"));
       });
 }
 
-void RemoteBackend::CallAsync(
-    uint16_t opcode, std::vector<std::byte> request_payload,
-    std::function<void(Status, std::vector<std::byte>)> done) {
-  rpcs_.fetch_add(1, std::memory_order_relaxed);
-  auto call = std::make_shared<AsyncCall>();
-  call->opcode = opcode;
-  call->payload = std::move(request_payload);
-  call->done = std::move(done);
-  StartAsyncAttempt(std::move(call));
-}
-
-void RemoteBackend::StartAsyncAttempt(std::shared_ptr<AsyncCall> call) {
-  Conn* conn = nullptr;
-  if (loop_->in_loop_thread()) {
-    // Never EnsureConnected here: it blocks on connect and then waits on a
-    // post to this very loop. Retry attempts (loop-timer driven) use live
-    // connections only; submission paths reconnect.
-    const size_t start = next_conn_.fetch_add(1, std::memory_order_relaxed);
-    for (size_t i = 0; i < conns_.size() && conn == nullptr; ++i) {
-      Conn* candidate = conns_[(start + i) % conns_.size()].get();
-      std::lock_guard<std::mutex> lock(candidate->mu);
-      if (candidate->fd >= 0) conn = candidate;
-    }
-    if (conn == nullptr) {
-      FinishOrRetryAsync(std::move(call),
-                         Status::Unavailable("remote connection to '" +
-                                             addr_ + "' went down"),
-                         0, {});
-      return;
-    }
-  } else {
-    conn = conns_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
-                  conns_.size()]
-               .get();
-    Status connected = EnsureConnected(conn);
-    if (!connected.ok()) {
-      FinishOrRetryAsync(std::move(call), std::move(connected), 0, {});
-      return;
-    }
-  }
-  const uint64_t id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  auto pending = std::make_shared<PendingCall>();
-  pending->on_complete = [this, call](Status status, uint16_t opcode,
-                                      std::vector<std::byte> payload) {
-    FinishOrRetryAsync(call, std::move(status), opcode, std::move(payload));
-  };
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->fd < 0) {
-      FinishOrRetryAsync(std::move(call),
-                         Status::Unavailable("remote connection to '" +
-                                             addr_ + "' went down"),
-                         0, {});
-      return;
-    }
-    Frame frame;
-    frame.opcode = static_cast<Opcode>(call->opcode);
-    frame.request_id = id;
-    frame.payload = call->payload;
-    const size_t before = conn->out.size();
-    net::EncodeFrame(frame, &conn->out);
-    bytes_sent_.fetch_add(conn->out.size() - before,
-                          std::memory_order_relaxed);
-    conn->pending[id] = std::move(pending);
-  }
-  const double deadline_seconds = options_.deadline_ms / 1e3;
-  loop_->Post([this, conn, id, deadline_seconds] {
-    // Same ordering contract as the synchronous path: the deadline is
-    // armed before the first byte can be flushed, so a racing reply always
-    // finds a timer to cancel.
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      const auto it = conn->pending.find(id);
-      if (it == conn->pending.end()) return;  // already failed/timed out
-      it->second->timer_id = loop_->AddTimer(
-          deadline_seconds, [this, conn, id] { TimeoutCall(conn, id); });
-    }
-    FlushConn(conn);
-  });
-}
-
-void RemoteBackend::FinishOrRetryAsync(std::shared_ptr<AsyncCall> call,
-                                       Status status, uint16_t opcode,
-                                       std::vector<std::byte> payload) {
-  if (status.ok() && opcode != call->opcode) {
-    status = Status::InvalidArgument(
-        "remote server answered with opcode " + std::to_string(opcode) +
-        ", expected " + std::to_string(call->opcode));
-  }
-  if (status.ok()) {
-    call->done(Status::OK(), std::move(payload));
-    return;
-  }
-  if (!TransientCode(status.code()) ||
-      call->attempt >= options_.max_retries ||
-      destroyed_.load(std::memory_order_acquire)) {
-    call->done(std::move(status), {});
-    return;
-  }
-  ++call->attempt;
-  retries_.fetch_add(1, std::memory_order_relaxed);
-  const double backoff_seconds =
-      options_.retry_backoff_ms * call->attempt / 1e3;
-  // The backoff parks on the timer wheel, not a thread. AddTimer is
-  // loop-affine, so hop there first when needed.
-  auto rearm = [this, call = std::move(call), backoff_seconds]() mutable {
-    if (backoff_seconds > 0.0) {
-      loop_->AddTimer(backoff_seconds,
-                      [this, call = std::move(call)]() mutable {
-                        StartAsyncAttempt(std::move(call));
-                      });
-    } else {
-      StartAsyncAttempt(std::move(call));
-    }
-  };
-  if (loop_->in_loop_thread()) {
-    rearm();
-  } else {
-    loop_->Post(std::move(rearm));
-  }
-}
-
-Status RemoteBackend::EnsureConnected(Conn* conn) {
-  std::lock_guard<std::mutex> connect_lock(conn->connect_mu);
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->fd >= 0) return Status::OK();
-  }
-  WNW_ASSIGN_OR_RETURN(const auto host_port, ParseAddress(addr_));
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in dst{};
-  dst.sin_family = AF_INET;
-  dst.sin_port = htons(host_port.second);
-  if (inet_pton(AF_INET, host_port.first.c_str(), &dst.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("remote host '" + host_port.first +
-                                   "' is not a dotted IPv4 address");
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&dst), sizeof(dst)) != 0 &&
-      errno != EINPROGRESS) {
-    const Status status = Status::Unavailable(
-        "connect to " + addr_ + ": " + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  pollfd pfd{fd, POLLOUT, 0};
-  const int timeout_ms =
-      static_cast<int>(std::max(1.0, options_.connect_timeout_ms));
-  const int polled = ::poll(&pfd, 1, timeout_ms);
-  if (polled <= 0) {
-    ::close(fd);
-    return Status::Unavailable("connect to " + addr_ + ": timed out after " +
-                               std::to_string(timeout_ms) + "ms");
-  }
+void RemoteBackend::FinishConnect(Conn* conn) {
   int so_error = 0;
   socklen_t len = sizeof(so_error);
-  if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0 ||
-      so_error != 0) {
-    ::close(fd);
-    return Status::Unavailable("connect to " + addr_ + ": " +
-                               std::strerror(so_error != 0 ? so_error
-                                                           : errno));
+  if (getsockopt(conn->fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
+    so_error = errno;
   }
+  if (so_error != 0) {
+    KillConn(conn, Status::Unavailable("connect to " + addr_ + ": " +
+                                       std::strerror(so_error)));
+    return;
+  }
+  loop_->CancelTimer(conn->connect_timer);
+  conn->connect_timer = 0;
+  conn->connecting = false;
   const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  // Hand the socket to the loop. Registration must complete before any
-  // caller can enqueue a request on it, so this blocks on the post.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  bool done = false;
-  Status registered = Status::OK();
-  loop_->Post([&, fd] {
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->fd = fd;
-      conn->in.clear();
-      conn->out.clear();
-      conn->flushing.clear();
-      conn->flush_pos = 0;
-      conn->want_write = false;
-    }
-    registered = loop_->Add(
-        fd, net::kEventRead,
-        [this, conn](uint32_t events) { OnConnIo(conn, events); });
-    if (!registered.ok()) {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->fd = -1;
-      ::close(fd);
-    }
-    {
-      // Notify UNDER the lock: done_cv lives on the caller's stack, and
-      // the caller destroys it as soon as its wait returns. Holding
-      // done_mu through the notify means the waiter cannot leave wait()
-      // until this thread has released the mutex — i.e. until the
-      // broadcast has fully finished with the condition variable.
-      std::lock_guard<std::mutex> lock(done_mu);
-      done = true;
-      done_cv.notify_all();
-    }
-  });
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return done; });
-  return registered;
+  ::setsockopt(conn->fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  (void)loop_->Modify(conn->fd, net::kEventRead);
+  FlushConn(conn);
 }
 
 void RemoteBackend::OnConnIo(Conn* conn, uint32_t events) {
+  if (conn->connecting) {
+    FinishConnect(conn);
+    return;
+  }
   if (events & net::kEventWrite) FlushConn(conn);
   if ((events & net::kEventRead) == 0) return;
   char buf[64 * 1024];
   while (true) {
-    int fd;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      fd = conn->fd;
-    }
-    if (fd < 0) return;
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (conn->fd < 0) return;
+    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       bytes_received_.fetch_add(static_cast<uint64_t>(n),
                                 std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(conn->mu);
       const std::byte* bytes = reinterpret_cast<const std::byte*>(buf);
       conn->in.insert(conn->in.end(), bytes, bytes + n);
       if (n < static_cast<ssize_t>(sizeof(buf))) break;
@@ -614,53 +419,37 @@ void RemoteBackend::OnConnIo(Conn* conn, uint32_t events) {
 }
 
 void RemoteBackend::ProcessConnInput(Conn* conn) {
-  // Completions collected under the lock, signaled outside it.
-  std::vector<std::pair<std::shared_ptr<PendingCall>, DecodedFrame>> ready;
-  std::vector<std::vector<std::byte>> payload_copies;
+  // Each reply completes in place, its payload a view into `in`. A
+  // completion cannot touch `in`: what it submits is only queued on `out`
+  // and posted, so the buffer stays put until it is compacted below.
+  size_t consumed = 0;
   Status poison = Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    size_t consumed = 0;
-    while (consumed < conn->in.size()) {
-      DecodedFrame frame;
-      auto taken = net::DecodeFrame(
-          std::span<const std::byte>(conn->in).subspan(consumed), &frame);
-      if (!taken.ok()) {
-        poison = taken.status();
-        break;
-      }
-      if (*taken == 0) break;
-      consumed += *taken;
-      const auto it = conn->pending.find(frame.request_id);
-      if (it == conn->pending.end()) {
-        // A reply that outlived its deadline: already failed, drop it.
-        continue;
-      }
-      std::shared_ptr<PendingCall> call = std::move(it->second);
-      conn->pending.erase(it);
-      loop_->CancelTimer(call->timer_id);
-      payload_copies.emplace_back(frame.payload.begin(), frame.payload.end());
-      ready.emplace_back(std::move(call), frame);
+  while (consumed < conn->in.size()) {
+    DecodedFrame frame;
+    auto taken = net::DecodeFrame(
+        std::span<const std::byte>(conn->in).subspan(consumed), &frame);
+    if (!taken.ok()) {
+      poison = taken.status();
+      break;
     }
-    if (consumed > 0) {
-      conn->in.erase(conn->in.begin(),
-                     conn->in.begin() + static_cast<ptrdiff_t>(consumed));
-    }
-  }
-  for (size_t i = 0; i < ready.size(); ++i) {
-    const DecodedFrame& frame = ready[i].second;
+    if (*taken == 0) break;
+    consumed += *taken;
+    std::shared_ptr<Rpc> rpc = TakePending(conn, frame.request_id);
+    // No pending entry: a reply that outlived its deadline, already failed.
+    if (rpc == nullptr) continue;
     if (frame.status != StatusCode::kOk) {
       // An error response: the payload is the server's status message.
-      const std::string msg(
-          reinterpret_cast<const char*>(payload_copies[i].data()),
-          payload_copies[i].size());
-      ready[i].first->Complete(Status::FromCode(frame.status, msg),
-                               frame.opcode, {});
+      const std::string msg(reinterpret_cast<const char*>(frame.payload.data()),
+                            frame.payload.size());
+      FinishOrRetry(std::move(rpc), Status::FromCode(frame.status, msg),
+                    frame.opcode, {});
     } else {
-      ready[i].first->Complete(Status::OK(), frame.opcode,
-                               std::move(payload_copies[i]));
+      FinishOrRetry(std::move(rpc), Status::OK(), frame.opcode,
+                    frame.payload);
     }
   }
+  conn->in.erase(conn->in.begin(),
+                 conn->in.begin() + static_cast<ptrdiff_t>(consumed));
   if (!poison.ok()) {
     // Framing violation: the stream cannot be resynchronized. Fail callers
     // with the specific decode Status (not retried — the peer is broken).
@@ -670,41 +459,35 @@ void RemoteBackend::ProcessConnInput(Conn* conn) {
 
 void RemoteBackend::FlushConn(Conn* conn) {
   WNW_DCHECK(loop_->in_loop_thread());
-  while (true) {
-    int fd;
+  while (conn->fd >= 0) {
     if (conn->flush_pos >= conn->flushing.size()) {
       conn->flushing.clear();
       conn->flush_pos = 0;
-      std::lock_guard<std::mutex> lock(conn->mu);
-      fd = conn->fd;
-      if (fd < 0) return;
-      if (conn->out.empty()) {
+      {
+        std::lock_guard<std::mutex> lock(conn->mu);
+        conn->flushing.swap(conn->out);
+      }
+      if (conn->flushing.empty()) {
         if (conn->want_write) {
           conn->want_write = false;
-          (void)loop_->Modify(fd, net::kEventRead);
+          (void)loop_->Modify(conn->fd, net::kEventRead);
         }
         return;
       }
-      conn->flushing.swap(conn->out);
-    } else {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      fd = conn->fd;
-      if (fd < 0) return;
     }
     // The send runs outside the lock against the loop-thread-owned
     // `flushing` buffer; concurrent caller appends only touch `out`.
     const ssize_t n =
-        ::send(fd, conn->flushing.data() + conn->flush_pos,
+        ::send(conn->fd, conn->flushing.data() + conn->flush_pos,
                conn->flushing.size() - conn->flush_pos, MSG_NOSIGNAL);
     if (n > 0) {
       conn->flush_pos += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (!conn->want_write && conn->fd >= 0) {
+      if (!conn->want_write) {
         conn->want_write = true;
-        (void)loop_->Modify(fd, net::kEventRead | net::kEventWrite);
+        (void)loop_->Modify(conn->fd, net::kEventRead | net::kEventWrite);
       }
       return;
     }
@@ -715,48 +498,60 @@ void RemoteBackend::FlushConn(Conn* conn) {
 }
 
 void RemoteBackend::KillConn(Conn* conn, const Status& why) {
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> failed;
+  if (conn->fd >= 0) {
+    (void)loop_->Remove(conn->fd);  // NotFound if the connect never got in
+    ::close(conn->fd);
+    conn->fd = -1;
+  }
+  loop_->CancelTimer(conn->connect_timer);
+  conn->connect_timer = 0;
+  conn->connecting = false;
+  conn->in.clear();
+  conn->flushing.clear();
+  conn->flush_pos = 0;
+  conn->want_write = false;
+  std::unordered_map<uint64_t, std::shared_ptr<Rpc>> failed;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->fd >= 0) {
-      (void)loop_->Remove(conn->fd);
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
-    conn->in.clear();
     conn->out.clear();
-    conn->flushing.clear();
-    conn->flush_pos = 0;
-    conn->want_write = false;
     failed.swap(conn->pending);
-  }
-  for (auto& [id, call] : failed) {
-    loop_->CancelTimer(call->timer_id);
-    call->Complete(why, 0, {});
   }
   if (!failed.empty() && !destroyed_.load(std::memory_order_acquire)) {
     WNW_LOG(kDebug) << "remote(" << addr_ << "): failed " << failed.size()
                     << " in-flight calls: " << why.ToString();
   }
+  for (auto& [id, rpc] : failed) {
+    loop_->CancelTimer(rpc->timer_id);
+    FinishOrRetry(std::move(rpc), why, 0, {});
+  }
 }
 
 void RemoteBackend::TimeoutCall(Conn* conn, uint64_t request_id) {
-  std::shared_ptr<PendingCall> call;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    const auto it = conn->pending.find(request_id);
-    if (it == conn->pending.end()) return;  // reply won the race
-    call = std::move(it->second);
-    conn->pending.erase(it);
-  }
+  std::shared_ptr<Rpc> rpc = TakePending(conn, request_id);
+  if (rpc == nullptr) return;  // the reply won the race
   // The connection stays up: a late reply is dropped by the unknown-id
   // path, and pipelined successors are still demultiplexed correctly.
-  call->Complete(
+  FinishOrRetry(
+      std::move(rpc),
       Status::DeadlineExceeded(
           "remote request " + std::to_string(request_id) + " to '" + addr_ +
           "' missed its " + std::to_string(options_.deadline_ms) +
           "ms deadline"),
       0, {});
+}
+
+std::shared_ptr<RemoteBackend::Rpc> RemoteBackend::TakePending(
+    Conn* conn, uint64_t request_id) {
+  std::shared_ptr<Rpc> rpc;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    const auto it = conn->pending.find(request_id);
+    if (it == conn->pending.end()) return nullptr;
+    rpc = std::move(it->second);
+    conn->pending.erase(it);
+  }
+  loop_->CancelTimer(rpc->timer_id);
+  return rpc;
 }
 
 }  // namespace wnw

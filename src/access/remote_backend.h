@@ -17,17 +17,28 @@
 // event-loop thread. Requests pipeline — any number of calls from any
 // number of sessions are in flight per connection, demultiplexed by
 // request_id — so N concurrent sessions cost N in-flight frames, not N
-// sockets or N threads. Each call carries a deadline (timer-wheel enforced;
-// a late reply is dropped by id, never misdelivered) and transient failures
-// (connection refused/reset/closed, deadline expiry) are retried with
-// linear backoff up to a bounded budget before surfacing as Unavailable /
-// DeadlineExceeded. Server-side backend errors (e.g. OutOfRange for a bad
-// node id) are rebuilt from the wire status verbatim and never retried.
+// sockets or N threads.
+//
+// Every RPC takes one path. A submitter (any thread) appends the request
+// frame to a pool connection and posts it to the loop; everything after
+// that runs on the loop thread: the non-blocking connect when the
+// connection is down (frames queued meanwhile flush once it is up), the
+// deadline timer (a late reply is dropped by id, never misdelivered), the
+// reply, and the retry. Transient failures (connect refused/reset/timed
+// out, connection closed, deadline expiry) retry behind a loop backoff
+// timer, and every retry may reconnect, up to a bounded budget before
+// surfacing as Unavailable / DeadlineExceeded. Server-side backend errors
+// (e.g. OutOfRange for a bad node id) are rebuilt from the wire status
+// verbatim and never retried. The blocking methods are that same call plus
+// a wait on the caller's thread, which must not be the loop thread.
 #pragma once
+
+#include <netinet/in.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,7 +54,8 @@ struct RemoteBackendOptions {
   /// head-of-line blocking against fd count, not concurrency.
   int connections = 2;
 
-  /// Per-request deadline (covers one attempt, not the retry budget).
+  /// Per-request deadline. It covers one attempt, including a reconnect
+  /// the attempt waits on, but not the retry budget.
   double deadline_ms = 5000.0;
 
   /// Retry budget beyond the first attempt for transient errors
@@ -53,7 +65,7 @@ struct RemoteBackendOptions {
   /// Backoff before retry attempt k (1-based): k * rpc_backoff_ms.
   double retry_backoff_ms = 50.0;
 
-  /// TCP connect timeout per connection attempt.
+  /// TCP connect timeout per connection attempt, enforced by a loop timer.
   double connect_timeout_ms = 2000.0;
 };
 
@@ -62,7 +74,8 @@ class RemoteBackend final : public AccessBackend {
   /// Connects to "host:port" (dotted IPv4 or "localhost"), performs the
   /// Stats handshake, and returns the ready backend. Unavailable when the
   /// server cannot be reached within the retry budget; InvalidArgument for
-  /// a malformed address or a peer that is not speaking the wnw protocol.
+  /// a malformed address (checked before any connect is tried) or a peer
+  /// that is not speaking the wnw protocol.
   static Result<std::shared_ptr<RemoteBackend>> Connect(
       const std::string& addr, RemoteBackendOptions options = {});
 
@@ -75,12 +88,10 @@ class RemoteBackend final : public AccessBackend {
 
   Result<FetchReply> FetchNeighbors(NodeId u) override;
 
-  /// Completion-native fetch: pipelines the request frame and returns
-  /// without waiting; the client event loop invokes `done` when the reply,
-  /// deadline expiry, or connection failure arrives. Transient failures
-  /// retry via loop timers (never a parked thread), but reconnection only
-  /// happens on submission paths — a retry finding every pool connection
-  /// down fails Unavailable. The caller must keep this backend alive until
+  /// Completion-native fetch: queues the request frame and returns without
+  /// waiting or connecting; the client event loop invokes `done` once the
+  /// reply arrives or the retry budget is spent. Safe to call from any
+  /// thread, `done` included. The caller must keep this backend alive until
   /// the completion fires (CompletionExecutor holds the operation's
   /// shared_ptr, so stacks composed through it satisfy this for free).
   void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override;
@@ -124,53 +135,44 @@ class RemoteBackend final : public AccessBackend {
 
  private:
   struct Conn;
-  struct PendingCall;
-  struct AsyncCall;
+  struct Rpc;
 
-  RemoteBackend(std::string addr, RemoteBackendOptions options);
+  RemoteBackend(std::string addr, const sockaddr_in& peer,
+                RemoteBackendOptions options);
 
   Status Handshake();
 
-  /// One synchronous RPC with deadline + bounded transient retry. On
-  /// success *response holds the reply payload bytes.
-  Status Call(uint16_t opcode, std::vector<std::byte> request_payload,
-              std::vector<std::byte>* response);
+  /// The blocking form of an RPC: submits it, waits on the caller's thread
+  /// for the completion, and returns the reply payload.
+  Result<std::vector<std::byte>> RoundTrip(uint16_t opcode,
+                                           std::vector<std::byte> payload);
 
-  /// A single attempt on one pool connection.
-  Status CallOnce(Conn* conn, uint16_t opcode,
-                  const std::vector<std::byte>& request_payload,
-                  std::vector<std::byte>* response);
+  /// Queues one attempt's frame on the next pool connection, registers it
+  /// as pending, and posts Dispatch. Never fails and never blocks: a down
+  /// connection is reconnected by the loop. Called by submitters for the
+  /// first attempt (which counts the RPC) and by the loop for retries;
+  /// `rpc->done` fires exactly once, on the loop thread.
+  void StartAttempt(std::shared_ptr<Rpc> rpc);
 
-  /// Callback-completed RPC: no thread waits. The AsyncCall's completion
-  /// fires exactly once, from the loop thread (reply/deadline/conn death)
-  /// or from the submitting thread (immediate submission failure after the
-  /// retry budget).
-  void CallAsync(uint16_t opcode, std::vector<std::byte> request_payload,
-                 std::function<void(Status, std::vector<std::byte>)> done);
-
-  /// Launches one attempt of `call`: picks a pool connection (reconnecting
-  /// when off the loop thread; live connections only on it), registers the
-  /// pending entry, and posts the deadline-arm + flush.
-  void StartAsyncAttempt(std::shared_ptr<AsyncCall> call);
-
-  /// Terminal demux for an async attempt's outcome: completes the call, or
-  /// schedules the next attempt behind a loop backoff timer while the
-  /// error is transient and budget remains.
-  void FinishOrRetryAsync(std::shared_ptr<AsyncCall> call, Status status,
-                          uint16_t opcode, std::vector<std::byte> payload);
-
-  /// (Re)establishes conn's socket if it is down. Caller-thread blocking;
-  /// serialized per connection.
-  Status EnsureConnected(Conn* conn);
+  /// Terminal demux for an attempt's outcome: completes the RPC, or starts
+  /// the next attempt behind a loop backoff timer while the error is
+  /// transient and budget remains.
+  void FinishOrRetry(std::shared_ptr<Rpc> rpc, Status status,
+                     uint16_t opcode, std::span<const std::byte> payload);
 
   // Loop-thread handlers.
+  void Dispatch(Conn* conn, uint64_t request_id);
+  void StartConnect(Conn* conn);
+  void FinishConnect(Conn* conn);
   void OnConnIo(Conn* conn, uint32_t events);
   void ProcessConnInput(Conn* conn);
   void FlushConn(Conn* conn);
   void KillConn(Conn* conn, const Status& why);
   void TimeoutCall(Conn* conn, uint64_t request_id);
+  std::shared_ptr<Rpc> TakePending(Conn* conn, uint64_t request_id);
 
   std::string addr_;
+  sockaddr_in peer_;  // addr_, parsed once by Connect
   std::string name_;
   RemoteBackendOptions options_;
 

@@ -225,7 +225,7 @@ void EventLoop::RunPosted() {
 }
 
 void EventLoop::Run() {
-  loop_thread_ = std::this_thread::get_id();
+  loop_thread_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   constexpr int kMaxEvents = 128;
   struct epoll_event events[kMaxEvents];
   while (!stopped_.load(std::memory_order_acquire)) {

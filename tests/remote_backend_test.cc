@@ -2,7 +2,8 @@
 // byte-identical samples at identical query cost against a loopback
 // wnw server vs the in-process origin), failure paths (dead server at
 // connect, server killed mid-run, deadline expiry against a mute peer →
-// bounded retries, then Unavailable/DeadlineExceeded), and the
+// bounded retries, then Unavailable/DeadlineExceeded; a retry reconnects
+// to a restarted server; a completion may resubmit), and the
 // session-stats remote telemetry. The remote spec keys' conflict rules are
 // in spec_keys_test.cc.
 #include <arpa/inet.h>
@@ -12,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "access/remote_backend.h"
@@ -83,8 +88,14 @@ class RemoteBackendTest : public ::testing::Test {
   void StartServer(AccessOptions options = {}) {
     graph_ = testing::MakeTestBA(80, 3, 5);
     backend_ = std::make_shared<InMemoryBackend>(&graph_, options);
+    RestartServer(0);
+  }
+
+  // Serves backend_ on `port` (0 = ephemeral) with a fresh server.
+  void RestartServer(int port) {
     net::ServerOptions server_options;
     server_options.threads = 2;
+    server_options.port = port;
     auto server = net::WnwServer::Start(backend_, server_options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).value();
@@ -151,7 +162,8 @@ TEST(RemoteBackendFailureTest, DeadServerAtConnectIsUnavailable) {
 
 TEST(RemoteBackendFailureTest, MalformedAddressIsInvalidArgument) {
   for (const char* addr :
-       {"nocolon", ":123", "1.2.3.4:", "1.2.3.4:notaport", "1.2.3.4:70000"}) {
+       {"nocolon", ":123", "1.2.3.4:", "1.2.3.4:notaport", "1.2.3.4:70000",
+        "example.com:80"}) {
     auto remote = RemoteBackend::Connect(addr, FastFail());
     ASSERT_FALSE(remote.ok()) << addr;
     EXPECT_EQ(remote.status().code(), StatusCode::kInvalidArgument) << addr;
@@ -181,6 +193,83 @@ TEST_F(RemoteBackendTest, ServerKilledMidRunFailsBoundedThenUnavailable) {
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable);
   EXPECT_GE((*remote)->retries(), 1u);  // it did retry before giving up
+}
+
+TEST_F(RemoteBackendTest, RetriesReconnectOnBothPaths) {
+  StartServer();
+  const int port = server_->port();
+  RemoteBackendOptions options = FastFail();
+  options.max_retries = 3;
+  options.retry_backoff_ms = 300.0;
+  auto remote = RemoteBackend::Connect(Addr(port), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+
+  using Submit = std::function<std::future<Result<FetchReply>>(NodeId)>;
+  const Submit paths[] = {
+      [&](NodeId u) {
+        auto promise = std::make_shared<std::promise<Result<FetchReply>>>();
+        auto future = promise->get_future();
+        (*remote)->FetchNeighborsCompletion(
+            u, [promise](Result<FetchReply> reply) {
+              promise->set_value(std::move(reply));
+            });
+        return future;
+      },
+      [&](NodeId u) {
+        return std::async(std::launch::async,
+                          [&remote, u] { return (*remote)->FetchNeighbors(u); });
+      },
+  };
+  // Each path fetches from a freshly killed server. Its first attempt
+  // fails; only a retry that reconnects reaches the restarted server.
+  NodeId u = 5;
+  for (const Submit& submit : paths) {
+    server_->Shutdown();
+    const uint64_t retries_before = (*remote)->retries();
+    std::future<Result<FetchReply>> reply = submit(u);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((*remote)->retries() == retries_before &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GT((*remote)->retries(), retries_before) << "node " << u;
+    RestartServer(port);
+    Result<FetchReply> fetched = reply.get();
+    ASSERT_TRUE(fetched.ok()) << "node " << u << ": "
+                              << fetched.status().ToString();
+    EXPECT_EQ(fetched->TakeNeighbors(), testing::ToVec(graph_.Neighbors(u)));
+    ++u;
+  }
+}
+
+TEST_F(RemoteBackendTest, CompletionMayResubmitToItsOwnConnection) {
+  StartServer();
+  RemoteBackendOptions options = FastFail();  // one connection
+  options.max_retries = 0;
+  auto remote = RemoteBackend::Connect(Addr(server_->port()), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  server_->Shutdown();
+
+  // Every failure resubmits from inside its own completion, onto the one
+  // connection whose failure is completing.
+  constexpr int kChain = 50;
+  int completed = 0;
+  int unavailable = 0;
+  std::promise<void> all_done;
+  std::function<void(Result<FetchReply>)> resubmit =
+      [&](Result<FetchReply> reply) {
+        if (reply.status().code() == StatusCode::kUnavailable) ++unavailable;
+        if (++completed == kChain) {
+          all_done.set_value();
+          return;
+        }
+        (*remote)->FetchNeighborsCompletion(1, resubmit);
+      };
+  (*remote)->FetchNeighborsCompletion(1, resubmit);
+  ASSERT_EQ(all_done.get_future().wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(unavailable, kChain);
 }
 
 // --- the acceptance gate -----------------------------------------------------
