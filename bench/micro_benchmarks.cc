@@ -12,6 +12,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <unordered_map>
 
 #include "access/access_interface.h"
@@ -24,6 +25,7 @@
 #include "util/check.h"
 #include "core/backward_estimator.h"
 #include "core/crawler.h"
+#include "core/session.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "mcmc/convergence.h"
@@ -285,6 +287,48 @@ void BM_StdUnorderedMapProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_StdUnorderedMapProbe);
 
+void BM_HitCountLookup(benchmark::State& state) {
+  // WS-BW's probe pattern: one HitCountHistory::Count per backward-step
+  // candidate, ~13% of which hit on the we_local workload. The history
+  // holds 4096 random 13-step paths over the lower quarter of
+  // BenchGraph()'s ids; the probe stream mixes recorded (node, step) pairs
+  // with ids from the upper three quarters, which no path visited, in that
+  // ratio. Compare per-probe time with BM_FlatNodeMapProbe (hits only).
+  constexpr int kWalkLength = 13;
+  const NodeId n = static_cast<NodeId>(BenchGraph().num_nodes());
+  const NodeId recorded_range = n / 4;
+  HitCountHistory history(kWalkLength);
+  std::vector<std::pair<NodeId, int>> recorded;
+  std::vector<NodeId> path(kWalkLength + 1);
+  Rng rng(7);
+  for (int w = 0; w < 4096; ++w) {
+    for (int s = 0; s <= kWalkLength; ++s) {
+      path[static_cast<size_t>(s)] =
+          static_cast<NodeId>(rng.NextBounded(recorded_range));
+      recorded.emplace_back(path[static_cast<size_t>(s)], s);
+    }
+    history.RecordWalk(path);
+  }
+  std::vector<std::pair<NodeId, int>> probes(1 << 16);
+  for (auto& probe : probes) {
+    if (rng.NextBounded(100) < 13) {
+      probe = recorded[rng.NextBounded(recorded.size())];
+    } else {
+      probe = {recorded_range + static_cast<NodeId>(
+                                    rng.NextBounded(n - recorded_range)),
+               static_cast<int>(rng.NextBounded(kWalkLength + 1))};
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto [u, step] = probes[i];
+    benchmark::DoNotOptimize(history.Count(u, step));
+    i = (i + 1) & (probes.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HitCountLookup);
+
 void BM_FrameEncode(benchmark::State& state) {
   // Wire-protocol encode for a typical FetchNeighbors reply (a BA-graph
   // neighbor list behind a 24-byte frame header). This plus BM_FrameDecode
@@ -478,6 +522,25 @@ void BM_BackwardEstimateOnce(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BackwardEstimateOnce)->Arg(11)->Arg(21);
+
+void BM_WeDraw(benchmark::State& state) {
+  // One WALK-ESTIMATE draw in perfbench we_local's spec: forward walk,
+  // backward estimation of the candidate's p_t with both heuristics, and
+  // the acceptance test. Each run opens a fresh session, whose hit history
+  // and caches then warm up over the iterations as a long session's do.
+  SessionOptions options;
+  options.seed = 1;
+  auto session = std::move(SamplingSession::Open(
+                               &BenchGraph(), "we:mhrw?diameter=6", options))
+                     .value();
+  for (auto _ : state) {
+    const auto sample = session->Draw();
+    WNW_CHECK(sample.ok());
+    benchmark::DoNotOptimize(*sample);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WeDraw);
 
 void BM_GewekeZScore(benchmark::State& state) {
   GewekeMonitor monitor;

@@ -25,6 +25,12 @@
 
 namespace wnw {
 
+/// Fibonacci multiplicative hash: dense node ids get spread across a table
+/// while staying allocation- and division-free. Callers keep the top bits.
+inline uint64_t FibonacciHash(NodeId key) {
+  return uint64_t{key} * 0x9E3779B97F4A7C15ull;
+}
+
 template <typename Value>
 class FlatNodeMap {
  public:
@@ -80,10 +86,8 @@ class FlatNodeMap {
   };
 
   size_t IndexFor(NodeId key) const {
-    // Fibonacci multiplicative hash: dense node ids get spread across the
-    // table while staying allocation- and division-free.
-    const uint64_t h = uint64_t{key} * 0x9E3779B97F4A7C15ull;
-    return static_cast<size_t>(h >> shift_) & (slots_.size() - 1);
+    return static_cast<size_t>(FibonacciHash(key) >> shift_) &
+           (slots_.size() - 1);
   }
 
   void Grow() {

@@ -1,31 +1,40 @@
 #include "core/backward_estimator.h"
 
-#include <vector>
-
 #include "random/sampling.h"
 #include "util/check.h"
 
 namespace wnw {
 
+// The bitset starts as one 64-bit word (shift 64 - log2(64)).
 HitCountHistory::HitCountHistory(int walk_length)
-    : walk_length_(walk_length),
-      counts_(static_cast<size_t>(walk_length) + 1) {
+    : walk_length_(walk_length), filter_(1, 0), filter_shift_(64 - 6) {
   WNW_CHECK(walk_length >= 0);
 }
 
 void HitCountHistory::RecordWalk(std::span<const NodeId> path) {
-  WNW_CHECK(path.size() == static_cast<size_t>(walk_length_) + 1);
-  for (int s = 0; s <= walk_length_; ++s) {
-    counts_[static_cast<size_t>(s)][path[static_cast<size_t>(s)]]++;
+  WNW_CHECK(path.size() == stride());
+  for (size_t s = 0; s < path.size(); ++s) {
+    const uint32_t* row = rows_.Find(path[s]);
+    const size_t r = row != nullptr ? *row : AddRow(path[s]);
+    counts_[r * stride() + s]++;
   }
   ++num_walks_;
 }
 
-uint32_t HitCountHistory::Count(NodeId u, int step) const {
-  WNW_CHECK(step >= 0 && step <= walk_length_);
-  const auto& m = counts_[static_cast<size_t>(step)];
-  const auto it = m.find(u);
-  return it == m.end() ? 0 : it->second;
+uint32_t HitCountHistory::AddRow(NodeId u) {
+  const auto r = static_cast<uint32_t>(nodes_.size());
+  rows_.Emplace(u, uint32_t{r});
+  nodes_.push_back(u);
+  counts_.resize(counts_.size() + stride(), 0);
+  if (nodes_.size() * kFilterBitsPerNode <= filter_.size() * 64) {
+    SetFilterBit(u);
+    return r;
+  }
+  // Outgrown: double the bitset and re-set every recorded node's bit.
+  filter_.assign(filter_.size() * 2, 0);
+  --filter_shift_;
+  for (const NodeId v : nodes_) SetFilterBit(v);
+  return r;
 }
 
 BackwardEstimator::BackwardEstimator(const TransitionDesign* design,
@@ -52,8 +61,7 @@ double BackwardEstimator::EstimateOnce(AccessInterface& access, NodeId u,
   double weight = 1.0;
   NodeId cur = u;
   int s = t;
-  std::vector<NodeId> candidates;
-  std::vector<double> pick_probs;
+  const bool self_loops = design_->has_self_loops();
 
   while (true) {
     // Initial-crawling termination: p_s is exact for s <= ball radius (zero
@@ -63,11 +71,12 @@ double BackwardEstimator::EstimateOnce(AccessInterface& access, NodeId u,
     }
     if (s == 0) return cur == start_ ? weight : 0.0;
 
-    // Predecessor candidate set C(cur): all v with T(v, cur) possibly > 0.
+    // Predecessor candidate set C(cur): all v with T(v, cur) possibly > 0,
+    // read in place — candidate i < |nbrs| is nbrs[i], and the one past the
+    // end is cur itself when the design self-loops.
     const auto nbrs = access.EffectiveNeighbors(cur);
-    candidates.assign(nbrs.begin(), nbrs.end());
-    if (design_->has_self_loops()) candidates.push_back(cur);
-    if (candidates.empty()) {
+    const size_t num_candidates = nbrs.size() + (self_loops ? 1 : 0);
+    if (num_candidates == 0) {
       // Isolated node: only reachable if the walk started (and stayed) here.
       return cur == start_ ? weight : 0.0;
     }
@@ -76,34 +85,38 @@ double BackwardEstimator::EstimateOnce(AccessInterface& access, NodeId u,
     size_t pick;
     double pick_prob;
     if (!options_.weighted) {
-      pick = rng.NextBounded(candidates.size());
-      pick_prob = 1.0 / static_cast<double>(candidates.size());
+      pick = rng.NextBounded(num_candidates);
+      pick_prob = 1.0 / static_cast<double>(num_candidates);
     } else {
       const double eps = options_.epsilon;
-      const double uniform_part =
-          eps / static_cast<double>(candidates.size());
+      const double uniform_part = eps / static_cast<double>(num_candidates);
       uint64_t z = 0;
-      pick_probs.resize(candidates.size());
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        const uint32_t hits = history_->Count(candidates[i], s - 1);
-        pick_probs[i] = static_cast<double>(hits);
+      pick_probs_.resize(num_candidates);
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        const uint32_t hits = history_->Count(nbrs[i], s - 1);
+        pick_probs_[i] = static_cast<double>(hits);
+        z += hits;
+      }
+      if (self_loops) {
+        const uint32_t hits = history_->Count(cur, s - 1);
+        pick_probs_.back() = static_cast<double>(hits);
         z += hits;
       }
       if (z == 0) {
         // No history at this step yet: fall back to uniform.
-        for (double& p : pick_probs) {
-          p = 1.0 / static_cast<double>(candidates.size());
+        for (double& p : pick_probs_) {
+          p = 1.0 / static_cast<double>(num_candidates);
         }
       } else {
-        for (double& p : pick_probs) {
+        for (double& p : pick_probs_) {
           p = uniform_part + (1.0 - eps) * p / static_cast<double>(z);
         }
       }
-      pick = PmfPick(pick_probs, rng);
-      pick_prob = pick_probs[pick];
+      pick = PmfPick(pick_probs_, rng);
+      pick_prob = pick_probs_[pick];
     }
 
-    const NodeId v = candidates[pick];
+    const NodeId v = pick < nbrs.size() ? nbrs[pick] : cur;
     // Corrected Algorithm 1 / 2 weight: T(v, cur) / pi_bw(v). Uniform picks
     // recover |C| * T(v, cur); SRW further reduces to |N(cur)|/|N(v)|
     // (Eq. 21). The query-cheap unbiased factor estimate keeps the product

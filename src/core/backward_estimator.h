@@ -23,19 +23,33 @@
 // paper's second variance-reduction heuristic.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "access/access_interface.h"
+#include "access/flat_map.h"
 #include "core/crawler.h"
 #include "mcmc/transition.h"
 #include "random/rng.h"
+#include "util/check.h"
 
 namespace wnw {
 
 /// Per-step visit counts n_{u,s} accumulated over all forward walks issued
 /// from the same start (paper §5.3's n_{u', t-1} statistics).
+///
+/// WS-BW asks for the count of every predecessor candidate at every
+/// backward step, and most candidates were never visited by a forward walk.
+/// So the counts live in one node-major table (a row of walk_length + 1
+/// counts per recorded node, found through one FlatNodeMap), and a
+/// presence bitset in front of it answers most misses without a probe. The
+/// bitset holds at least kFilterBitsPerNode bits per recorded node (one
+/// Fibonacci-hashed bit each, so at most ~1.5% of unrecorded nodes get
+/// through) and is rebuilt at twice the size from the row -> node list when
+/// the history outgrows it. Both scale with the history, never with the
+/// graph.
 class HitCountHistory {
  public:
   explicit HitCountHistory(int walk_length);
@@ -44,14 +58,40 @@ class HitCountHistory {
   /// span exactly walk_length steps).
   void RecordWalk(std::span<const NodeId> path);
 
-  uint32_t Count(NodeId u, int step) const;
+  uint32_t Count(NodeId u, int step) const {
+    WNW_CHECK(step >= 0 && step <= walk_length_);
+    if (!MaybeRecorded(u)) return 0;
+    const uint32_t* row = rows_.Find(u);
+    return row == nullptr ? 0 : counts_[*row * stride() + step];
+  }
   uint64_t num_walks() const { return num_walks_; }
   int walk_length() const { return walk_length_; }
 
  private:
+  static constexpr size_t kFilterBitsPerNode = 64;
+
+  size_t stride() const { return static_cast<size_t>(walk_length_) + 1; }
+  size_t FilterBit(NodeId u) const {
+    return static_cast<size_t>(FibonacciHash(u) >> filter_shift_);
+  }
+  bool MaybeRecorded(NodeId u) const {
+    const size_t bit = FilterBit(u);
+    return ((filter_[bit >> 6] >> (bit & 63)) & 1) != 0;
+  }
+  void SetFilterBit(NodeId u) {
+    const size_t bit = FilterBit(u);
+    filter_[bit >> 6] |= uint64_t{1} << (bit & 63);
+  }
+  // Appends a zeroed row for `u` and returns its index.
+  uint32_t AddRow(NodeId u);
+
   int walk_length_;
   uint64_t num_walks_ = 0;
-  std::vector<std::unordered_map<NodeId, uint32_t>> counts_;  // [step]
+  FlatNodeMap<uint32_t> rows_;    // node -> row index
+  std::vector<NodeId> nodes_;     // row index -> node
+  std::vector<uint32_t> counts_;  // [row * stride() + step]
+  std::vector<uint64_t> filter_;  // presence bits, a power of two >= 64
+  int filter_shift_;              // 64 - log2(filter bits)
 };
 
 struct BackwardWalkOptions {
@@ -61,8 +101,9 @@ struct BackwardWalkOptions {
   double epsilon = 0.1;
 };
 
-/// One-shot unbiased estimator of p_t(u). Stateless across calls; the
-/// variance-reduction state (crawl ball, hit history) is injected.
+/// One-shot unbiased estimator of p_t(u). Stateless across calls apart from
+/// a reused scratch buffer, so one estimator serves one thread at a time;
+/// the variance-reduction state (crawl ball, hit history) is injected.
 class BackwardEstimator {
  public:
   /// `ball` (nullable): terminate backward walks at step index <= radius
@@ -87,6 +128,9 @@ class BackwardEstimator {
   BackwardWalkOptions options_;
   const CrawlBall* ball_;
   const HitCountHistory* history_;
+  // WS-BW pick distribution over the current candidate set, reused across
+  // steps and calls so a weighted step allocates nothing.
+  mutable std::vector<double> pick_probs_;
 };
 
 }  // namespace wnw

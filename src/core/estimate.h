@@ -89,9 +89,6 @@ class ProbabilityEstimator {
   uint64_t total_backward_walks() const { return total_backward_walks_; }
 
  private:
-  // Adds one backward-walk realization to a running estimate (Welford).
-  void AddRep(AccessInterface& access, NodeId u, Rng& rng, PtEstimate* est);
-
   const TransitionDesign* design_;
   NodeId start_;
   int walk_length_;

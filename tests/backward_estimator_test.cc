@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
+#include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/backward_estimator.h"
 #include "core/crawler.h"
@@ -220,6 +224,62 @@ TEST(HitCountHistoryTest, CountsPerStep) {
   EXPECT_EQ(h.Count(2, 2), 1u);
   EXPECT_EQ(h.Count(3, 3), 2u);
   EXPECT_EQ(h.Count(9, 1), 0u);
+}
+
+// The node-major table and its presence filter against a plain
+// std::map<(node, step), count>. Thousands of paths over ids that include 0
+// and the largest valid id make the row map and the bitset each grow many
+// times; every checkpoint compares every step of every recorded node (so
+// recorded nodes at unvisited steps are covered) plus random unrecorded ids.
+TEST(HitCountHistoryTest, MatchesReferenceMapAcrossGrowth) {
+  for (const int walk_length : {0, 1, 5, 13}) {
+    SCOPED_TRACE(walk_length);
+    Rng rng(4242 + static_cast<uint64_t>(walk_length));
+    std::vector<NodeId> hot{0, 1, kInvalidNode - 1, kInvalidNode - 2};
+    while (hot.size() < 64) {
+      hot.push_back(static_cast<NodeId>(rng.NextBounded(kInvalidNode)));
+    }
+    auto draw_node = [&] {
+      if (rng.NextBounded(2) == 0) return hot[rng.NextBounded(hot.size())];
+      return static_cast<NodeId>(rng.NextBounded(kInvalidNode));
+    };
+
+    HitCountHistory history(walk_length);
+    std::map<std::pair<NodeId, int>, uint32_t> reference;
+    std::set<NodeId> recorded;
+    auto check = [&] {
+      for (const NodeId u : recorded) {
+        for (int s = 0; s <= walk_length; ++s) {
+          const auto it = reference.find({u, s});
+          const uint32_t want = it == reference.end() ? 0 : it->second;
+          ASSERT_EQ(history.Count(u, s), want) << "node " << u << " step " << s;
+        }
+      }
+      for (int i = 0; i < 2000; ++i) {
+        const NodeId u = static_cast<NodeId>(rng.NextBounded(kInvalidNode));
+        if (recorded.count(u) != 0) continue;
+        for (int s = 0; s <= walk_length; ++s) {
+          ASSERT_EQ(history.Count(u, s), 0u) << "node " << u << " step " << s;
+        }
+      }
+    };
+
+    constexpr int kWalks = 3000;
+    std::vector<NodeId> path(static_cast<size_t>(walk_length) + 1);
+    for (int w = 1; w <= kWalks; ++w) {
+      for (int s = 0; s <= walk_length; ++s) {
+        path[static_cast<size_t>(s)] = draw_node();
+        ++reference[{path[static_cast<size_t>(s)], s}];
+        recorded.insert(path[static_cast<size_t>(s)]);
+      }
+      history.RecordWalk(path);
+      if ((w & (w - 1)) == 0 || w == kWalks) check();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(history.num_walks(), static_cast<uint64_t>(kWalks));
+    EXPECT_EQ(history.walk_length(), walk_length);
+    EXPECT_GT(recorded.size(), 1000u);  // the row map and filter grew
+  }
 }
 
 }  // namespace
