@@ -523,6 +523,38 @@ void BM_BackwardEstimateOnce(benchmark::State& state) {
 }
 BENCHMARK(BM_BackwardEstimateOnce)->Arg(11)->Arg(21);
 
+void BM_BackwardEstimateWeighted(benchmark::State& state) {
+  // WS-BW + crawl, the full heuristic set, over a history of range(0)
+  // recorded MHRW forward walks of length 6 from node 0. Each iteration
+  // estimates p_6 at the next recorded endpoint, so the picks lean on the
+  // history as a WE draw's do.
+  const Graph& g = BenchGraph();
+  AccessInterface access(&g);
+  MetropolisHastingsWalk mhrw;
+  constexpr int kWalkLength = 6;
+  const CrawlBall ball = CrawlBall::Crawl(access, mhrw, 0, 1);
+  HitCountHistory history(kWalkLength);
+  std::vector<NodeId> endpoints;
+  Rng walk_rng(12);
+  std::vector<NodeId> path;
+  for (int64_t w = 0; w < state.range(0); ++w) {
+    Walk(access, mhrw, 0, kWalkLength, walk_rng, &path);
+    history.RecordWalk(path);
+    endpoints.push_back(path.back());
+  }
+  const BackwardEstimator estimator(&mhrw, 0, {.weighted = true}, &ball,
+                                    &history);
+  Rng rng(13);
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        estimator.EstimateOnce(access, endpoints[next], kWalkLength, rng));
+    if (++next == endpoints.size()) next = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BackwardEstimateWeighted)->Arg(100)->Arg(10000);
+
 void BM_WeDraw(benchmark::State& state) {
   // One WALK-ESTIMATE draw in perfbench we_local's spec: forward walk,
   // backward estimation of the candidate's p_t with both heuristics, and

@@ -37,9 +37,13 @@ AccessInterface::AccessInterface(std::shared_ptr<AccessBackend> backend,
       cache_(std::move(cache)),
       executor_(std::move(executor)),
       cacheable_(false),
+      symmetric_view_(false),
       seen_(0) {
   WNW_CHECK(backend_ != nullptr);
   cacheable_ = backend_->deterministic();
+  const AccessOptions& opts = backend_->options();
+  symmetric_view_ = opts.restriction == NeighborRestriction::kNone ||
+                    (cacheable_ && opts.bidirectional_check);
   seen_.assign(backend_->num_nodes(), 0);
 }
 
@@ -235,6 +239,27 @@ uint32_t AccessInterface::Degree(NodeId u) {
 }
 
 std::span<const NodeId> AccessInterface::EffectiveNeighbors(NodeId u) {
+  // A repeat of a recent answer bills the query but skips the probe: a
+  // session-cache hit has no other effect (u cannot be pending, and its
+  // distinct-node cost is already paid).
+  if (recent_[0].node == u) {
+    ++meter_.total_queries;
+    return recent_[0].list;
+  }
+  if (recent_[1].node == u) {
+    ++meter_.total_queries;
+    std::swap(recent_[0], recent_[1]);
+    return recent_[0].list;
+  }
+  const auto list = LookupEffective(u);
+  if (cacheable_) {
+    recent_[1] = recent_[0];
+    recent_[0] = {u, list};
+  }
+  return list;
+}
+
+std::span<const NodeId> AccessInterface::LookupEffective(NodeId u) {
   const AccessOptions& opts = backend_->options();
   switch (opts.restriction) {
     case NeighborRestriction::kNone:
@@ -290,6 +315,7 @@ void AccessInterface::ResetCounters() {
   meter_.Reset();
   local_cache_.Clear();
   effective_cache_.Clear();
+  recent_ = {};
   backend_->ResetSimulation();
 }
 

@@ -26,6 +26,7 @@
 // concurrently.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -114,11 +115,22 @@ class AccessInterface {
   /// (types 2/3 with bidirectional check; probing the other endpoints is
   /// itself counted as queries). Unsupported under kRandomSubset (lists are
   /// not stable) — use SampleNeighbor there.
+  ///
+  /// The answers for the last two distinct nodes asked are kept next to the
+  /// session caches: a backward step asks for cur, its predecessor v, cur
+  /// again, and the next step starts at v, so one session-cache probe serves
+  /// the step. A repeat still counts in total_queries like any other call.
   std::span<const NodeId> EffectiveNeighbors(NodeId u);
 
   uint32_t EffectiveDegree(NodeId u) {
     return static_cast<uint32_t>(EffectiveNeighbors(u).size());
   }
+
+  /// True when the traversal view is symmetric: v is in
+  /// EffectiveNeighbors(u) iff u is in EffectiveNeighbors(v). That holds for
+  /// the full lists (kNone) and for types 2/3 under the bidirectional check;
+  /// a type 2/3 subset without the check can hide u from v's list.
+  bool symmetric_view() const { return symmetric_view_; }
 
   /// Uniform draw from the traversable neighbors; under kRandomSubset draws
   /// from a fresh server-sampled subset (uniform over N(u) overall).
@@ -172,6 +184,10 @@ class AccessInterface {
   /// pending batch containing u first, if any.
   std::span<const NodeId> FetchLocal(NodeId u);
 
+  /// EffectiveNeighbors without the recent-answer slots: the session-cache
+  /// probe, and the mutual-visibility filter on a first visit.
+  std::span<const NodeId> LookupEffective(NodeId u);
+
   /// Folds pending_[index] into the session caches and meter.
   void FoldPending(size_t index);
 
@@ -210,7 +226,8 @@ class AccessInterface {
   std::shared_ptr<AccessBackend> backend_;
   std::shared_ptr<QueryCache> cache_;
   std::shared_ptr<CompletionExecutor> executor_;
-  bool cacheable_;  // backend_->deterministic()
+  bool cacheable_;       // backend_->deterministic()
+  bool symmetric_view_;  // fixed by backend_->options()
 
   CostMeter meter_;
   std::vector<uint8_t> seen_;
@@ -221,6 +238,15 @@ class AccessInterface {
   std::unordered_set<NodeId> pending_nodes_;  // union over pending_
   FlatNodeMap<CachedList> local_cache_;
   FlatNodeMap<std::vector<NodeId>> effective_cache_;
+
+  /// The last two distinct EffectiveNeighbors answers, most recent first.
+  /// Filled only when cacheable_: the spans point into the session caches
+  /// (or backend arenas), which keep them valid until ResetCounters.
+  struct RecentList {
+    NodeId node = kInvalidNode;
+    std::span<const NodeId> list;
+  };
+  std::array<RecentList, 2> recent_;
 };
 
 /// Mark–recapture degree estimate under kRandomSubset (paper §6.3.1 cites

@@ -101,9 +101,25 @@ struct BackwardWalkOptions {
   double epsilon = 0.1;
 };
 
-/// One-shot unbiased estimator of p_t(u). Stateless across calls apart from
-/// a reused scratch buffer, so one estimator serves one thread at a time;
-/// the variance-reduction state (crawl ball, hit history) is injected.
+/// One-shot unbiased estimator of p_t(u). The variance-reduction state
+/// (crawl ball, hit history) is injected; the estimator itself only keeps a
+/// memo of WS-BW pick distributions, so one estimator serves one thread at
+/// a time, and every access passed to it must view the same origin.
+///
+/// A backward step reads N(cur), draws a predecessor v, and asks the design
+/// for T(v, cur). Through AccessInterface's recent-answer slots that costs
+/// one session-cache probe (for v); the repeats of N(cur) and N(v) in the
+/// step and the next one are served from the slots. When v was drawn from
+/// N(cur) and the view is symmetric, cur is in N(v) by construction, so the
+/// design's T(v, cur) skips its adjacency search (TransitionProbOnEdge).
+///
+/// The WS-BW distribution over C(cur) depends only on (cur, s) and the hit
+/// history, which changes only when a forward walk is recorded. So each
+/// (cur, s) distribution is computed once per history version and kept, as
+/// the exact doubles PmfPick saw; a repeat pick draws from the same values
+/// with the same single RNG draw. Every memo slot is tagged with the
+/// history version (num_walks) it was filled in, so a new forward walk
+/// empties the memo in O(1); it holds only the pairs seen since then.
 class BackwardEstimator {
  public:
   /// `ball` (nullable): terminate backward walks at step index <= radius
@@ -123,14 +139,39 @@ class BackwardEstimator {
   NodeId start() const { return start_; }
 
  private:
+  // One memo entry: the distribution for `key` = (cur << 32) | s starts at
+  // pick_weights_[offset]; its length is |C(cur)|. Slots tagged with
+  // another history version than memo_version_ are empty.
+  struct PickMemoSlot {
+    uint64_t key = 0;
+    uint64_t version = 0;
+    uint32_t offset = 0;
+  };
+
+  // The WS-BW pick distribution over C(cur) at step s (candidates `nbrs`,
+  // then cur itself when the design self-loops), computed on first use in
+  // the current history version.
+  std::span<const double> PickWeights(std::span<const NodeId> nbrs,
+                                      NodeId cur, int s) const;
+  // Empties the memo when the history has moved.
+  void SyncMemo() const;
+  size_t MemoHome(uint64_t key) const;
+  void GrowMemo() const;
+
   const TransitionDesign* design_;
   NodeId start_;
   BackwardWalkOptions options_;
   const CrawlBall* ball_;
   const HitCountHistory* history_;
-  // WS-BW pick distribution over the current candidate set, reused across
-  // steps and calls so a weighted step allocates nothing.
-  mutable std::vector<double> pick_probs_;
+  bool self_loops_;
+
+  mutable std::vector<PickMemoSlot> memo_slots_;  // a power of two, or empty
+  mutable size_t memo_live_ = 0;                  // slots of this version
+  mutable int memo_shift_ = 64;                   // 64 - log2(slots)
+  // history_->num_walks() + 1 when the memo was last emptied; 0 before the
+  // first weighted call, so default slots never look live.
+  mutable uint64_t memo_version_ = 0;
+  mutable std::vector<double> pick_weights_;  // this version's values
 };
 
 }  // namespace wnw

@@ -17,7 +17,7 @@ CrawlBall CrawlBall::Crawl(AccessInterface& access,
   // each level is prefetched as one backend batch — under a
   // latency-simulating backend the crawl pays one round trip per level
   // instead of one per node.
-  ball.index_.emplace(start, 0);
+  ball.index_.Emplace(start, 0u);
   ball.nodes_.push_back(start);
   ball.distance_.push_back(0);
   std::vector<NodeId> frontier{start};
@@ -31,8 +31,8 @@ CrawlBall CrawlBall::Crawl(AccessInterface& access,
       const auto nbrs = access.EffectiveNeighbors(u);
       if (d == hops) continue;
       for (NodeId v : nbrs) {
-        if (ball.index_.count(v) > 0) continue;
-        ball.index_.emplace(v, static_cast<uint32_t>(ball.nodes_.size()));
+        if (ball.index_.Contains(v)) continue;
+        ball.index_.Emplace(v, static_cast<uint32_t>(ball.nodes_.size()));
         ball.nodes_.push_back(v);
         ball.distance_.push_back(static_cast<uint32_t>(d) + 1);
         next.push_back(v);
@@ -66,9 +66,9 @@ CrawlBall CrawlBall::Crawl(AccessInterface& access,
         cur[yi] += py * design.TransitionProb(access, y, y);
       }
       for (NodeId x : access.EffectiveNeighbors(y)) {
-        const auto it = ball.index_.find(x);
-        WNW_DCHECK(it != ball.index_.end());
-        cur[it->second] += py * design.TransitionProb(access, y, x);
+        const uint32_t* xi = ball.index_.Find(x);
+        WNW_DCHECK(xi != nullptr);
+        cur[*xi] += py * design.TransitionProb(access, y, x);
       }
     }
   }
@@ -77,15 +77,15 @@ CrawlBall CrawlBall::Crawl(AccessInterface& access,
 
 double CrawlBall::ExactProb(NodeId v, int s) const {
   WNW_CHECK(s >= 0 && s <= radius_);
-  const auto it = index_.find(v);
-  if (it == index_.end()) return 0.0;
-  return probs_[static_cast<size_t>(s)][it->second];
+  const uint32_t* vi = index_.Find(v);
+  if (vi == nullptr) return 0.0;
+  return probs_[static_cast<size_t>(s)][*vi];
 }
 
 int CrawlBall::DistanceTo(NodeId v) const {
-  const auto it = index_.find(v);
-  WNW_CHECK(it != index_.end());
-  return static_cast<int>(distance_[it->second]);
+  const uint32_t* vi = index_.Find(v);
+  WNW_CHECK(vi != nullptr);
+  return static_cast<int>(distance_[*vi]);
 }
 
 }  // namespace wnw

@@ -11,10 +11,10 @@
 // exact for s <= h, and p_s(v) = 0 exactly for any v outside the ball.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "access/access_interface.h"
+#include "access/flat_map.h"
 #include "graph/graph.h"
 #include "mcmc/transition.h"
 
@@ -35,7 +35,7 @@ class CrawlBall {
   size_t ball_size() const { return nodes_.size(); }
 
   /// True when v is within the crawled radius.
-  bool Contains(NodeId v) const { return index_.count(v) > 0; }
+  bool Contains(NodeId v) const { return index_.Contains(v); }
 
   /// Exact p_s(v) for s <= radius(). Nodes outside the ball have exactly
   /// zero probability at these steps, so this is total (defined for all v).
@@ -47,10 +47,10 @@ class CrawlBall {
  private:
   NodeId start_ = kInvalidNode;
   int radius_ = 0;
-  std::vector<NodeId> nodes_;                  // local index -> node id
-  std::unordered_map<NodeId, uint32_t> index_; // node id -> local index
-  std::vector<uint32_t> distance_;             // per local index
-  std::vector<std::vector<double>> probs_;     // probs_[s][local index]
+  std::vector<NodeId> nodes_;               // local index -> node id
+  FlatNodeMap<uint32_t> index_;             // node id -> local index
+  std::vector<uint32_t> distance_;          // per local index
+  std::vector<std::vector<double>> probs_;  // probs_[s][local index]
 };
 
 }  // namespace wnw

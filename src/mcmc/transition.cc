@@ -31,6 +31,14 @@ double SimpleRandomWalk::TransitionProb(AccessInterface& access, NodeId u,
   return Adjacent(nbrs, v) ? 1.0 / static_cast<double>(nbrs.size()) : 0.0;
 }
 
+double SimpleRandomWalk::TransitionProbOnEdge(AccessInterface& access,
+                                              NodeId u, NodeId v,
+                                              Rng& rng) const {
+  (void)v;
+  (void)rng;
+  return 1.0 / static_cast<double>(access.EffectiveDegree(u));
+}
+
 double SimpleRandomWalk::StationaryWeight(AccessInterface& access,
                                           NodeId u) const {
   return static_cast<double>(access.EffectiveDegree(u));
@@ -57,6 +65,14 @@ double LazyRandomWalk::TransitionProb(AccessInterface& access, NodeId u,
   return Adjacent(nbrs, v)
              ? (1.0 - alpha_) / static_cast<double>(nbrs.size())
              : 0.0;
+}
+
+double LazyRandomWalk::TransitionProbOnEdge(AccessInterface& access,
+                                            NodeId u, NodeId v,
+                                            Rng& rng) const {
+  (void)v;
+  (void)rng;
+  return (1.0 - alpha_) / static_cast<double>(access.EffectiveDegree(u));
 }
 
 double LazyRandomWalk::StationaryWeight(AccessInterface& access,
@@ -112,6 +128,15 @@ double MetropolisHastingsWalk::TransitionProbEstimate(AccessInterface& access,
   return 1.0 - std::min(1.0, du / dw);
 }
 
+double MetropolisHastingsWalk::TransitionProbOnEdge(AccessInterface& access,
+                                                    NodeId u, NodeId v,
+                                                    Rng& rng) const {
+  (void)rng;
+  const double du = static_cast<double>(access.EffectiveDegree(u));
+  const double dv = static_cast<double>(access.EffectiveDegree(v));
+  return std::min(1.0 / du, 1.0 / dv);
+}
+
 double MetropolisHastingsWalk::StationaryWeight(AccessInterface& access,
                                                 NodeId u) const {
   (void)access;
@@ -144,6 +169,14 @@ double MaxDegreeWalk::TransitionProb(AccessInterface& access, NodeId u,
     return 1.0 - static_cast<double>(nbrs.size()) / degree_bound_;
   }
   return Adjacent(nbrs, v) ? 1.0 / degree_bound_ : 0.0;
+}
+
+double MaxDegreeWalk::TransitionProbOnEdge(AccessInterface& access, NodeId u,
+                                           NodeId v, Rng& rng) const {
+  (void)v;
+  (void)rng;
+  WNW_CHECK(access.EffectiveDegree(u) <= degree_bound_);
+  return 1.0 / degree_bound_;
 }
 
 double MaxDegreeWalk::StationaryWeight(AccessInterface& access,

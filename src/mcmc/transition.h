@@ -48,6 +48,17 @@ class TransitionDesign {
     return TransitionProb(access, u, v);
   }
 
+  /// TransitionProbEstimate for a pair the caller already knows to be an
+  /// edge of a symmetric view: u != v, v is in access.EffectiveNeighbors(u)
+  /// and u is in access.EffectiveNeighbors(v) (the backward estimator's
+  /// predecessor drawn from cur's list). Designs may skip the adjacency
+  /// search, but must issue the same queries and draws, so the value and
+  /// the billing equal TransitionProbEstimate's.
+  virtual double TransitionProbOnEdge(AccessInterface& access, NodeId u,
+                                      NodeId v, Rng& rng) const {
+    return TransitionProbEstimate(access, u, v, rng);
+  }
+
   /// Unnormalized stationary weight w(u) with pi(u) ∝ w(u). This is the
   /// target distribution the design samples from after burn-in — and the
   /// target WALK-ESTIMATE corrects to.
@@ -63,6 +74,8 @@ class SimpleRandomWalk final : public TransitionDesign {
   NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
+  double TransitionProbOnEdge(AccessInterface& access, NodeId u, NodeId v,
+                              Rng& rng) const override;
   double StationaryWeight(AccessInterface& access, NodeId u) const override;
 };
 
@@ -77,6 +90,8 @@ class LazyRandomWalk final : public TransitionDesign {
   NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
+  double TransitionProbOnEdge(AccessInterface& access, NodeId u, NodeId v,
+                              Rng& rng) const override;
   double StationaryWeight(AccessInterface& access, NodeId u) const override;
   double alpha() const { return alpha_; }
 
@@ -99,6 +114,8 @@ class MetropolisHastingsWalk final : public TransitionDesign {
   /// 1 - min(1, d(u)/d(w)). Off-diagonal entries are already one query.
   double TransitionProbEstimate(AccessInterface& access, NodeId u, NodeId v,
                                 Rng& rng) const override;
+  double TransitionProbOnEdge(AccessInterface& access, NodeId u, NodeId v,
+                              Rng& rng) const override;
   double StationaryWeight(AccessInterface& access, NodeId u) const override;
 };
 
@@ -113,6 +130,8 @@ class MaxDegreeWalk final : public TransitionDesign {
   NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
+  double TransitionProbOnEdge(AccessInterface& access, NodeId u, NodeId v,
+                              Rng& rng) const override;
   double StationaryWeight(AccessInterface& access, NodeId u) const override;
   uint32_t degree_bound() const { return degree_bound_; }
 

@@ -78,6 +78,65 @@ TEST(AccessTest, ResetCountersClears) {
   EXPECT_FALSE(access.Seen(0));
 }
 
+// EffectiveNeighbors keeps its last two answers next to the session caches.
+// A repeat must still bill a logical query, and ResetCounters must drop the
+// kept answers with the caches, so a re-query pays distinct-node cost and a
+// backend fetch again — on every kind of view.
+TEST(AccessTest, RecentAnswersBillAndResetLikeTheCache) {
+  const Graph g = testing::MakeTestBA(60, 3);
+  AccessOptions fixed_checked;
+  fixed_checked.restriction = NeighborRestriction::kFixedSubset;
+  fixed_checked.max_neighbors = 4;
+  fixed_checked.bidirectional_check = true;
+  AccessOptions truncated;
+  truncated.restriction = NeighborRestriction::kTruncated;
+  truncated.max_neighbors = 4;
+  truncated.bidirectional_check = false;
+  const struct {
+    AccessOptions opts;
+    bool symmetric;
+  } kViews[] = {{AccessOptions{}, true}, {fixed_checked, true},
+                {truncated, false}};
+  for (const auto& view : kViews) {
+    SCOPED_TRACE(static_cast<int>(view.opts.restriction));
+    AccessInterface access(&g, view.opts);
+    EXPECT_EQ(access.symmetric_view(), view.symmetric);
+    const auto first = access.EffectiveNeighbors(0);
+    const std::vector<NodeId> list(first.begin(), first.end());
+    const CostMeter billed = access.meter();
+    EXPECT_GE(billed.unique_cost, 1u);
+    EXPECT_GE(billed.backend_fetches, 1u);
+    auto expect_repeat_of_0 = [&] {
+      const uint64_t queries = access.total_queries();
+      const uint64_t cost = access.query_cost();
+      const uint64_t fetches = access.meter().backend_fetches;
+      const auto again = access.EffectiveNeighbors(0);
+      EXPECT_EQ(std::vector<NodeId>(again.begin(), again.end()), list);
+      EXPECT_EQ(access.total_queries(), queries + 1);
+      EXPECT_EQ(access.query_cost(), cost);
+      EXPECT_EQ(access.meter().backend_fetches, fetches);
+    };
+    // Node 0 from the newest slot, from the older one, and after it has
+    // left both: each repeat bills one query and nothing else.
+    expect_repeat_of_0();
+    access.EffectiveNeighbors(1);
+    expect_repeat_of_0();
+    access.EffectiveNeighbors(2);
+    access.EffectiveNeighbors(3);
+    expect_repeat_of_0();
+
+    access.ResetCounters();
+    EXPECT_EQ(access.total_queries(), 0u);
+    EXPECT_EQ(access.query_cost(), 0u);
+    const auto fresh = access.EffectiveNeighbors(0);
+    EXPECT_EQ(std::vector<NodeId>(fresh.begin(), fresh.end()), list);
+    EXPECT_EQ(access.query_cost(), billed.unique_cost);
+    EXPECT_EQ(access.meter().backend_fetches, billed.backend_fetches);
+    EXPECT_EQ(access.total_queries(), billed.total_queries);
+    expect_repeat_of_0();
+  }
+}
+
 TEST(AccessTest, SampleNeighborUniform) {
   const Graph g = testing::MakeHouseGraph();
   AccessInterface access(&g);

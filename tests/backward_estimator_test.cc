@@ -211,6 +211,49 @@ TEST(BackwardEstimatorTest, VarianceReductionHelps) {
   EXPECT_LT(var_full, var_plain);
 }
 
+// The WS-BW pick memo lives in the estimator and is keyed on the history
+// version. One weighted + crawl estimator reused across interleaved forward
+// walks and two target steps must return exactly what a freshly built
+// estimator returns for each call, and leave the RNG in the same state.
+// Rounds that record no walk reuse the memo; the others must drop it.
+TEST(BackwardEstimatorTest, PickMemoMatchesFreshEstimatorAcrossVersions) {
+  const Graph g = testing::MakeTestBA(40, 3);
+  for (const char* spec : {"srw", "mhrw"}) {
+    SCOPED_TRACE(spec);
+    auto design = MakeTransitionDesign(spec);
+    const NodeId start = 3;
+    const int walk_length = 6;
+    AccessInterface access(&g);
+    const CrawlBall ball = CrawlBall::Crawl(access, *design, start, 1);
+    HitCountHistory history(walk_length);
+    BackwardWalkOptions opts;
+    opts.weighted = true;
+    const BackwardEstimator reused(design.get(), start, opts, &ball,
+                                   &history);
+    Rng walk_rng(31);
+    std::vector<NodeId> path;
+    uint64_t seed = 1000;
+    for (int round = 0; round < 12; ++round) {
+      for (int w = 0; w < round % 3; ++w) {
+        Walk(access, *design, start, walk_length, walk_rng, &path);
+        history.RecordWalk(path);
+      }
+      for (const int t : {walk_length, walk_length - 2}) {
+        for (NodeId u = 0; u < g.num_nodes(); u += 3) {
+          Rng rng_reused(++seed);
+          Rng rng_fresh(seed);
+          const BackwardEstimator fresh(design.get(), start, opts, &ball,
+                                        &history);
+          ASSERT_EQ(reused.EstimateOnce(access, u, t, rng_reused),
+                    fresh.EstimateOnce(access, u, t, rng_fresh))
+              << "round " << round << " t " << t << " u " << u;
+          ASSERT_EQ(rng_reused.Next(), rng_fresh.Next());
+        }
+      }
+    }
+  }
+}
+
 TEST(HitCountHistoryTest, CountsPerStep) {
   HitCountHistory h(3);
   const std::vector<NodeId> path1{0, 1, 2, 3};

@@ -238,5 +238,39 @@ TEST(WalkTest, MhrwStepsBillDegreesQueries) {
   EXPECT_GE(access.total_queries(), 50u);
 }
 
+// TransitionProbOnEdge skips the adjacency search but must agree with
+// TransitionProbEstimate exactly, in value and in billing, on every edge of
+// a symmetric view: the full graph and a fixed subset under the
+// bidirectional check.
+TEST(OnEdgeTest, MatchesEstimateOnEverySymmetricEdge) {
+  const Graph g = testing::MakeTestBA(60, 3);
+  AccessOptions fixed;
+  fixed.restriction = NeighborRestriction::kFixedSubset;
+  fixed.max_neighbors = 4;
+  fixed.bidirectional_check = true;
+  for (const AccessOptions& opts : {AccessOptions{}, fixed}) {
+    for (const char* spec : {"srw", "lazy", "mhrw", "maxdeg:64"}) {
+      SCOPED_TRACE(spec);
+      const auto design = MakeTransitionDesign(spec);
+      AccessInterface on_edge(&g, opts);
+      AccessInterface estimate(&g, opts);
+      ASSERT_TRUE(on_edge.symmetric_view());
+      Rng rng_a(11), rng_b(11);
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        const auto nbrs = estimate.EffectiveNeighbors(u);
+        on_edge.EffectiveNeighbors(u);
+        for (NodeId v : nbrs) {
+          EXPECT_EQ(design->TransitionProbOnEdge(on_edge, u, v, rng_a),
+                    design->TransitionProbEstimate(estimate, u, v, rng_b))
+              << u << "->" << v;
+        }
+      }
+      EXPECT_EQ(on_edge.total_queries(), estimate.total_queries());
+      EXPECT_EQ(on_edge.query_cost(), estimate.query_cost());
+      EXPECT_EQ(rng_a.Next(), rng_b.Next());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace wnw

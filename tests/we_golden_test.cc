@@ -9,7 +9,10 @@
 // candidate list on every backward step, before either was rewritten. Any
 // change to backward estimation that is meant to be a pure speed-up must
 // leave every row here unchanged; a change that deliberately reorders the
-// estimator's random draws re-pins the table and says so.
+// estimator's random draws re-pins the table and says so. The restricted
+// rows at the end were captured the same way, before the backward step
+// reused recent neighbor lists, skipped the adjacency test on symmetric
+// views and memoized WS-BW pick weights.
 //
 // The seeds match `wnw_sample --dataset small --seed 20260611 --samples 50
 // --json --spec <spec>` (the CLI seeds the session with seed + 2), so any
@@ -210,6 +213,88 @@ INSTANTIATE_TEST_SUITE_P(
     AllDesignsAndVariants, WeGoldenTest, ::testing::ValuesIn(kGolden),
     [](const ::testing::TestParamInfo<Golden>& info) {
       std::string name;
+      for (const char* c = info.param.spec; *c != '\0'; ++c) {
+        name += std::isalnum(static_cast<unsigned char>(*c)) ? *c : '_';
+      }
+      return name;
+    });
+
+// Restricted origins (paper §6.3.1), default variant (crawl + WS-BW). Type 2
+// with the bidirectional check is a symmetric view: a predecessor drawn from
+// N(cur) always lists cur, so the backward step may skip the adjacency test.
+// Type 3 without the check is asymmetric: the test must still run, and it
+// rejects predecessors whose truncated list hides cur.
+struct RestrictedGolden {
+  const char* spec;
+  NeighborRestriction restriction;
+  bool bidirectional_check;
+  uint64_t query_cost;
+  uint64_t total_queries;
+  std::array<NodeId, kSamples> samples;
+};
+
+constexpr uint32_t kRestrictionCap = 8;
+
+// clang-format off
+const RestrictedGolden kRestrictedGolden[] = {
+  {"we:mhrw?diameter=6", NeighborRestriction::kFixedSubset, true, 998, 174426,
+   {896, 294, 959, 681, 61, 116, 3, 70, 408, 67,
+    873, 398, 869, 158, 95, 677, 401, 694, 242, 630,
+    558, 587, 807, 198, 289, 65, 773, 396, 6, 685,
+    40, 383, 566, 679, 964, 315, 251, 334, 179, 899,
+    129, 266, 280, 120, 745, 772, 22, 892, 337, 87}},
+  {"we-path:srw?diameter=6", NeighborRestriction::kFixedSubset, true, 998, 75310,
+   {291, 56, 596, 402, 132, 411, 132, 402, 572, 308,
+    572, 308, 469, 175, 573, 52, 389, 536, 829, 928,
+    999, 919, 671, 959, 249, 729, 988, 196, 525, 233,
+    23, 318, 899, 447, 457, 573, 758, 60, 501, 288,
+    973, 902, 977, 761, 514, 836, 253, 294, 595, 286}},
+  {"we:mhrw?diameter=6", NeighborRestriction::kTruncated, false, 113, 81812,
+   {8, 1, 2, 1, 8, 5, 5, 2, 2, 8,
+    8, 2, 4, 6, 7, 6, 5, 3, 8, 7,
+    4, 2, 6, 6, 8, 7, 6, 9, 2, 5,
+    6, 6, 8, 0, 6, 5, 4, 8, 4, 5,
+    9, 1, 6, 5, 7, 1, 9, 0, 1, 3}},
+  {"we-path:srw?diameter=6", NeighborRestriction::kTruncated, false, 92, 112282,
+   {2, 0, 3, 1, 6, 0, 51, 19, 8, 6,
+    0, 1, 8, 0, 64, 3, 9, 2, 0, 4,
+    12, 6, 6, 8, 7, 6, 11, 2, 5, 12,
+    1, 7, 1, 8, 2, 4, 3, 6, 5, 4,
+    1, 0, 3, 4, 8, 9, 1, 5, 3, 9}},
+};
+// clang-format on
+
+class WeRestrictedGoldenTest
+    : public ::testing::TestWithParam<RestrictedGolden> {};
+
+TEST_P(WeRestrictedGoldenTest, SamplesAndCostMatchPinnedValues) {
+  static const Graph graph = MakeSmallScaleFree(kDatasetSeed).graph;
+  const RestrictedGolden& golden = GetParam();
+  SessionOptions options;
+  options.seed = kSessionSeed;
+  options.access.restriction = golden.restriction;
+  options.access.max_neighbors = kRestrictionCap;
+  options.access.bidirectional_check = golden.bidirectional_check;
+  auto session = SamplingSession::Open(&graph, golden.spec, options);
+  ASSERT_TRUE(session.ok()) << golden.spec;
+  std::vector<NodeId> samples;
+  ASSERT_TRUE((*session)->DrawInto(&samples, kSamples).ok()) << golden.spec;
+  const SessionStats stats = (*session)->Stats();
+  EXPECT_EQ(samples, std::vector<NodeId>(golden.samples.begin(),
+                                         golden.samples.end()))
+      << golden.spec;
+  EXPECT_EQ(stats.query_cost, golden.query_cost) << golden.spec;
+  EXPECT_EQ(stats.total_queries, golden.total_queries) << golden.spec;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RestrictedOrigins, WeRestrictedGoldenTest,
+    ::testing::ValuesIn(kRestrictedGolden),
+    [](const ::testing::TestParamInfo<RestrictedGolden>& info) {
+      std::string name =
+          info.param.restriction == NeighborRestriction::kFixedSubset
+              ? "fixed8_check_"
+              : "truncated8_nocheck_";
       for (const char* c = info.param.spec; *c != '\0'; ++c) {
         name += std::isalnum(static_cast<unsigned char>(*c)) ? *c : '_';
       }
