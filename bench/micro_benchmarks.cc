@@ -394,10 +394,13 @@ RemoteBackend& BenchRemote() {
 }
 
 void BM_RemoteFetch(benchmark::State& state) {
-  // A full remote fetch over loopback — encode, syscall, epoll dispatch,
-  // server-side arena fetch, reply encode, decode — against the in-process
-  // BM_BackendFetchArena baseline. This is the paper's regime: the wire,
-  // not the lookup, dominates per-query cost.
+  // A full blocking remote fetch over loopback — encode, send, the
+  // server's epoll dispatch, arena fetch and reply encode, then poll, recv
+  // and decode — against the in-process BM_BackendFetchArena baseline.
+  // This is the paper's regime: the wire, not the lookup, dominates
+  // per-query cost. The connection is idle between fetches, so the calling
+  // thread makes each round trip itself; the client event loop stays
+  // asleep.
   RemoteBackend& remote = BenchRemote();
   const Graph& g = BenchGraph();
   NodeId u = 0;
@@ -412,10 +415,11 @@ BENCHMARK(BM_RemoteFetch);
 
 void BM_RemoteFetchChained(benchmark::State& state) {
   // BM_RemoteFetch's fetches, one in flight, but each issued from the
-  // previous one's completion on the client event loop: no thread hands a
-  // fetch to the loop or wakes on its reply. The wall-time gap to
-  // BM_RemoteFetch is that cross-thread hand-off. Wall time only: the
-  // benchmark thread just waits for each chain of kChain fetches.
+  // previous one's completion on the client event loop: the completion
+  // path, which a blocking fetch also takes on a busy connection. Each
+  // fetch is a post to the loop, a send on the next loop turn, and an
+  // epoll wake on the reply. Wall time only: the benchmark thread just
+  // waits for each chain of kChain fetches.
   constexpr int64_t kChain = 256;
   RemoteBackend& remote = BenchRemote();
   const NodeId n = static_cast<NodeId>(BenchGraph().num_nodes());

@@ -2,13 +2,18 @@
 
 #include <arpa/inet.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <system_error>
 #include <unordered_map>
 
 #include "net/wire.h"
@@ -70,6 +75,15 @@ Result<FetchReply> DecodeFetchReply(std::span<const std::byte> payload) {
   return reply;
 }
 
+// A reply frame's status: an error frame's payload is the server's message.
+Status ReplyStatus(const DecodedFrame& frame) {
+  if (frame.status == StatusCode::kOk) return Status::OK();
+  return Status::FromCode(
+      frame.status,
+      std::string(reinterpret_cast<const char*>(frame.payload.data()),
+                  frame.payload.size()));
+}
+
 }  // namespace
 
 /// One RPC across its attempts. Attempts never overlap: the next one is
@@ -87,14 +101,26 @@ struct RemoteBackend::Rpc {
 };
 
 /// One pool connection. `mu` guards what submitting threads share with the
-/// loop thread: they append request frames to `out` and register their
-/// RPC in `pending`. The critical sections are buffer appends and map
-/// operations, never a syscall. Everything else is the loop thread's.
+/// loop thread: they read `up`, append request frames to `out` and register
+/// their RPC in `pending`. The critical sections are buffer appends and map
+/// operations, never a syscall.
+///
+/// `io_mu` owns the socket of an up connection: its holder alone sends,
+/// receives, and touches `in`, `flushing`, `flush_pos` and `want_write`.
+/// The loop only try_locks it, around every read and write, so it never
+/// blocks on it. A blocking caller holds it for one round trip on an idle
+/// connection (CallerRoundTrip), which needs `pending` empty. The loop
+/// resets an up connection without `io_mu` only while an RPC is pending
+/// on it (a caller's failed round trip, handed over) or at destruction,
+/// so the two never overlap. Everything else — connect state, `fd` — is
+/// written by the loop thread only.
 struct RemoteBackend::Conn {
   std::mutex mu;
+  bool up = false;  // connected: set by FinishConnect, cleared by KillConn
   std::vector<std::byte> out;  // staging: frames not yet handed to flush
   std::unordered_map<uint64_t, std::shared_ptr<Rpc>> pending;
 
+  std::mutex io_mu;
   int fd = -1;  // -1 = down
   bool connecting = false;  // fd's non-blocking connect has not finished
   uint64_t connect_timer = 0;
@@ -136,7 +162,13 @@ Result<std::shared_ptr<RemoteBackend>> RemoteBackend::Connect(
     backend->conns_.push_back(std::make_unique<Conn>());
   }
   net::EventLoop* loop = backend->loop_.get();
-  backend->loop_thread_ = std::thread([loop] { loop->Run(); });
+  try {
+    backend->loop_thread_ = std::thread([loop] { loop->Run(); });
+  } catch (const std::system_error& e) {
+    return Status::ResourceExhausted(
+        std::string("remote backend: cannot start its event loop thread: ") +
+        e.what());
+  }
   WNW_RETURN_IF_ERROR(backend->Handshake());
   return backend;
 }
@@ -184,7 +216,9 @@ Result<std::vector<std::byte>> RemoteBackend::RoundTrip(
     }
     w->cv.notify_one();
   };
-  StartAttempt(waiter);
+  if (CallerRoundTrip(NextConn(), waiter, &waiter->reply)) {
+    return std::move(waiter->reply);
+  }
   std::unique_lock<std::mutex> lock(waiter->mu);
   waiter->cv.wait(lock, [&] { return waiter->finished; });
   WNW_RETURN_IF_ERROR(waiter->status);
@@ -264,14 +298,168 @@ void RemoteBackend::FetchNeighborsCompletion(NodeId u,
     }
     done(DecodeFetchReply(reply));
   };
-  StartAttempt(std::move(rpc));
+  StartAttempt(std::move(rpc), NextConn());
 }
 
-void RemoteBackend::StartAttempt(std::shared_ptr<Rpc> rpc) {
+RemoteBackend::Conn* RemoteBackend::NextConn() {
+  return conns_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
+                conns_.size()]
+      .get();
+}
+
+bool RemoteBackend::CallerRoundTrip(Conn* conn,
+                                    const std::shared_ptr<Rpc>& rpc,
+                                    std::vector<std::byte>* reply) {
+  WNW_DCHECK(!loop_->in_loop_thread());
+  std::unique_lock<std::mutex> io(conn->io_mu, std::try_to_lock);
+  uint64_t id = 0;
+  int fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    // `up` and an empty `pending` first: the socket state after them is
+    // only stable, and only read, once both hold and `io_mu` is ours.
+    if (io.owns_lock() && conn->up && conn->pending.empty() &&
+        conn->out.empty() && conn->in.empty() &&
+        conn->flush_pos >= conn->flushing.size() && !conn->want_write) {
+      id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
+      // Registered before the send, so KillConn and TimeoutCall find it.
+      conn->pending.emplace(id, rpc);
+      fd = conn->fd;
+    }
+  }
+  if (fd < 0) {
+    if (io.owns_lock()) io.unlock();
+    StartAttempt(rpc, conn);
+    return false;
+  }
+  rpcs_.fetch_add(1, std::memory_order_relaxed);
+  // Staged in `flushing`, as FlushConn sends it: what is still unsent when
+  // the socket is handed back is finished by the loop, in order.
+  conn->flushing.clear();
+  conn->flush_pos = 0;
+  Frame frame;
+  frame.opcode = static_cast<Opcode>(rpc->opcode);
+  frame.request_id = id;
+  frame.payload = rpc->payload;
+  net::EncodeFrame(frame, &conn->flushing);
+  bytes_sent_.fetch_add(conn->flushing.size(), std::memory_order_relaxed);
+  (void)loop_->Modify(fd, 0);  // the loop stops reading; this thread reads
+
+  // kKill: the connection is broken (write/read error, EOF, framing).
+  // kAnswered: an error reply or a wrong opcode; FinishOrRetry judges it.
+  enum class Outcome { kWaiting, kReply, kAnswered, kTimedOut, kKill };
+  Outcome outcome = Outcome::kWaiting;
+  Status why = Status::OK();
+  uint16_t reply_opcode = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration<double, std::milli>(options_.deadline_ms);
+  while (outcome == Outcome::kWaiting) {
+    why = WriteConn(conn);
+    if (!why.ok()) {
+      outcome = Outcome::kKill;
+      break;
+    }
+    const double left_ms = std::chrono::duration<double, std::milli>(
+                               deadline - std::chrono::steady_clock::now())
+                               .count();
+    if (left_ms <= 0.0) {
+      outcome = Outcome::kTimedOut;
+      break;
+    }
+    pollfd waiting{};
+    waiting.fd = fd;
+    waiting.events = static_cast<short>(
+        POLLIN | (conn->flush_pos < conn->flushing.size() ? POLLOUT : 0));
+    const int ready = ::poll(
+        &waiting, 1, static_cast<int>(std::ceil(std::min(left_ms, 60'000.0))));
+    if (ready < 0 && errno != EINTR) {
+      why = Status::Unavailable(std::string("remote poll: ") +
+                                std::strerror(errno));
+      outcome = Outcome::kKill;
+      break;
+    }
+    if (ready <= 0 || (waiting.revents & ~POLLOUT) == 0) continue;
+    const Status read = ReadConn(conn);
+    // Decode what arrived before acting on a failed read: the reply may
+    // have come in just ahead of the EOF.
+    size_t consumed = 0;
+    while (outcome == Outcome::kWaiting) {
+      DecodedFrame decoded;
+      auto taken = net::DecodeFrame(
+          std::span<const std::byte>(conn->in).subspan(consumed), &decoded);
+      if (!taken.ok()) {
+        why = taken.status();
+        outcome = Outcome::kKill;
+        break;
+      }
+      if (*taken == 0) break;
+      consumed += *taken;
+      // This RPC's frame is the only one on the wire from this
+      // connection, so any other id is a reply that outlived its deadline.
+      if (decoded.request_id != id) continue;
+      why = ReplyStatus(decoded);
+      if (why.ok() && decoded.opcode == rpc->opcode) {
+        reply->assign(decoded.payload.begin(), decoded.payload.end());
+        outcome = Outcome::kReply;
+      } else {
+        reply_opcode = decoded.opcode;
+        outcome = Outcome::kAnswered;
+      }
+    }
+    conn->in.erase(conn->in.begin(),
+                   conn->in.begin() + static_cast<ptrdiff_t>(consumed));
+    if (outcome == Outcome::kWaiting && !read.ok()) {
+      why = read;
+      outcome = Outcome::kKill;
+    }
+  }
+
+  // Hand the socket back. An answered RPC leaves `pending` first, while no
+  // one else can fail it.
+  if (outcome == Outcome::kReply || outcome == Outcome::kAnswered) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->pending.erase(id);
+  }
+  const bool unsent = conn->flush_pos < conn->flushing.size();
+  (void)loop_->Modify(fd, net::kEventRead);
+  io.unlock();
+  bool queued = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    queued = !conn->out.empty();
+  }
+  // A FlushConn that ran meanwhile found the socket taken and left it.
+  if (unsent || queued) loop_->Post([this, conn] { FlushConn(conn); });
+  switch (outcome) {
+    case Outcome::kReply:
+      return true;
+    case Outcome::kAnswered:
+      loop_->Post([this, rpc, why, reply_opcode] {
+        FinishOrRetry(rpc, why, reply_opcode, {});
+      });
+      break;
+    case Outcome::kTimedOut:
+      loop_->Post([this, conn, id] { TimeoutCall(conn, id); });
+      break;
+    default:  // kKill
+      // While the RPC is still pending the connection has not been killed
+      // since; once it is not, the loop has already failed it.
+      loop_->Post([this, conn, id, why] {
+        bool live = false;
+        {
+          std::lock_guard<std::mutex> lock(conn->mu);
+          live = conn->pending.count(id) != 0;
+        }
+        if (live) KillConn(conn, why);
+      });
+      break;
+  }
+  return false;
+}
+
+void RemoteBackend::StartAttempt(std::shared_ptr<Rpc> rpc, Conn* conn) {
   if (rpc->attempt == 0) rpcs_.fetch_add(1, std::memory_order_relaxed);
-  Conn* conn = conns_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
-                      conns_.size()]
-                   .get();
   const uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
   {
@@ -313,10 +501,10 @@ void RemoteBackend::FinishOrRetry(std::shared_ptr<Rpc> rpc, Status status,
   if (backoff_seconds > 0.0) {
     loop_->AddTimer(backoff_seconds,
                     [this, rpc = std::move(rpc)]() mutable {
-                      StartAttempt(std::move(rpc));
+                      StartAttempt(std::move(rpc), NextConn());
                     });
   } else {
-    StartAttempt(std::move(rpc));
+    StartAttempt(std::move(rpc), NextConn());
   }
 }
 
@@ -386,6 +574,10 @@ void RemoteBackend::FinishConnect(Conn* conn) {
   const int one = 1;
   ::setsockopt(conn->fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   (void)loop_->Modify(conn->fd, net::kEventRead);
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->up = true;
+  }
   FlushConn(conn);
 }
 
@@ -394,28 +586,39 @@ void RemoteBackend::OnConnIo(Conn* conn, uint32_t events) {
     FinishConnect(conn);
     return;
   }
-  if (events & net::kEventWrite) FlushConn(conn);
-  if ((events & net::kEventRead) == 0) return;
+  // A caller holding the socket has turned read interest off and hands the
+  // socket back with it on, so a skipped read event comes again.
+  std::unique_lock<std::mutex> io(conn->io_mu, std::try_to_lock);
+  if (!io.owns_lock()) return;
+  if (events & net::kEventWrite) FlushLocked(conn);
+  if ((events & net::kEventRead) == 0 || conn->fd < 0) return;
+  const Status read = ReadConn(conn);
+  if (!read.ok()) {
+    KillConn(conn, read);
+    return;
+  }
+  ProcessConnInput(conn);
+}
+
+Status RemoteBackend::ReadConn(Conn* conn) {
   char buf[64 * 1024];
   while (true) {
-    if (conn->fd < 0) return;
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       bytes_received_.fetch_add(static_cast<uint64_t>(n),
                                 std::memory_order_relaxed);
       const std::byte* bytes = reinterpret_cast<const std::byte*>(buf);
       conn->in.insert(conn->in.end(), bytes, bytes + n);
-      if (n < static_cast<ssize_t>(sizeof(buf))) break;
+      if (n < static_cast<ssize_t>(sizeof(buf))) return Status::OK();
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    KillConn(conn, Status::Unavailable(
-                       n == 0 ? "remote server closed the connection"
-                              : std::string("remote read: ") +
-                                    std::strerror(errno)));
-    return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return Status::OK();
+    }
+    return Status::Unavailable(n == 0 ? "remote server closed the connection"
+                                      : std::string("remote read: ") +
+                                            std::strerror(errno));
   }
-  ProcessConnInput(conn);
 }
 
 void RemoteBackend::ProcessConnInput(Conn* conn) {
@@ -437,16 +640,8 @@ void RemoteBackend::ProcessConnInput(Conn* conn) {
     std::shared_ptr<Rpc> rpc = TakePending(conn, frame.request_id);
     // No pending entry: a reply that outlived its deadline, already failed.
     if (rpc == nullptr) continue;
-    if (frame.status != StatusCode::kOk) {
-      // An error response: the payload is the server's status message.
-      const std::string msg(reinterpret_cast<const char*>(frame.payload.data()),
-                            frame.payload.size());
-      FinishOrRetry(std::move(rpc), Status::FromCode(frame.status, msg),
-                    frame.opcode, {});
-    } else {
-      FinishOrRetry(std::move(rpc), Status::OK(), frame.opcode,
-                    frame.payload);
-    }
+    FinishOrRetry(std::move(rpc), ReplyStatus(frame), frame.opcode,
+                  frame.payload);
   }
   conn->in.erase(conn->in.begin(),
                  conn->in.begin() + static_cast<ptrdiff_t>(consumed));
@@ -458,6 +653,12 @@ void RemoteBackend::ProcessConnInput(Conn* conn) {
 }
 
 void RemoteBackend::FlushConn(Conn* conn) {
+  // A caller holding the socket posts a flush when it hands it back.
+  std::unique_lock<std::mutex> io(conn->io_mu, std::try_to_lock);
+  if (io.owns_lock()) FlushLocked(conn);
+}
+
+void RemoteBackend::FlushLocked(Conn* conn) {
   WNW_DCHECK(loop_->in_loop_thread());
   while (conn->fd >= 0) {
     if (conn->flush_pos >= conn->flushing.size()) {
@@ -475,8 +676,25 @@ void RemoteBackend::FlushConn(Conn* conn) {
         return;
       }
     }
-    // The send runs outside the lock against the loop-thread-owned
-    // `flushing` buffer; concurrent caller appends only touch `out`.
+    // The send runs outside `mu` against `flushing`; concurrent caller
+    // appends only touch `out`.
+    const Status written = WriteConn(conn);
+    if (!written.ok()) {
+      KillConn(conn, written);
+      return;
+    }
+    if (conn->flush_pos < conn->flushing.size()) {
+      if (!conn->want_write) {
+        conn->want_write = true;
+        (void)loop_->Modify(conn->fd, net::kEventRead | net::kEventWrite);
+      }
+      return;
+    }
+  }
+}
+
+Status RemoteBackend::WriteConn(Conn* conn) {
+  while (conn->flush_pos < conn->flushing.size()) {
     const ssize_t n =
         ::send(conn->fd, conn->flushing.data() + conn->flush_pos,
                conn->flushing.size() - conn->flush_pos, MSG_NOSIGNAL);
@@ -484,17 +702,11 @@ void RemoteBackend::FlushConn(Conn* conn) {
       conn->flush_pos += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_write) {
-        conn->want_write = true;
-        (void)loop_->Modify(conn->fd, net::kEventRead | net::kEventWrite);
-      }
-      return;
-    }
-    KillConn(conn, Status::Unavailable(std::string("remote write: ") +
-                                       std::strerror(errno)));
-    return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    return Status::Unavailable(std::string("remote write: ") +
+                               std::strerror(errno));
   }
+  return Status::OK();
 }
 
 void RemoteBackend::KillConn(Conn* conn, const Status& why) {
@@ -513,6 +725,7 @@ void RemoteBackend::KillConn(Conn* conn, const Status& why) {
   std::unordered_map<uint64_t, std::shared_ptr<Rpc>> failed;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
+    conn->up = false;
     conn->out.clear();
     failed.swap(conn->pending);
   }

@@ -19,18 +19,27 @@
 // request_id — so N concurrent sessions cost N in-flight frames, not N
 // sockets or N threads.
 //
-// Every RPC takes one path. A submitter (any thread) appends the request
-// frame to a pool connection and posts it to the loop; everything after
-// that runs on the loop thread: the non-blocking connect when the
-// connection is down (frames queued meanwhile flush once it is up), the
-// deadline timer (a late reply is dropped by id, never misdelivered), the
-// reply, and the retry. Transient failures (connect refused/reset/timed
-// out, connection closed, deadline expiry) retry behind a loop backoff
-// timer, and every retry may reconnect, up to a bounded budget before
-// surfacing as Unavailable / DeadlineExceeded. Server-side backend errors
-// (e.g. OutOfRange for a bad node id) are rebuilt from the wire status
-// verbatim and never retried. The blocking methods are that same call plus
-// a wait on the caller's thread, which must not be the loop thread.
+// A submitter (any thread) appends the request frame to a pool connection
+// and posts it to the loop; everything after that runs on the loop thread:
+// the non-blocking connect when the connection is down (frames queued
+// meanwhile flush once it is up), the deadline timer (a late reply is
+// dropped by id, never misdelivered), the reply, and the retry. Transient
+// failures (connect refused/reset/timed out, connection closed, deadline
+// expiry) retry behind a loop backoff timer, and every retry may reconnect,
+// up to a bounded budget before surfacing as Unavailable /
+// DeadlineExceeded. Server-side backend errors (e.g. OutOfRange for a bad
+// node id) are rebuilt from the wire status verbatim and never retried.
+//
+// A blocking method (any thread but the loop's) on an idle connection —
+// up, nothing pending, queued, unflushed or unread — makes its first
+// attempt itself: it takes the connection's socket for one round trip,
+// writes its frame, polls under the attempt's deadline and reads its own
+// reply, so the loop thread is neither woken nor waited on. Only an OK
+// reply completes there. Every other outcome (socket error, EOF, framing
+// error, expired deadline, error reply) is handed to the loop, which
+// retries it like any other attempt. On a busy connection, and on every
+// retry, the blocking call is a completion plus a wait on the caller's
+// thread.
 #pragma once
 
 #include <netinet/in.h>
@@ -142,17 +151,30 @@ class RemoteBackend final : public AccessBackend {
 
   Status Handshake();
 
-  /// The blocking form of an RPC: submits it, waits on the caller's thread
-  /// for the completion, and returns the reply payload.
+  /// The blocking form of an RPC: makes the first attempt on the caller's
+  /// thread when the connection is idle (CallerRoundTrip), otherwise
+  /// submits it and waits on the caller's thread for the completion.
+  /// Returns the reply payload.
   Result<std::vector<std::byte>> RoundTrip(uint16_t opcode,
                                            std::vector<std::byte> payload);
 
-  /// Queues one attempt's frame on the next pool connection, registers it
-  /// as pending, and posts Dispatch. Never fails and never blocks: a down
-  /// connection is reconnected by the loop. Called by submitters for the
-  /// first attempt (which counts the RPC) and by the loop for retries;
-  /// `rpc->done` fires exactly once, on the loop thread.
-  void StartAttempt(std::shared_ptr<Rpc> rpc);
+  /// The first attempt of a blocking RPC, driven by its caller. When `conn`
+  /// is idle, holds its socket for one round trip and returns true with an
+  /// OK reply of the right opcode in *reply; any other outcome is handed to
+  /// the loop (returns false, `rpc->done` fires later). When `conn` is
+  /// busy, it is StartAttempt on `conn` (returns false).
+  bool CallerRoundTrip(Conn* conn, const std::shared_ptr<Rpc>& rpc,
+                       std::vector<std::byte>* reply);
+
+  /// The next pool connection, round-robin.
+  Conn* NextConn();
+
+  /// Queues one attempt's frame on `conn`, registers it as pending, and
+  /// posts Dispatch. Never fails and never blocks: a down connection is
+  /// reconnected by the loop. Called by submitters for the first attempt
+  /// (which counts the RPC) and by the loop for retries; `rpc->done` fires
+  /// exactly once, on the loop thread.
+  void StartAttempt(std::shared_ptr<Rpc> rpc, Conn* conn);
 
   /// Terminal demux for an attempt's outcome: completes the RPC, or starts
   /// the next attempt behind a loop backoff timer while the error is
@@ -166,7 +188,15 @@ class RemoteBackend final : public AccessBackend {
   void FinishConnect(Conn* conn);
   void OnConnIo(Conn* conn, uint32_t events);
   void ProcessConnInput(Conn* conn);
-  void FlushConn(Conn* conn);
+  void FlushConn(Conn* conn);  // a no-op while a caller holds the socket
+  void FlushLocked(Conn* conn);
+
+  // The holder of conn->io_mu, loop or caller, moves the bytes. ReadConn
+  // receives what the socket holds into conn->in; WriteConn sends
+  // conn->flushing until it is sent or the socket is full. Both return
+  // Unavailable on a socket error, ReadConn also on EOF.
+  Status ReadConn(Conn* conn);
+  Status WriteConn(Conn* conn);
   void KillConn(Conn* conn, const Status& why);
   void TimeoutCall(Conn* conn, uint64_t request_id);
   std::shared_ptr<Rpc> TakePending(Conn* conn, uint64_t request_id);

@@ -7,13 +7,17 @@
 // fetches as completions off this loop, so the in-flight window costs
 // pending frames, not parked threads.
 //
-// Threading model: everything except Post() and Stop() is loop-affine —
-// handlers run on the loop thread, and Add/Modify/Remove/AddTimer must be
-// called from it (or before Run() starts, while the loop is still single
-// threaded). Cross-thread work enters through Post(fn), which appends to a
-// mutex-guarded queue and wakes the loop via an eventfd. This keeps every
-// per-connection structure lock-free: a connection's buffers are only ever
-// touched by its loop's thread.
+// Threading model: everything except Post(), Stop() and Modify() is
+// loop-affine — handlers run on the loop thread, and Add/Remove/AddTimer
+// must be called from it (or before Run() starts, while the loop is still
+// single threaded). Cross-thread work enters through Post(fn), which
+// appends to a mutex-guarded queue and wakes the loop via an eventfd.
+// Modify() is one epoll_ctl and touches no loop state, so any thread may
+// call it on an fd that stays registered meanwhile: RemoteBackend turns
+// off a connection's read interest while a blocking caller reads that
+// socket itself. The server's connection buffers are only ever touched by
+// their loop's thread; RemoteBackend's client buffers are shared with such
+// a caller under a per-connection mutex the loop only try_locks.
 //
 // Deadlines ride a hashed timer wheel (10 ms ticks, 512 slots) swept after
 // every epoll_wait; the wait timeout is derived from the wheel's next due
@@ -118,6 +122,8 @@ class EventLoop {
   /// dispatch batch is in flight stays alive until the batch finishes —
   /// stale events for removed fds are skipped, not delivered.
   Status Add(int fd, uint32_t events, IoHandler handler);
+  /// Thread-safe, unlike Add and Remove: the caller keeps `fd` registered.
+  /// `events` = 0 leaves only hangups and errors reported.
   Status Modify(int fd, uint32_t events);
   Status Remove(int fd);
 

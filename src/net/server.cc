@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 
@@ -104,9 +105,22 @@ Result<std::unique_ptr<WnwServer>> WnwServer::Start(
   WnwServer* raw = server.get();
   WNW_RETURN_IF_ERROR(server->loops_[0]->loop->Add(
       server->listen_fd_, kEventRead, [raw](uint32_t) { raw->OnAccept(); }));
-  for (auto& reactor : server->loops_) {
-    EventLoop* loop = reactor->loop.get();
-    server->threads_.emplace_back([loop] { loop->Run(); });
+  // Reactor 0 starts last, so no connection is accepted unless every
+  // reactor runs; a failed spawn stops the ones already started.
+  for (size_t i = server->loops_.size(); i-- > 0;) {
+    EventLoop* loop = server->loops_[i]->loop.get();
+    try {
+      server->threads_.emplace_back([loop] { loop->Run(); });
+    } catch (const std::system_error& e) {
+      for (size_t j = server->loops_.size(); --j > i;) {
+        server->loops_[j]->loop->Stop();
+      }
+      for (std::thread& thread : server->threads_) thread.join();
+      server->threads_.clear();
+      return Status::ResourceExhausted(
+          std::string("wnw server: cannot start a reactor thread: ") +
+          e.what());
+    }
   }
   return server;
 }

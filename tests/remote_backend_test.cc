@@ -4,17 +4,26 @@
 // connect, server killed mid-run, deadline expiry against a mute peer →
 // bounded retries, then Unavailable/DeadlineExceeded; a retry reconnects
 // to a restarted server; a completion may resubmit), and the
-// session-stats remote telemetry. The remote spec keys' conflict rules are
-// in spec_keys_test.cc.
+// session-stats remote telemetry. It also covers the blocking call's own
+// round trip on an idle connection (its deadline, a late reply, and mixed
+// blocking and completion traffic on one connection) and a failed thread
+// spawn in Connect and WnwServer::Start. The remote spec keys' conflict
+// rules are in spec_keys_test.cc.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <string>
@@ -25,6 +34,7 @@
 #include "core/session.h"
 #include "engine/walk_engine.h"
 #include "net/server.h"
+#include "net/wire.h"
 #include "test_util.h"
 
 namespace wnw {
@@ -79,8 +89,148 @@ class MuteListener {
   int port_ = 0;
 };
 
+// A one-connection-at-a-time wnw peer that follows a script. It answers
+// the Stats handshake at once and answers FetchNeighbors(u) with {u}, but
+// holds its replies to the first `held` FetchNeighbors requests. It sends
+// them late, as {kLateNeighbor}, when the next FetchNeighbors arrives, and
+// answers that one (and every later one) kReplyDelay later, so the client
+// reads and drops the late frames while it waits for its own.
+class ScriptedListener {
+ public:
+  static constexpr NodeId kLateNeighbor = 9;
+  static constexpr auto kReplyDelay = std::chrono::milliseconds(20);
+
+  explicit ScriptedListener(int held) : held_(held) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(fd_, 8), 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~ScriptedListener() {
+    ::shutdown(fd_, SHUT_RDWR);  // wakes the blocked accept
+    thread_.join();
+    ::close(fd_);
+  }
+  int port() const { return port_; }
+  int accepted() const { return accepted_.load(); }
+
+ private:
+  void Serve() {
+    while (true) {
+      const int conn = ::accept(fd_, nullptr, nullptr);
+      if (conn < 0) return;
+      ++accepted_;
+      ServeConnection(conn);
+      ::close(conn);
+    }
+  }
+
+  // Returns once the client closes the connection.
+  void ServeConnection(int conn) {
+    std::vector<std::byte> in;
+    std::vector<uint64_t> late;  // ids whose replies are held
+    int held_so_far = 0;
+    char buf[4096];
+    while (true) {
+      const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
+      if (n <= 0) return;
+      const auto* bytes = reinterpret_cast<const std::byte*>(buf);
+      in.insert(in.end(), bytes, bytes + n);
+      size_t consumed = 0;
+      while (true) {
+        net::DecodedFrame frame;
+        auto taken = net::DecodeFrame(
+            std::span<const std::byte>(in).subspan(consumed), &frame);
+        if (!taken.ok()) return;
+        if (*taken == 0) break;
+        consumed += *taken;
+        std::vector<std::byte> payload;
+        if (frame.opcode == static_cast<uint16_t>(net::Opcode::kStats)) {
+          net::StatsReply stats;
+          stats.num_nodes = 10;
+          stats.origin = "scripted";
+          net::EncodeStatsReply(stats, &payload);
+          Send(conn, net::Opcode::kStats, frame.request_id, payload);
+          continue;
+        }
+        if (held_so_far < held_) {
+          ++held_so_far;
+          late.push_back(frame.request_id);
+          continue;
+        }
+        const std::vector<NodeId> stale = {kLateNeighbor};
+        for (const uint64_t id : late) {
+          payload.clear();
+          net::EncodeNeighborsReply(-1, 0.0, 0.0, stale, &payload);
+          Send(conn, net::Opcode::kFetchNeighbors, id, payload);
+        }
+        late.clear();
+        std::this_thread::sleep_for(kReplyDelay);
+        const std::vector<NodeId> own = {
+            net::DecodeFetchRequest(frame.payload).value()};
+        payload.clear();
+        net::EncodeNeighborsReply(-1, 0.0, 0.0, own, &payload);
+        Send(conn, net::Opcode::kFetchNeighbors, frame.request_id, payload);
+      }
+      in.erase(in.begin(), in.begin() + static_cast<ptrdiff_t>(consumed));
+    }
+  }
+
+  static void Send(int conn, net::Opcode opcode, uint64_t id,
+                   std::span<const std::byte> payload) {
+    net::Frame frame;
+    frame.opcode = opcode;
+    frame.request_id = id;
+    frame.payload = payload;
+    std::vector<std::byte> wire;
+    net::EncodeFrame(frame, &wire);
+    ASSERT_EQ(::send(conn, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+  }
+
+  const int held_;
+  int fd_ = -1;
+  int port_ = 0;
+  std::atomic<int> accepted_{0};
+  std::thread thread_;
+};
+
 std::string Addr(int port) {
   return "127.0.0.1:" + std::to_string(port);
+}
+
+// Caps this process's address space at its current size plus `headroom`
+// bytes. Only ever called in a death-test child.
+void CapAddressSpace(size_t headroom) {
+  size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const rlim_t cap =
+      pages * static_cast<size_t>(::sysconf(_SC_PAGESIZE)) + headroom;
+  const rlimit limit{cap, cap};
+  if (::setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+}
+
+// The stack a std::thread maps for itself.
+size_t DefaultThreadStack() {
+  pthread_attr_t attr;
+  size_t stack = 0;
+  pthread_getattr_default_np(&attr);
+  pthread_attr_getstacksize(&attr, &stack);
+  pthread_attr_destroy(&attr);
+  return stack;
+}
+
+// Death-test body: prints `status` and exits 0 iff it is ResourceExhausted.
+[[noreturn]] void ExitWithStatus(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  std::_Exit(status.code() == StatusCode::kResourceExhausted ? 0 : 1);
 }
 
 class RemoteBackendTest : public ::testing::Test {
@@ -182,6 +332,68 @@ TEST(RemoteBackendFailureTest, MuteServerMissesDeadline) {
   EXPECT_EQ(remote.status().code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST(RemoteBackendFailureTest, BlockingFetchMissesDeadlineAndDropsLateReply) {
+  RemoteBackendOptions options = FastFail();  // one connection
+  options.deadline_ms = 100.0;
+  options.max_retries = 2;
+  // Every attempt of the first fetch is held past its deadline.
+  ScriptedListener peer(1 + options.max_retries);
+  auto remote = RemoteBackend::Connect(Addr(peer.port()), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  // The handshake completes on the loop thread. Give it the moment it
+  // takes to hand the connection back, so the fetch finds it idle and
+  // makes its first attempt itself.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto start = std::chrono::steady_clock::now();
+  auto missed = (*remote)->FetchNeighbors(3);
+  ASSERT_FALSE(missed.ok());
+  EXPECT_EQ(missed.status().code(), StatusCode::kDeadlineExceeded)
+      << missed.status().ToString();
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(300));  // three whole deadlines
+  EXPECT_EQ((*remote)->retries(), 2u);
+
+  // The held replies arrive just ahead of this fetch's own; they are
+  // dropped by id, not delivered to it, and the connection stays up.
+  auto answered = (*remote)->FetchNeighbors(4);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered->TakeNeighbors(), std::vector<NodeId>{4});
+  EXPECT_EQ((*remote)->retries(), 2u);
+  EXPECT_EQ((*remote)->rpcs(), 3u);  // handshake + two fetches
+  EXPECT_EQ(peer.accepted(), 1);
+}
+
+TEST(RemoteBackendFailureTest, FrameQueuedBehindABlockingFetchIsFlushed) {
+  RemoteBackendOptions options = FastFail();  // one connection
+  options.deadline_ms = 2000.0;
+  options.max_retries = 0;
+  ScriptedListener peer(0);  // answers every fetch kReplyDelay late
+  auto remote = RemoteBackend::Connect(Addr(peer.port()), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  auto blocking = std::async(std::launch::async, [&remote] {
+    return (*remote)->FetchNeighbors(1);
+  });
+  // The blocking fetch now holds the socket while it waits. The loop
+  // cannot flush the completion's frame until the socket is handed back;
+  // if nothing flushed it then, it would miss its deadline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::promise<Result<FetchReply>> queued;
+  (*remote)->FetchNeighborsCompletion(
+      2, [&queued](Result<FetchReply> reply) {
+        queued.set_value(std::move(reply));
+      });
+  Result<FetchReply> first = blocking.get();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->TakeNeighbors(), std::vector<NodeId>{1});
+  Result<FetchReply> second = queued.get_future().get();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->TakeNeighbors(), std::vector<NodeId>{2});
+  EXPECT_EQ((*remote)->retries(), 0u);
+}
+
 TEST_F(RemoteBackendTest, ServerKilledMidRunFailsBoundedThenUnavailable) {
   StartServer();
   auto remote = RemoteBackend::Connect(Addr(server_->port()), FastFail());
@@ -270,6 +482,103 @@ TEST_F(RemoteBackendTest, CompletionMayResubmitToItsOwnConnection) {
   ASSERT_EQ(all_done.get_future().wait_for(std::chrono::seconds(30)),
             std::future_status::ready);
   EXPECT_EQ(unavailable, kChain);
+}
+
+TEST_F(RemoteBackendTest, BlockingAndCompletionFetchesShareOneConnection) {
+  StartServer();
+  RemoteBackendOptions options = FastFail();  // one connection
+  options.deadline_ms = 5000.0;
+  auto remote = RemoteBackend::Connect(Addr(server_->port()), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  const uint64_t rpcs_before = (*remote)->rpcs();
+  const NodeId n = static_cast<NodeId>(graph_.num_nodes());
+  auto expected = [&](NodeId u) {
+    return backend_->FetchNeighbors(u).value().TakeNeighbors();
+  };
+
+  // A completion chain, each fetch issued from the previous one's
+  // completion on the loop thread, the shape of BM_RemoteFetchChained...
+  constexpr int kChain = 300;
+  int chain_left = kChain;
+  NodeId chain_node = 0;
+  std::promise<void> chain_done;
+  std::function<void(Result<FetchReply>)> next =
+      [&](Result<FetchReply> reply) {
+        EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+        if (reply.ok()) {
+          EXPECT_EQ(reply->TakeNeighbors(), expected(chain_node))
+              << "chained node " << chain_node;
+        }
+        if (--chain_left == 0) {
+          chain_done.set_value();
+          return;
+        }
+        chain_node = (chain_node + 1) % n;
+        (*remote)->FetchNeighborsCompletion(chain_node, next);
+      };
+  (*remote)->FetchNeighborsCompletion(chain_node, next);
+
+  // ...while three threads make blocking fetches and batches.
+  constexpr int kThreads = 3;
+  constexpr int kCallsPerThread = 150;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        const NodeId u = static_cast<NodeId>((t * 31 + i * 7) % n);
+        if (i % 3 == 2) {
+          const std::vector<NodeId> nodes = {u, (u + 1) % n};
+          auto batch = (*remote)->FetchBatch(nodes);
+          ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+          EXPECT_EQ(batch->lists, backend_->FetchBatch(nodes).value().lists)
+              << "batch at node " << u;
+        } else {
+          auto reply = (*remote)->FetchNeighbors(u);
+          ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+          EXPECT_EQ(reply->TakeNeighbors(), expected(u)) << "node " << u;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_EQ(chain_done.get_future().wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+
+  EXPECT_EQ((*remote)->rpcs() - rpcs_before,
+            static_cast<uint64_t>(kChain + kThreads * kCallsPerThread));
+  EXPECT_EQ((*remote)->retries(), 0u);
+  EXPECT_EQ(server_->counters().connections_accepted, 1u);
+}
+
+// A thread that cannot be spawned is a Status, not a std::system_error
+// escaping into std::terminate. Each child caps its own address space so
+// that the next thread stack does not fit. The children are fresh
+// processes ("threadsafe" style): a forked child would inherit the cached
+// stacks of threads that earlier tests joined, and need no new mapping.
+TEST(ThreadSpawnFailureTest, ConnectIsResourceExhausted) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        CapAddressSpace(DefaultThreadStack() / 4);
+        ExitWithStatus(
+            RemoteBackend::Connect(Addr(ClosedPort()), FastFail()).status());
+      },
+      ::testing::ExitedWithCode(0), "ResourceExhausted");
+}
+
+TEST(ThreadSpawnFailureTest, ServerStartStopsTheReactorsItStarted) {
+  Graph graph = testing::MakeTestBA(40, 3, 5);
+  auto backend = std::make_shared<InMemoryBackend>(&graph);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        // Room for one reactor stack of three: the first spawn succeeds,
+        // the second fails, and the started reactor is stopped and joined.
+        const size_t stack = DefaultThreadStack();
+        CapAddressSpace(stack + stack / 2);
+        ExitWithStatus(net::WnwServer::Start(backend, {.threads = 3}).status());
+      },
+      ::testing::ExitedWithCode(0), "ResourceExhausted");
 }
 
 // --- the acceptance gate -----------------------------------------------------
