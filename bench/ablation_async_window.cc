@@ -8,8 +8,12 @@
 //   window=W  — up to W requests overlap: independent walks hide each
 //               other's round trips and prefetch batches fan out, so
 //               elapsed falls toward the longest single-walker chain;
-//   sync      — no executor at all: each walker sleeps its own requests
-//               serially but walkers overlap on their pool threads.
+//   sync      — no executor at all: each walker waits out its own
+//               requests serially (they complete from the deadline timer,
+//               so the row's peak counts that one thread too), but walkers
+//               overlap on their pool threads. Its samples and cost are
+//               gated like every row; its time and threads are only
+//               reported.
 //
 // The acceptance bars: window=8 must be >= 3x faster than window=1 in
 // wall-clock elapsed_seconds, at IDENTICAL per-walker sample outputs and

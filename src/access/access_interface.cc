@@ -168,8 +168,8 @@ void AccessInterface::PrefetchAsync(std::span<const NodeId> nodes) {
   ++meter_.prefetch_batches;
 
   if (executor_ == nullptr) {
-    // No executor: the synchronous FetchBatch path (decorators account the
-    // batch as concurrently dispatched — it pays the slowest round trip).
+    // No executor: the synchronous FetchBatch path, billed by the same
+    // BatchLatch fold as an executor batch (it pays the slowest round trip).
     auto reply = backend_->FetchBatch(batch_buf_);
     if (!reply.ok()) {
       WNW_LOG(kError) << "backend batch fetch failed: "

@@ -18,16 +18,86 @@ void AccessBackend::FetchNeighborsCompletion(NodeId u,
   done(FetchNeighbors(u));
 }
 
+Result<FetchReply> AccessBackend::AwaitCompletion(NodeId u) {
+  // Shared with the callback, which notifies after unlocking (a waiter
+  // woken under the lock would only block again on the mutex) and so may
+  // still touch the state after the waiter has returned.
+  struct Waiter {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::optional<Result<FetchReply>> reply;
+  };
+  auto waiter = std::make_shared<Waiter>();
+  FetchNeighborsCompletion(u, [waiter](Result<FetchReply> reply) {
+    {
+      std::lock_guard<std::mutex> lock(waiter->mu);
+      waiter->reply.emplace(std::move(reply));
+    }
+    waiter->cv.notify_one();
+  });
+  std::unique_lock<std::mutex> lock(waiter->mu);
+  waiter->cv.wait(lock, [&] { return waiter->reply.has_value(); });
+  return std::move(*waiter->reply);
+}
+
 Result<BatchReply> AccessBackend::FetchBatch(std::span<const NodeId> nodes) {
+  auto latch = std::make_shared<BatchLatch>(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    FetchNeighborsCompletion(nodes[i], BatchLatch::Slot(latch, i));
+  }
+  return latch->Wait();
+}
+
+BatchLatch::BatchLatch(size_t size) : remaining_(size), slots_(size) {}
+
+AccessBackend::CompletionCallback BatchLatch::Slot(
+    std::shared_ptr<BatchLatch> latch, size_t i) {
+  return [latch = std::move(latch), i](Result<FetchReply> reply) {
+    latch->Fill(i, std::move(reply));
+  };
+}
+
+void BatchLatch::Fill(size_t i, Result<FetchReply> reply) {
+  bool last = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    slots_[i] = std::move(reply);
+    last = --remaining_ == 0;
+  }
+  if (last) cv_.notify_all();
+}
+
+Result<BatchReply> BatchLatch::Wait() {
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return remaining_ == 0; });
+  }
+  // Sole user of the slots now: remaining_ == 0 publishes after the last
+  // slot write under mu_.
   BatchReply reply;
-  reply.lists.reserve(nodes.size());
-  reply.shards.reserve(nodes.size());
-  for (NodeId u : nodes) {
-    WNW_ASSIGN_OR_RETURN(FetchReply one, FetchNeighbors(u));
-    reply.simulated_seconds += one.simulated_seconds;
-    reply.shards.push_back(one.shard);
-    reply.BillStall(one.shard, one.serial_seconds);
-    reply.lists.push_back(one.TakeNeighbors());
+  reply.lists.reserve(slots_.size());
+  reply.shards.reserve(slots_.size());
+  std::vector<double> shard_parallel;  // indexed by shard
+  std::vector<double> shard_serial;
+  for (std::optional<Result<FetchReply>>& slot : slots_) {
+    WNW_CHECK(slot.has_value());
+    Result<FetchReply>& one = *slot;
+    if (!one.ok()) return one.status();
+    const size_t s = static_cast<size_t>(one->shard);
+    if (s >= shard_parallel.size()) {
+      shard_parallel.resize(s + 1, 0.0);
+      shard_serial.resize(s + 1, 0.0);
+    }
+    shard_parallel[s] = std::max(shard_parallel[s],
+                                 one->simulated_seconds - one->serial_seconds);
+    shard_serial[s] += one->serial_seconds;
+    reply.shards.push_back(one->shard);
+    reply.BillStall(one->shard, one->serial_seconds);
+    reply.lists.push_back(one->TakeNeighbors());
+  }
+  for (size_t s = 0; s < shard_parallel.size(); ++s) {
+    reply.simulated_seconds =
+        std::max(reply.simulated_seconds, shard_parallel[s] + shard_serial[s]);
   }
   return reply;
 }

@@ -14,10 +14,14 @@
 // Backends are thread-safe (one simulated remote service shared by many
 // concurrent sampling sessions) and Result<>-based; the decorators report the
 // simulated wall-clock seconds each request would have taken, which is how
-// "walk, not wait" tradeoffs become measurable. Batched fetches let a
-// latency-simulating backend serve independent probes concurrently: a batch
-// pays the slowest round trip instead of the sum, and against a sharded
-// origin the slowest *shard*.
+// "walk, not wait" tradeoffs become measurable.
+//
+// The fetch contract: an origin implements the synchronous FetchNeighbors
+// (and inherits an inline FetchNeighborsCompletion); a decorator implements
+// FetchNeighborsCompletion and makes its FetchNeighbors the one-line wait
+// AwaitCompletion(u). A batch is one completion per node joined by a
+// BatchLatch, whose fold is the only batch-billing rule: the executor's
+// batches and every synchronous FetchBatch bill through it.
 //
 // Replies are arena-backed: the origin answers with a span into stable
 // server-side storage (the CSR adjacency arena, or the memoized fixed
@@ -26,9 +30,12 @@
 // without allocating.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <unordered_map>
@@ -81,9 +88,8 @@ struct AccessOptions {
 /// rate-limit waiting); the in-memory origin reports 0. `serial_seconds` is
 /// the subset of `simulated_seconds` that is server-enforced serially and
 /// does NOT parallelize across concurrent dispatch (rate-limit token
-/// stalls): concurrent aggregators group replies by origin `shard` and take
-/// max over shards of (max(parallel part) + sum(shard's serial part)),
-/// matching the synchronous FetchBatch decorators.
+/// stalls). BatchLatch folds a batch's replies by origin `shard`: max over
+/// shards of (max(parallel part) + sum(shard's serial part)).
 struct FetchReply {
   std::span<const NodeId> neighbors;
   std::vector<NodeId> owned;  // backs `neighbors` when non-empty
@@ -183,7 +189,8 @@ class AccessBackend {
     return options().restriction != NeighborRestriction::kRandomSubset;
   }
 
-  /// Local-neighborhood query for one node.
+  /// Local-neighborhood query for one node. Origins answer it directly;
+  /// decorators implement it as `return AwaitCompletion(u);`.
   virtual Result<FetchReply> FetchNeighbors(NodeId u) = 0;
 
   /// Completion callback for FetchNeighborsCompletion: invoked exactly once
@@ -198,7 +205,8 @@ class AccessBackend {
   /// for origins that answer from memory. A backend whose fetch waits (a
   /// network round trip, a simulated sleep) overrides it to return without
   /// waiting and complete later: only then do its requests overlap under an
-  /// executor window. Decorators forward it to their inner backend.
+  /// executor window. Decorators implement their behaviour here, around
+  /// their inner backend's completion.
   virtual void FetchNeighborsCompletion(NodeId u, CompletionCallback done);
 
   /// True when FetchNeighbors can sleep the serving thread for real wall
@@ -207,16 +215,58 @@ class AccessBackend {
   virtual bool may_block() const { return false; }
 
   /// Batched query: semantically equivalent to one FetchNeighbors per node,
-  /// but decorators may serve the requests concurrently (latency pays the
-  /// slowest round trip, not the sum) and a sharded origin dispatches
-  /// per-shard sub-batches in parallel (the batch pays the slowest shard).
-  /// Default: a sequential loop.
+  /// but served concurrently. Default: one FetchNeighborsCompletion per node
+  /// into a BatchLatch, then its Wait() — slept requests overlap on their
+  /// deadline timer, and the batch bills by the latch's fold. On a failed
+  /// request the rest still complete and the first error is returned.
   virtual Result<BatchReply> FetchBatch(std::span<const NodeId> nodes);
 
   /// Resets simulated client-facing state (rate-limit windows, latency RNG
   /// position). Server-side subset choices persist — they model the remote
   /// service. Default no-op.
   virtual void ResetSimulation() {}
+
+ protected:
+  /// FetchNeighborsCompletion(u), waited for on the calling thread: the
+  /// whole synchronous fetch of a decorator.
+  Result<FetchReply> AwaitCompletion(NodeId u);
+};
+
+/// The join of one batch's per-request completions, and the one place a
+/// batch is billed. Slots fill in any order from any thread; Wait() folds
+/// them into a BatchReply whose lists parallel the request order. Replies
+/// group by the origin shard that served them: within a shard the batch
+/// completes when its slowest parallelizable request does, plus every
+/// serial stall (rate-limit tokens) of that shard's own limiter; across
+/// shards those completion times overlap, so the batch pays the slowest
+/// shard. Unsharded origins put every reply in shard 0, which reduces to
+/// max(parallel) + sum(serial).
+class BatchLatch {
+ public:
+  explicit BatchLatch(size_t size);
+
+  /// The completion for request i: fills slot i (see Fill). The callback
+  /// holds the latch, so a latch nobody waits on stays valid until its last
+  /// request completes.
+  static AccessBackend::CompletionCallback Slot(
+      std::shared_ptr<BatchLatch> latch, size_t i);
+
+  /// Stores request i's reply; the last fill wakes the waiter. Each slot is
+  /// filled exactly once.
+  void Fill(size_t i, Result<FetchReply> reply);
+
+  /// Blocks until every slot is filled, then folds them; at most one call.
+  /// A failed request fails the batch with the first error (in request
+  /// order).
+  Result<BatchReply> Wait();
+
+  size_t size() const { return slots_.size(); }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t remaining_;  // guarded by mu_
+  std::vector<std::optional<Result<FetchReply>>> slots_;
 };
 
 /// The §6.3.1 restriction simulation, shared by every origin backend

@@ -9,56 +9,9 @@
 namespace wnw {
 
 Result<BatchReply> CompletionExecutor::BatchHandle::Wait() {
-  WNW_CHECK(state_ != nullptr);
-  std::shared_ptr<State> state = std::move(state_);
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock, [&] { return state->remaining == 0; });
-  }
-  // Sole owner of the slots now: every completion fired (remaining == 0
-  // publishes after the last slot write under state->mu).
-  BatchReply reply;
-  reply.lists.reserve(state->slots.size());
-  reply.shards.reserve(state->slots.size());
-  Status first_error = Status::OK();
-  // Replies group by the origin shard that served them: within a shard the
-  // batch completes when its slowest parallelizable request does, plus
-  // every server-enforced serial stall (rate-limit tokens) of that shard's
-  // own limiter; across shards those completion times overlap, so the batch
-  // pays the slowest shard — the same totals the synchronous FetchBatch
-  // decorators and ShardedBackend account. Unsharded origins put every
-  // reply in shard 0, reducing to max(parallel) + sum(serial).
-  std::vector<double> shard_parallel;  // indexed by shard
-  std::vector<double> shard_serial;
-  for (std::optional<Result<FetchReply>>& slot : state->slots) {
-    WNW_CHECK(slot.has_value());
-    Result<FetchReply>& one = *slot;
-    if (!one.ok()) {
-      // Keep folding: every slot is consumed so the caller gets complete
-      // (if partly empty) lists plus the first failure.
-      if (first_error.ok()) first_error = one.status();
-      reply.lists.emplace_back();
-      reply.shards.push_back(0);
-      continue;
-    }
-    const size_t s = static_cast<size_t>(one->shard);
-    if (s >= shard_parallel.size()) {
-      shard_parallel.resize(s + 1, 0.0);
-      shard_serial.resize(s + 1, 0.0);
-    }
-    shard_parallel[s] = std::max(shard_parallel[s],
-                                 one->simulated_seconds - one->serial_seconds);
-    shard_serial[s] += one->serial_seconds;
-    reply.shards.push_back(one->shard);
-    reply.BillStall(one->shard, one->serial_seconds);
-    reply.lists.push_back(one->TakeNeighbors());
-  }
-  if (!first_error.ok()) return first_error;
-  for (size_t s = 0; s < shard_parallel.size(); ++s) {
-    reply.simulated_seconds =
-        std::max(reply.simulated_seconds, shard_parallel[s] + shard_serial[s]);
-  }
-  return reply;
+  WNW_CHECK(latch_ != nullptr);
+  std::shared_ptr<BatchLatch> latch = std::move(latch_);
+  return latch->Wait();
 }
 
 CompletionExecutor::CompletionExecutor(AsyncOptions options)
@@ -121,28 +74,13 @@ CompletionExecutor::FetchFuture CompletionExecutor::SubmitFetch(
   return future;
 }
 
-CompletionExecutor::FetchCallback CompletionExecutor::BatchSlotCallback(
-    std::shared_ptr<BatchHandle::State> state, size_t i) {
-  return [state = std::move(state), i](Result<FetchReply> result) {
-    bool last = false;
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->slots[i] = std::move(result);
-      last = --state->remaining == 0;
-    }
-    if (last) state->cv.notify_all();
-  };
-}
-
 CompletionExecutor::BatchHandle CompletionExecutor::SubmitBatch(
     std::shared_ptr<AccessBackend> backend, std::span<const NodeId> nodes) {
   WNW_CHECK(backend != nullptr);
   BatchHandle handle;
-  handle.state_ = std::make_shared<BatchHandle::State>();
-  handle.state_->remaining = nodes.size();
-  handle.state_->slots.resize(nodes.size());
+  handle.latch_ = std::make_shared<BatchLatch>(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    SubmitFetch(backend, nodes[i], BatchSlotCallback(handle.state_, i));
+    SubmitFetch(backend, nodes[i], BatchLatch::Slot(handle.latch_, i));
   }
   return handle;
 }

@@ -20,9 +20,12 @@
 //     unslept decorators over them) complete inline on the submitting
 //     thread.
 //
-// A custom backend whose synchronous FetchNeighbors blocks runs inline
-// too, on the submitting thread; its requests overlap under a window only
-// if it overrides FetchNeighborsCompletion to complete asynchronously.
+// Decorators do their work in FetchNeighborsCompletion (their synchronous
+// FetchNeighbors only waits on it). A custom origin whose FetchNeighbors
+// blocks runs inline, on the submitting thread; its requests overlap under
+// a window only if it overrides FetchNeighborsCompletion to complete
+// asynchronously. A batch is joined by a BatchLatch, whose fold bills it
+// exactly like a synchronous AccessBackend::FetchBatch.
 //
 // The executor is the same primitive AccessInterface::PrefetchAsync /
 // Wait, RunWalkerPool, and RunWalkEngine compose over:
@@ -50,7 +53,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -80,13 +82,11 @@ class CompletionExecutor {
   /// block or submit further executor work.
   using FetchCallback = std::function<void(Result<FetchReply>)>;
 
-  /// The in-flight half of one SubmitBatch call. Wait() joins the
-  /// per-request completions into a BatchReply whose lists parallel the
-  /// submitted node order and whose simulated_seconds is the slowest
-  /// request (concurrent dispatch: the batch completes when its last
-  /// request does). Dropping a handle without waiting is safe — the
-  /// underlying operations still run to completion and their results are
-  /// discarded.
+  /// The in-flight half of one SubmitBatch call: a BatchLatch over the
+  /// per-request completions, so Wait() bills the batch by the same fold
+  /// as a synchronous AccessBackend::FetchBatch. Dropping a handle without
+  /// waiting is safe — the underlying operations still run to completion
+  /// and their results are discarded.
   class BatchHandle {
    public:
     BatchHandle() = default;
@@ -100,23 +100,13 @@ class CompletionExecutor {
     /// error is returned.
     Result<BatchReply> Wait();
 
-    size_t size() const { return state_ == nullptr ? 0 : state_->slots.size(); }
-    bool pending() const { return state_ != nullptr; }
+    size_t size() const { return latch_ == nullptr ? 0 : latch_->size(); }
+    bool pending() const { return latch_ != nullptr; }
 
    private:
     friend class CompletionExecutor;
 
-    /// Shared with every per-request completion callback: slots fill in
-    /// any order, the last one signals. Outlives the handle when dropped
-    /// without Wait().
-    struct State {
-      std::mutex mu;
-      std::condition_variable cv;
-      size_t remaining = 0;
-      std::vector<std::optional<Result<FetchReply>>> slots;
-    };
-
-    std::shared_ptr<State> state_;
+    std::shared_ptr<BatchLatch> latch_;
   };
 
   explicit CompletionExecutor(AsyncOptions options = {});
@@ -135,8 +125,8 @@ class CompletionExecutor {
   FetchFuture SubmitFetch(std::shared_ptr<AccessBackend> backend, NodeId node);
 
   /// Fans `nodes` out into one operation per node, all competing for the
-  /// window. This is the truly concurrent counterpart of
-  /// AccessBackend::FetchBatch; over an asynchronous backend the whole
+  /// window. This is the windowed counterpart of AccessBackend::FetchBatch,
+  /// billed by the same BatchLatch; over an asynchronous backend the whole
   /// batch is in flight at once with no thread parked.
   BatchHandle SubmitBatch(std::shared_ptr<AccessBackend> backend,
                           std::span<const NodeId> nodes);
@@ -159,11 +149,6 @@ class CompletionExecutor {
     NodeId node = 0;
     FetchCallback done;
   };
-
-  /// One slot-filling completion for batch member i: writes the slot, and
-  /// the completion that zeroes `remaining` wakes the waiter.
-  static FetchCallback BatchSlotCallback(
-      std::shared_ptr<BatchHandle::State> state, size_t i);
 
   /// Admits queue-front operations while window slots are free. Requires
   /// `lock` held on mu_; releases it around each dispatch. Reentrancy-safe:

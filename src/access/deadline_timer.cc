@@ -1,9 +1,13 @@
 #include "access/deadline_timer.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -44,26 +48,39 @@ DeadlineTimer::~DeadlineTimer() {
   }
 }
 
-void DeadlineTimer::At(Clock::time_point deadline, std::function<void()> fn) {
+Status DeadlineTimer::At(Clock::time_point deadline,
+                         std::function<void()> fn) {
   bool earliest = false;
   {
     std::lock_guard<std::mutex> lock(state_->mu);
+    if (!thread_.joinable()) {
+      try {
+        thread_ = std::thread(Run, state_);
+      } catch (const std::system_error& e) {
+        return Status::ResourceExhausted(
+            std::string("deadline timer: cannot start its thread: ") +
+            e.what());
+      }
+    }
     state_->heap.push_back({deadline, state_->next_seq++, std::move(fn)});
     std::push_heap(state_->heap.begin(), state_->heap.end(), State::Later);
     earliest = state_->heap.front().seq == state_->next_seq - 1;
-    if (!thread_.joinable()) thread_ = std::thread(Run, state_);
   }
   // Only a new earliest deadline shortens the thread's current wait.
   if (earliest) state_->cv.notify_one();
+  return Status::OK();
 }
 
-void DeadlineTimer::After(double seconds, std::function<void()> fn) {
-  At(Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(seconds)),
-     std::move(fn));
+Status DeadlineTimer::After(double seconds, std::function<void()> fn) {
+  return At(Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::duration<double>(seconds)),
+            std::move(fn));
 }
 
 void DeadlineTimer::Run(std::shared_ptr<State> state) {
+  // Best effort: the kernel's default 50 us timer slack would make each
+  // firing up to that late, 5% of a 1 ms simulated sleep.
+  ::prctl(PR_SET_TIMERSLACK, 1UL);
   std::unique_lock<std::mutex> lock(state->mu);
   for (;;) {
     if (state->heap.empty()) {

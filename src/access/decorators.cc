@@ -1,8 +1,6 @@
 #include "access/decorators.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "access/sharded_backend.h"
 #include "util/check.h"
@@ -64,22 +62,6 @@ LatencyBackend::Schedule LatencyBackend::DrawSchedule() {
   }
 }
 
-void LatencyBackend::Sleep(double seconds) const {
-  if (config_.sleep_scale > 0.0 && seconds > 0.0) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(seconds * config_.sleep_scale));
-  }
-}
-
-Result<FetchReply> LatencyBackend::FetchNeighbors(NodeId u) {
-  WNW_ASSIGN_OR_RETURN(FetchReply reply, inner_->FetchNeighbors(u));
-  const Schedule schedule = DrawSchedule();
-  Sleep(schedule.seconds);
-  WNW_RETURN_IF_ERROR(schedule.status);
-  reply.simulated_seconds += schedule.seconds;
-  return reply;
-}
-
 void LatencyBackend::FetchNeighborsCompletion(NodeId u,
                                               CompletionCallback done) {
   // `this` is alive until `done` fires: whoever submitted holds the stack.
@@ -98,25 +80,10 @@ void LatencyBackend::FetchNeighborsCompletion(NodeId u,
         if (wait <= 0.0) return done(std::move(reply));
         // std::function needs a copyable closure; the reply is move-only.
         auto boxed = std::make_shared<Result<FetchReply>>(std::move(reply));
-        timer_->After(wait, [done, boxed] { done(std::move(*boxed)); });
+        Status armed =
+            timer_->After(wait, [done, boxed] { done(std::move(*boxed)); });
+        if (!armed.ok()) done(std::move(armed));
       });
-}
-
-Result<BatchReply> LatencyBackend::FetchBatch(std::span<const NodeId> nodes) {
-  WNW_ASSIGN_OR_RETURN(BatchReply reply, inner_->FetchBatch(nodes));
-  // The requests are dispatched concurrently: the batch completes when the
-  // slowest one (including its retries) does, so it bills and sleeps that
-  // one request's time, once.
-  Schedule slowest;
-  for (size_t i = 0; i < nodes.size() && slowest.status.ok(); ++i) {
-    const Schedule schedule = DrawSchedule();
-    slowest.seconds = std::max(slowest.seconds, schedule.seconds);
-    slowest.status = schedule.status;
-  }
-  Sleep(slowest.seconds);
-  WNW_RETURN_IF_ERROR(slowest.status);
-  reply.simulated_seconds += slowest.seconds;
-  return reply;
 }
 
 void LatencyBackend::ResetSimulation() {
@@ -137,54 +104,26 @@ RateLimitBackend::RateLimitBackend(std::shared_ptr<AccessBackend> inner,
   WNW_CHECK(inner_ != nullptr);
 }
 
-double RateLimitBackend::Consume(uint64_t n) {
+double RateLimitBackend::Consume() {
   std::lock_guard<std::mutex> lock(mu_);
   const double before = limiter_.waited_seconds();
-  for (uint64_t i = 0; i < n; ++i) limiter_.OnQuery();
+  limiter_.OnQuery();
   return limiter_.waited_seconds() - before;
-}
-
-Result<FetchReply> RateLimitBackend::Stall(Result<FetchReply> reply) {
-  if (!reply.ok()) return reply;
-  // Token stalls are server-enforced per query and do not parallelize:
-  // mark them serial so concurrent batch aggregation sums (not maxes) them.
-  const double stall = Consume(1);
-  reply->simulated_seconds += stall;
-  reply->serial_seconds += stall;
-  return reply;
-}
-
-Result<FetchReply> RateLimitBackend::FetchNeighbors(NodeId u) {
-  return Stall(inner_->FetchNeighbors(u));
 }
 
 void RateLimitBackend::FetchNeighborsCompletion(NodeId u,
                                                 CompletionCallback done) {
   inner_->FetchNeighborsCompletion(
       u, [this, done = std::move(done)](Result<FetchReply> reply) {
-        done(Stall(std::move(reply)));
+        if (reply.ok()) {
+          // Token stalls are server-enforced per query and do not
+          // parallelize: marked serial, a batch's fold sums them.
+          const double stall = Consume();
+          reply->simulated_seconds += stall;
+          reply->serial_seconds += stall;
+        }
+        done(std::move(reply));
       });
-}
-
-Result<BatchReply> RateLimitBackend::FetchBatch(std::span<const NodeId> nodes) {
-  WNW_ASSIGN_OR_RETURN(BatchReply reply, inner_->FetchBatch(nodes));
-  // Token waits are server-enforced per query: a batch larger than the
-  // remaining budget still stalls for every window it straddles. A limiter
-  // guarding one origin (a shard's stack, or the unsharded memory backend)
-  // bills the whole stall to that origin's shard bucket; a front-door
-  // limiter over a mixed-shard batch is no shard's own limiter, so its
-  // stall stays in simulated_seconds only.
-  const double stall = Consume(nodes.size());
-  reply.simulated_seconds += stall;
-  const bool uniform_shard =
-      std::all_of(reply.shards.begin(), reply.shards.end(),
-                  [&](int32_t s) { return s == reply.shards.front(); });
-  if (reply.shards.empty()) {
-    reply.BillStall(0, stall);
-  } else if (uniform_shard) {
-    reply.BillStall(reply.shards.front(), stall);
-  }
-  return reply;
 }
 
 void RateLimitBackend::ResetSimulation() {
@@ -201,6 +140,21 @@ double RateLimitBackend::total_waited_seconds() const {
 }
 
 // --- stack builder -----------------------------------------------------------
+
+std::shared_ptr<AccessBackend> DecorateOrigin(
+    std::shared_ptr<AccessBackend> origin, const AccessOptions& access,
+    const std::optional<LatencyConfig>& latency,
+    std::shared_ptr<DeadlineTimer> timer) {
+  if (latency.has_value()) {
+    origin = std::make_shared<LatencyBackend>(std::move(origin), *latency,
+                                              std::move(timer));
+  }
+  if (access.rate_limit.queries_per_window > 0) {
+    origin = std::make_shared<RateLimitBackend>(std::move(origin),
+                                                access.rate_limit);
+  }
+  return origin;
+}
 
 std::shared_ptr<AccessBackend> BuildBackendStack(
     const Graph* graph, const BackendStackOptions& options) {
@@ -219,17 +173,9 @@ std::shared_ptr<AccessBackend> BuildBackendStack(
         ShardedBackendOptions{.access = options.access,
                               .latency = options.latency});
   }
-  std::shared_ptr<AccessBackend> backend =
-      std::make_shared<InMemoryBackend>(graph, options.access);
-  if (options.latency.has_value()) {
-    backend = std::make_shared<LatencyBackend>(std::move(backend),
-                                               *options.latency);
-  }
-  if (options.access.rate_limit.queries_per_window > 0) {
-    backend = std::make_shared<RateLimitBackend>(std::move(backend),
-                                                 options.access.rate_limit);
-  }
-  return backend;
+  return DecorateOrigin(
+      std::make_shared<InMemoryBackend>(graph, options.access),
+      options.access, options.latency);
 }
 
 }  // namespace wnw

@@ -3,26 +3,25 @@
 //
 //   LatencyBackend   — simulated network round trips with jitter and
 //                      injected request failures (each failed attempt costs a
-//                      retry backoff). Batches are dispatched concurrently,
-//                      so a batch pays the slowest request, not the sum —
-//                      this is what makes Prefetch() calls from the samplers
-//                      pay off. With sleep_scale > 0 each request genuinely
-//                      waits its simulated duration (retry backoffs
-//                      included): a synchronous fetch sleeps the caller's
-//                      thread (a synchronous batch sleeps once, for its
-//                      slowest request), and FetchNeighborsCompletion fires
-//                      its callback from a DeadlineTimer thread, so a whole
-//                      executor window of sleeping requests overlaps on that
-//                      one thread.
+//                      retry backoff). With sleep_scale > 0 each request
+//                      genuinely waits its simulated duration (retry
+//                      backoffs included): its completion fires from a
+//                      DeadlineTimer thread, so a whole batch or executor
+//                      window of sleeping requests overlaps on that one
+//                      thread, and a synchronous fetch waits for it there.
 //   RateLimitBackend — the paper §1 query budget (e.g. Twitter's 15 requests
 //                      per 15 minutes) as a decorator around the token-bucket
 //                      SimulatedRateLimiter. Rate-limit waits are server-
-//                      enforced and do NOT parallelize across a batch.
+//                      enforced and do NOT parallelize across a batch: they
+//                      are billed as serial time.
 //
-// Both decorators are thread-safe, forward FetchNeighborsCompletion to their
-// inner backend, and attribute their simulated waiting to the individual
-// FetchReply, so each concurrent session sees exactly the time its own
-// requests would have cost.
+// Both decorators are thread-safe and implement one fetch path,
+// FetchNeighborsCompletion around their inner backend's completion; their
+// FetchNeighbors is the one-line wait AwaitCompletion(u), and their batches
+// are the base FetchBatch, billed by BatchLatch's fold (access/backend.h).
+// They attribute their simulated waiting to the individual FetchReply, so
+// each concurrent session sees exactly the time its own requests would
+// have cost.
 #pragma once
 
 #include <memory>
@@ -59,9 +58,9 @@ struct LatencyConfig {
   uint64_t seed = 0xfeedu;
 
   /// Real-sleep factor: when > 0, each request genuinely waits
-  /// simulated_seconds * sleep_scale before it completes (the synchronous
-  /// caller sleeps; a completion fires from the deadline timer), so wall
-  /// clock tracks the simulated service. 1 sleeps the full simulated time;
+  /// simulated_seconds * sleep_scale before it completes (its completion
+  /// fires from the deadline timer; a synchronous caller waits for it), so
+  /// wall clock tracks the simulated service. 1 sleeps the full simulated time;
   /// 0.1 shrinks a 50ms RTT to a 5ms sleep (same accounting, faster
   /// experiments). 0 = accounting only.
   double sleep_scale = 0.0;
@@ -71,7 +70,7 @@ class LatencyBackend final : public AccessBackend {
  public:
   /// `timer` fires sleeping completions; null gives the backend a timer of
   /// its own (ShardedBackend passes one timer to all its shards). Its thread
-  /// starts only on the first sleeping FetchNeighborsCompletion.
+  /// starts only on the first sleeping fetch.
   LatencyBackend(std::shared_ptr<AccessBackend> inner, LatencyConfig config,
                  std::shared_ptr<DeadlineTimer> timer = nullptr);
 
@@ -84,13 +83,16 @@ class LatencyBackend final : public AccessBackend {
   const RemoteBackend* AsRemote() const override {
     return inner_->AsRemote();
   }
-  Result<FetchReply> FetchNeighbors(NodeId u) override;
+  Result<FetchReply> FetchNeighbors(NodeId u) override {
+    return AwaitCompletion(u);
+  }
 
   /// Serves the inner fetch and draws the request's schedule, then
   /// completes inline (sleep_scale == 0) or from the deadline timer once
-  /// the scaled schedule has elapsed — no thread waits on the request.
+  /// the scaled schedule has elapsed — no thread waits on the request. A
+  /// timer that cannot start its thread fails the request with
+  /// ResourceExhausted.
   void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override;
-  Result<BatchReply> FetchBatch(std::span<const NodeId> nodes) override;
   void ResetSimulation() override;
 
   const LatencyConfig& config() const { return config_; }
@@ -106,10 +108,6 @@ class LatencyBackend final : public AccessBackend {
 
   /// Draws one request's schedule under the RNG lock.
   Schedule DrawSchedule();
-
-  /// Sleeps the calling thread for `seconds` of simulated time scaled by
-  /// sleep_scale (no-op when the scale is 0).
-  void Sleep(double seconds) const;
 
   std::shared_ptr<AccessBackend> inner_;
   LatencyConfig config_;
@@ -133,22 +131,20 @@ class RateLimitBackend final : public AccessBackend {
   const RemoteBackend* AsRemote() const override {
     return inner_->AsRemote();
   }
-  Result<FetchReply> FetchNeighbors(NodeId u) override;
+  Result<FetchReply> FetchNeighbors(NodeId u) override {
+    return AwaitCompletion(u);
+  }
 
   /// Forwards the completion; the stall is added when the reply arrives.
   void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override;
-  Result<BatchReply> FetchBatch(std::span<const NodeId> nodes) override;
   void ResetSimulation() override;
 
   /// Total simulated seconds all sessions together spent rate-limited.
   double total_waited_seconds() const;
 
  private:
-  // Consumes `n` tokens and returns the simulated wait incurred.
-  double Consume(uint64_t n);
-
-  // Bills one query's token stall to an answered reply.
-  Result<FetchReply> Stall(Result<FetchReply> reply);
+  // Consumes one token and returns the simulated wait incurred.
+  double Consume();
 
   std::shared_ptr<AccessBackend> inner_;
   std::string name_;
@@ -189,5 +185,14 @@ struct BackendStackOptions {
 
 std::shared_ptr<AccessBackend> BuildBackendStack(
     const Graph* graph, const BackendStackOptions& options);
+
+/// Wraps one origin in the configured decorators: latency (seeded from
+/// latency->seed, firing its sleeps on `timer`, or on a timer of its own
+/// when null), then the rate limiter outermost when access.rate_limit is
+/// set. Every flat stack and every shard of a ShardedBackend is built here.
+std::shared_ptr<AccessBackend> DecorateOrigin(
+    std::shared_ptr<AccessBackend> origin, const AccessOptions& access,
+    const std::optional<LatencyConfig>& latency,
+    std::shared_ptr<DeadlineTimer> timer = nullptr);
 
 }  // namespace wnw

@@ -1,9 +1,9 @@
 #include "access/sharded_backend.h"
 
-#include <algorithm>
+#include <atomic>
 #include <deque>
 #include <functional>
-#include <future>
+#include <utility>
 
 #include "access/decorators.h"
 #include "util/check.h"
@@ -85,29 +85,11 @@ struct ShardedBackend::Shard {
     Pump(lock);
   }
 
-  /// Blocks the calling thread until the shard is its to use.
-  void AwaitTurn() {
-    {
-      std::lock_guard<std::mutex> lock(service_mu);
-      if (!busy && waiting.empty()) {  // free: no one to queue behind
-        busy = true;
-        return;
-      }
-    }
-    auto turn = std::make_shared<std::promise<void>>();
-    std::future<void> ready = turn->get_future();
-    Enqueue([turn] { turn->set_value(); });
-    ready.wait();
-  }
-
-  void Count(uint64_t fetches, double stall_seconds) {
-    std::lock_guard<std::mutex> lock(counters_mu);
-    counters.fetches += fetches;
-    counters.stall_seconds += stall_seconds;
-  }
-
   void Count(const Result<FetchReply>& reply) {
-    if (reply.ok()) Count(1, reply->serial_seconds);
+    if (!reply.ok()) return;
+    std::lock_guard<std::mutex> lock(counters_mu);
+    ++counters.fetches;
+    counters.stall_seconds += reply->serial_seconds;
   }
 
  private:
@@ -143,22 +125,18 @@ ShardedBackend::ShardedBackend(std::shared_ptr<const ShardedGraph> graph,
   shards_.reserve(static_cast<size_t>(graph_->num_shards()));
   auto timer = std::make_shared<DeadlineTimer>();  // shared by all shards
   for (int s = 0; s < graph_->num_shards(); ++s) {
+    // Independent network randomness per endpoint; same distribution. Each
+    // endpoint also has its own §1 query budget: stalls sum within a shard
+    // and overlap across shards.
+    std::optional<LatencyConfig> latency = options_.latency;
+    if (latency.has_value()) {
+      latency->seed = Mix64(latency->seed ^ static_cast<uint64_t>(s));
+    }
     auto shard = std::make_shared<Shard>();
-    std::shared_ptr<AccessBackend> stack = std::make_shared<ShardOriginBackend>(
-        graph_, s, options_.access, options_.origin_name);
-    if (options_.latency.has_value()) {
-      // Independent network randomness per endpoint; same distribution.
-      LatencyConfig config = *options_.latency;
-      config.seed = Mix64(config.seed ^ static_cast<uint64_t>(s));
-      stack = std::make_shared<LatencyBackend>(std::move(stack), config, timer);
-    }
-    if (options_.access.rate_limit.queries_per_window > 0) {
-      // One §1 query budget per endpoint: stalls sum within a shard and
-      // overlap across shards.
-      stack = std::make_shared<RateLimitBackend>(std::move(stack),
-                                                 options_.access.rate_limit);
-    }
-    shard->stack = std::move(stack);
+    shard->stack = DecorateOrigin(
+        std::make_shared<ShardOriginBackend>(graph_, s, options_.access,
+                                             options_.origin_name),
+        options_.access, latency, timer);
     shards_.push_back(std::move(shard));
   }
   name_ = StrFormat("sharded[%s:%d](%s)",
@@ -167,19 +145,33 @@ ShardedBackend::ShardedBackend(std::shared_ptr<const ShardedGraph> graph,
                     std::string(shards_[0]->stack->name()).c_str());
 }
 
-Result<FetchReply> ShardedBackend::FetchNeighbors(NodeId u) {
-  if (u >= graph_->num_nodes()) {
-    return NodeOutOfRangeError(u, graph_->num_nodes());
+void ShardedBackend::Serve(size_t s, std::vector<Member> members,
+                           MemberCallback done) {
+  // Completions hold the shard itself, never `this`: the last reference to
+  // the backend may be released the moment `done` fires.
+  struct Turn {
+    std::atomic<size_t> left;
+    MemberCallback done;
+  };
+  const bool serial = options_.serial_service;
+  auto start = [shard = shards_[s], serial, members = std::move(members),
+                done = std::move(done)] {
+    auto turn = std::make_shared<Turn>(members.size(), done);
+    for (const auto& [u, slot] : members) {
+      shard->stack->FetchNeighborsCompletion(
+          u, [shard, serial, turn, slot = slot](Result<FetchReply> reply) {
+            shard->Count(reply);
+            // The next request starts before this one's callback chain runs.
+            if (--turn->left == 0 && serial) shard->Finish();
+            turn->done(slot, std::move(reply));
+          });
+    }
+  };
+  if (serial) {
+    shards_[s]->Enqueue(std::move(start));
+  } else {
+    start();
   }
-  Shard& shard = *shards_[static_cast<size_t>(graph_->ShardOf(u))];
-  // The shard is a single-threaded server: the request (including any real
-  // latency sleep inside the stack) occupies it exclusively, so concurrent
-  // callers queue — the wall-clock cost sharding exists to divide.
-  if (options_.serial_service) shard.AwaitTurn();
-  Result<FetchReply> reply = shard.stack->FetchNeighbors(u);
-  if (options_.serial_service) shard.Finish();
-  shard.Count(reply);
-  return reply;
 }
 
 void ShardedBackend::FetchNeighborsCompletion(NodeId u,
@@ -188,25 +180,10 @@ void ShardedBackend::FetchNeighborsCompletion(NodeId u,
     done(NodeOutOfRangeError(u, graph_->num_nodes()));
     return;
   }
-  // Completions hold the shard itself, never `this`: the last reference to
-  // the backend may be released the moment `done` fires.
-  std::shared_ptr<Shard> shard =
-      shards_[static_cast<size_t>(graph_->ShardOf(u))];
-  const bool serial = options_.serial_service;
-  auto start = [shard, u, serial, done = std::move(done)]() mutable {
-    shard->stack->FetchNeighborsCompletion(
-        u, [shard, serial, done = std::move(done)](Result<FetchReply> reply) {
-          shard->Count(reply);
-          // The next request starts before this one's callback chain runs.
-          if (serial) shard->Finish();
+  Serve(static_cast<size_t>(graph_->ShardOf(u)), {{u, 0}},
+        [done = std::move(done)](size_t, Result<FetchReply> reply) {
           done(std::move(reply));
         });
-  };
-  if (serial) {
-    shard->Enqueue(std::move(start));
-  } else {
-    start();
-  }
 }
 
 Result<BatchReply> ShardedBackend::FetchBatch(std::span<const NodeId> nodes) {
@@ -215,40 +192,20 @@ Result<BatchReply> ShardedBackend::FetchBatch(std::span<const NodeId> nodes) {
       return NodeOutOfRangeError(u, graph_->num_nodes());
     }
   }
-
-  // Per-shard sub-batches, each taking its turn in the shard's FIFO, with
-  // accounting-only concurrency across shards (the batch pays the slowest
-  // shard's completion time).
-  std::vector<std::vector<NodeId>> sub_nodes(shards_.size());
-  std::vector<std::vector<size_t>> sub_index(shards_.size());
+  std::vector<std::vector<Member>> members(shards_.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const size_t s = static_cast<size_t>(graph_->ShardOf(nodes[i]));
-    sub_nodes[s].push_back(nodes[i]);
-    sub_index[s].push_back(i);
+    members[static_cast<size_t>(graph_->ShardOf(nodes[i]))].push_back(
+        {nodes[i], i});
   }
-  BatchReply reply;
-  reply.lists.resize(nodes.size());
-  reply.shards.assign(nodes.size(), 0);
-  double slowest_shard = 0.0;
+  auto latch = std::make_shared<BatchLatch>(nodes.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (sub_nodes[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    if (options_.serial_service) shard.AwaitTurn();
-    Result<BatchReply> sub = shard.stack->FetchBatch(sub_nodes[s]);
-    if (options_.serial_service) shard.Finish();
-    WNW_RETURN_IF_ERROR(sub.status());
-    slowest_shard = std::max(slowest_shard, sub->simulated_seconds);
-    double stall = 0.0;
-    for (double v : sub->shard_stalls) stall += v;
-    reply.BillStall(static_cast<int32_t>(s), stall);
-    shard.Count(sub_nodes[s].size(), stall);
-    for (size_t j = 0; j < sub_index[s].size(); ++j) {
-      reply.lists[sub_index[s][j]] = std::move(sub->lists[j]);
-      reply.shards[sub_index[s][j]] = static_cast<int32_t>(s);
-    }
+    if (members[s].empty()) continue;
+    Serve(s, std::move(members[s]),
+          [latch](size_t i, Result<FetchReply> reply) {
+            latch->Fill(i, std::move(reply));
+          });
   }
-  reply.simulated_seconds = slowest_shard;
-  return reply;
+  return latch->Wait();
 }
 
 void ShardedBackend::ResetSimulation() {

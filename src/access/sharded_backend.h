@@ -15,9 +15,11 @@
 //     single-threaded origin server). A request to a busy shard waits in
 //     the shard's FIFO and starts when the one in service completes — real
 //     wall-clock queueing when the latency decorator really sleeps — while
-//     different shards serve in parallel. Synchronous callers take their
-//     turn in the same FIFO (and block until it comes), so a shard never
-//     serves two requests at once whichever path they arrive by. shards=1
+//     different shards serve in parallel. A synchronous fetch is a wait on
+//     the same completion path, so a shard never serves two requests at
+//     once whichever path they arrive by; a batch's sub-batch for a shard
+//     is one turn in its FIFO (its members overlap, and the shard frees up
+//     when the last one completes). shards=1
 //     therefore IS the "every walker serializes on a single origin"
 //     baseline, and shards=N divides the queueing by the partition balance
 //     (see ShardedGraph::MaxEdgeImbalance).
@@ -25,12 +27,14 @@
 //     shard; one deadline timer shared by all shards) and rate limiter (the
 //     §1 query budget applies per endpoint).
 //
-// Billing: FetchBatch splits into per-shard sub-batches with accounting-only
-// concurrency across shards — the batch pays the slowest *shard* — and
-// serial stalls (rate-limit tokens) bill against each shard's own limiter:
-// they sum within a shard and overlap across shards.
+// Billing: FetchBatch splits into per-shard sub-batches, served
+// concurrently across shards, and joins them in a BatchLatch — the one
+// batch-billing fold (access/backend.h): the batch pays the slowest
+// *shard*, and serial stalls (rate-limit tokens) bill against each shard's
+// own limiter, summing within a shard and overlapping across shards.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -74,12 +78,17 @@ class ShardedBackend final : public AccessBackend {
   uint64_t num_nodes() const override { return graph_->num_nodes(); }
   const AccessOptions& options() const override { return options_.access; }
   const ShardedBackend* AsSharded() const override { return this; }
-  Result<FetchReply> FetchNeighbors(NodeId u) override;
+  Result<FetchReply> FetchNeighbors(NodeId u) override {
+    return AwaitCompletion(u);
+  }
 
   /// Routes to the owning shard's stack; under serial_service the request
   /// waits in the shard's FIFO and returns at once, starting when the
   /// shard frees up.
   void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override;
+
+  /// Checks every node's range, then serves each shard's sub-batch as one
+  /// turn of that shard's FIFO, all shards at once, billed by BatchLatch.
   Result<BatchReply> FetchBatch(std::span<const NodeId> nodes) override;
   void ResetSimulation() override;
 
@@ -98,6 +107,18 @@ class ShardedBackend final : public AccessBackend {
 
  private:
   struct Shard;
+
+  /// One request of a service turn: the node and its caller-side slot.
+  struct Member {
+    NodeId node;
+    size_t slot;
+  };
+  using MemberCallback = std::function<void(size_t, Result<FetchReply>)>;
+
+  /// Serves `members` on shard s as ONE turn of its FIFO (under
+  /// serial_service): all of them start together, and the shard frees up
+  /// when the last one completes. `done(slot, reply)` fires per member.
+  void Serve(size_t s, std::vector<Member> members, MemberCallback done);
 
   std::shared_ptr<const ShardedGraph> graph_;
   ShardedBackendOptions options_;

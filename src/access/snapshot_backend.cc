@@ -56,17 +56,9 @@ Result<std::shared_ptr<AccessBackend>> BuildSnapshotBackendStack(
                               .origin_name = "snapshot"}));
   }
 
-  std::shared_ptr<AccessBackend> backend = std::make_shared<SnapshotBackend>(
-      std::move(loaded), options.access);
-  if (options.latency.has_value()) {
-    backend =
-        std::make_shared<LatencyBackend>(std::move(backend), *options.latency);
-  }
-  if (options.access.rate_limit.queries_per_window > 0) {
-    backend = std::make_shared<RateLimitBackend>(std::move(backend),
-                                                 options.access.rate_limit);
-  }
-  return backend;
+  return DecorateOrigin(
+      std::make_shared<SnapshotBackend>(std::move(loaded), options.access),
+      options.access, options.latency);
 }
 
 }  // namespace wnw

@@ -1,9 +1,10 @@
 // The pluggable access-backend layer: InMemoryBackend restriction
 // simulation, the latency / rate-limit decorators' simulated-time
-// accounting (batches pay the slowest round trip, not the sum), and the
-// acceptance bar for the redesign — every registered sampler draws correctly
-// against both the plain in-memory backend and a latency-decorated stack
-// with no sampler-code changes.
+// accounting (batches pay the slowest round trip, not the sum), sync vs
+// completion parity (both bill through one fold), and the acceptance bar
+// for the redesign — every registered sampler draws correctly against both
+// the plain in-memory backend and a latency-decorated stack with no
+// sampler-code changes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,15 +12,19 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "access/access_interface.h"
 #include "access/backend.h"
+#include "access/completion_executor.h"
 #include "access/decorators.h"
 #include "access/sharded_backend.h"
+#include "access/snapshot_backend.h"
 #include "core/session.h"
 #include "graph/generators.h"
 #include "graph/sharded_graph.h"
+#include "storage/snapshot.h"
 #include "test_util.h"
 
 namespace wnw {
@@ -205,6 +210,26 @@ TEST(LatencyBackendTest, ExhaustedRetriesSurfaceAsStatus) {
                 StatusCode::kResourceExhausted;
   }
   EXPECT_TRUE(saw_error);
+}
+
+// A sleeping fetch whose deadline timer cannot start its thread is a
+// ResourceExhausted reply, not a std::system_error escaping into
+// std::terminate. The child caps its own address space so that the timer's
+// thread stack does not fit; it is a fresh process ("threadsafe" style), so
+// no earlier test left a cached stack behind.
+TEST(LatencyBackendTest, TimerThatCannotStartFailsTheFetch) {
+  const Graph g = testing::MakeHouseGraph();
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        LatencyConfig config;
+        config.mean_ms = 20.0;
+        config.sleep_scale = 1.0;
+        LatencyBackend backend(std::make_shared<InMemoryBackend>(&g), config);
+        testing::CapAddressSpace(testing::DefaultThreadStack() / 4);
+        testing::ExitWithStatus(backend.FetchNeighbors(0).status());
+      },
+      ::testing::ExitedWithCode(0), "ResourceExhausted");
 }
 
 TEST(RateLimitBackendTest, WaitsBetweenWindowsAndAttributesToReply) {
@@ -601,6 +626,149 @@ TEST(ShardedBackendTest, DecoratorWrappersKeepShardsDiscoverable) {
   uint64_t total = 0;
   for (uint64_t f : stats.shard_fetches) total += f;
   EXPECT_EQ(total, stats.backend_fetches);
+}
+
+TEST(ShardedBackendTest, SerialShardServesASyncSubBatchInOneTurn) {
+  // One single-threaded shard, 8 sleeping requests: the sub-batch takes one
+  // FIFO turn and its members overlap, so the wall clock is one round trip,
+  // not the 8 x 20ms of queueing every member separately.
+  const Graph g = testing::MakeTestBA(60, 3);
+  LatencyConfig latency;
+  latency.mean_ms = 20.0;
+  latency.sleep_scale = 1.0;
+  ShardedBackend sharded(std::make_shared<const ShardedGraph>(
+                             ShardedGraph::FromGraph(g, 1).value()),
+                         {.latency = latency});
+  const std::vector<NodeId> nodes = {0, 1, 2, 3, 4, 5, 6, 7};
+  const auto start = std::chrono::steady_clock::now();
+  auto batch = sharded.FetchBatch(nodes);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(batch.ok());
+  EXPECT_DOUBLE_EQ(batch->simulated_seconds, 0.020);
+  EXPECT_GE(elapsed, 0.020);
+  EXPECT_LT(elapsed, 4 * 0.020);
+  EXPECT_EQ(sharded.CountersSnapshot()[0].fetches, nodes.size());
+}
+
+// --- sync vs completion parity -----------------------------------------------
+
+// Every decorator stack on every origin kind, built twice from the same
+// options: one copy answers synchronously, the other by completion. Both
+// paths draw the same latency schedules and tokens in the same order and
+// bill through the same BatchLatch fold, so every figure matches exactly.
+struct ParityCase {
+  std::string label;
+  BackendStackOptions options;
+};
+
+std::vector<ParityCase> ParityCases(const Graph& g) {
+  static const std::string snapshot = [&] {
+    const std::string path = ::testing::TempDir() + "wnw_backend_parity.snap";
+    WNW_CHECK(WriteGraphSnapshot(g, path).ok());
+    return path;
+  }();
+  LatencyConfig latency;
+  latency.mean_ms = 50.0;
+  latency.jitter_ms = 10.0;
+  latency.failure_rate = 0.3;
+  latency.retry_backoff_ms = 100.0;
+  latency.max_retries = 64;
+  const RateLimitConfig limit{10, 60.0};
+  struct Decorators {
+    const char* label;
+    bool rate_limit;
+    bool latency;
+  };
+  struct Origin {
+    const char* label;
+    bool snapshot;
+    int shards;
+  };
+  std::vector<ParityCase> cases;
+  for (const Decorators& d : {Decorators{"ratelimit", true, false},
+                              Decorators{"latency", false, true},
+                              Decorators{"both", true, true}}) {
+    for (const Origin& o : {Origin{"memory", false, 0},
+                            Origin{"snapshot", true, 0},
+                            Origin{"sharded2", false, 2},
+                            Origin{"sharded3", false, 3}}) {
+      ParityCase c{std::string(d.label) + "/" + o.label, {}};
+      if (d.rate_limit) c.options.access.rate_limit = limit;
+      if (d.latency) c.options.latency = latency;
+      c.options.shards = o.shards;
+      if (o.snapshot) c.options.snapshot = snapshot;
+      cases.push_back(std::move(c));
+    }
+  }
+  return cases;
+}
+
+std::shared_ptr<AccessBackend> BuildParityStack(const Graph& g,
+                                                const ParityCase& c) {
+  if (c.options.snapshot.empty()) return BuildBackendStack(&g, c.options);
+  return BuildSnapshotBackendStack(c.options).value();
+}
+
+void ExpectSameShardCounters(const AccessBackend& a, const AccessBackend& b) {
+  ASSERT_EQ(a.AsSharded() == nullptr, b.AsSharded() == nullptr);
+  if (a.AsSharded() == nullptr) return;
+  const auto want = a.AsSharded()->CountersSnapshot();
+  const auto got = b.AsSharded()->CountersSnapshot();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t s = 0; s < want.size(); ++s) {
+    EXPECT_EQ(want[s].fetches, got[s].fetches) << "shard " << s;
+    EXPECT_EQ(want[s].stall_seconds, got[s].stall_seconds) << "shard " << s;
+  }
+}
+
+TEST(SyncCompletionParityTest, FetchBatchMatchesTheExecutorBatch) {
+  const Graph g = testing::MakeTestBA(120, 3);
+  std::vector<NodeId> nodes(30);
+  for (NodeId u = 0; u < 30; ++u) nodes[u] = 3 * u;
+  for (const ParityCase& c : ParityCases(g)) {
+    SCOPED_TRACE(c.label);
+    auto sync = BuildParityStack(g, c);
+    auto async = BuildParityStack(g, c);
+    CompletionExecutor executor({.window = 8});
+    // Two batches, so the second starts from carried-over limiter state.
+    for (int round = 0; round < 2; ++round) {
+      auto want = sync->FetchBatch(nodes);
+      auto got = executor.SubmitBatch(async, nodes).Wait();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(want->lists, got->lists);
+      EXPECT_EQ(want->shards, got->shards);
+      EXPECT_EQ(want->shard_stalls, got->shard_stalls);
+      EXPECT_EQ(want->simulated_seconds, got->simulated_seconds);
+    }
+    ExpectSameShardCounters(*sync, *async);
+  }
+}
+
+TEST(SyncCompletionParityTest, FetchNeighborsMatchesTheCompletion) {
+  const Graph g = testing::MakeTestBA(120, 3);
+  for (const ParityCase& c : ParityCases(g)) {
+    SCOPED_TRACE(c.label);
+    auto sync = BuildParityStack(g, c);
+    auto async = BuildParityStack(g, c);
+    for (NodeId u = 0; u < 30; ++u) {
+      auto want = sync->FetchNeighbors(u);
+      std::promise<Result<FetchReply>> promise;
+      async->FetchNeighborsCompletion(u, [&](Result<FetchReply> reply) {
+        promise.set_value(std::move(reply));
+      });
+      auto got = promise.get_future().get();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(want->TakeNeighbors(), got->TakeNeighbors());
+      EXPECT_EQ(want->shard, got->shard);
+      EXPECT_EQ(want->simulated_seconds, got->simulated_seconds);
+      EXPECT_EQ(want->serial_seconds, got->serial_seconds);
+    }
+    ExpectSameShardCounters(*sync, *async);
+  }
 }
 
 TEST(BackendSpecTest, QueryCacheIsBypassedUnderRandomSubset) {

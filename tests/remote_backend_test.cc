@@ -11,8 +11,6 @@
 // rules are in spec_keys_test.cc.
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <pthread.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,10 +18,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <future>
 #include <string>
@@ -204,33 +199,6 @@ class ScriptedListener {
 
 std::string Addr(int port) {
   return "127.0.0.1:" + std::to_string(port);
-}
-
-// Caps this process's address space at its current size plus `headroom`
-// bytes. Only ever called in a death-test child.
-void CapAddressSpace(size_t headroom) {
-  size_t pages = 0;
-  std::ifstream("/proc/self/statm") >> pages;
-  const rlim_t cap =
-      pages * static_cast<size_t>(::sysconf(_SC_PAGESIZE)) + headroom;
-  const rlimit limit{cap, cap};
-  if (::setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
-}
-
-// The stack a std::thread maps for itself.
-size_t DefaultThreadStack() {
-  pthread_attr_t attr;
-  size_t stack = 0;
-  pthread_getattr_default_np(&attr);
-  pthread_attr_getstacksize(&attr, &stack);
-  pthread_attr_destroy(&attr);
-  return stack;
-}
-
-// Death-test body: prints `status` and exits 0 iff it is ResourceExhausted.
-[[noreturn]] void ExitWithStatus(const Status& status) {
-  std::fprintf(stderr, "%s\n", status.ToString().c_str());
-  std::_Exit(status.code() == StatusCode::kResourceExhausted ? 0 : 1);
 }
 
 class RemoteBackendTest : public ::testing::Test {
@@ -559,8 +527,8 @@ TEST(ThreadSpawnFailureTest, ConnectIsResourceExhausted) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_EXIT(
       {
-        CapAddressSpace(DefaultThreadStack() / 4);
-        ExitWithStatus(
+        testing::CapAddressSpace(testing::DefaultThreadStack() / 4);
+        testing::ExitWithStatus(
             RemoteBackend::Connect(Addr(ClosedPort()), FastFail()).status());
       },
       ::testing::ExitedWithCode(0), "ResourceExhausted");
@@ -574,9 +542,10 @@ TEST(ThreadSpawnFailureTest, ServerStartStopsTheReactorsItStarted) {
       {
         // Room for one reactor stack of three: the first spawn succeeds,
         // the second fails, and the started reactor is stopped and joined.
-        const size_t stack = DefaultThreadStack();
-        CapAddressSpace(stack + stack / 2);
-        ExitWithStatus(net::WnwServer::Start(backend, {.threads = 3}).status());
+        const size_t stack = testing::DefaultThreadStack();
+        testing::CapAddressSpace(stack + stack / 2);
+        testing::ExitWithStatus(
+            net::WnwServer::Start(backend, {.threads = 3}).status());
       },
       ::testing::ExitedWithCode(0), "ResourceExhausted");
 }

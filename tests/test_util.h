@@ -1,13 +1,21 @@
 // Shared fixtures/helpers for the walknotwait test suite.
 #pragma once
 
+#include <pthread.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <vector>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "random/rng.h"
+#include "util/status.h"
 
 namespace wnw::testing {
 
@@ -43,6 +51,33 @@ inline double Sum(const std::vector<double>& v) {
 /// Materializes an (arena-backed) neighbor span for gtest comparisons.
 inline std::vector<NodeId> ToVec(std::span<const NodeId> s) {
   return std::vector<NodeId>(s.begin(), s.end());
+}
+
+// Caps this process's address space at its current size plus `headroom`
+// bytes. Only ever called in a death-test child.
+inline void CapAddressSpace(size_t headroom) {
+  size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const rlim_t cap =
+      pages * static_cast<size_t>(::sysconf(_SC_PAGESIZE)) + headroom;
+  const rlimit limit{cap, cap};
+  if (::setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+}
+
+// The stack a std::thread maps for itself.
+inline size_t DefaultThreadStack() {
+  pthread_attr_t attr;
+  size_t stack = 0;
+  pthread_getattr_default_np(&attr);
+  pthread_attr_getstacksize(&attr, &stack);
+  pthread_attr_destroy(&attr);
+  return stack;
+}
+
+// Death-test body: prints `status` and exits 0 iff it is ResourceExhausted.
+[[noreturn]] inline void ExitWithStatus(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  std::_Exit(status.code() == StatusCode::kResourceExhausted ? 0 : 1);
 }
 
 }  // namespace wnw::testing
