@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -83,6 +84,9 @@ Status ReplyStatus(const DecodedFrame& frame) {
       std::string(reinterpret_cast<const char*>(frame.payload.data()),
                   frame.payload.size()));
 }
+
+// The spin switch of the blocking round trips this thread makes.
+thread_local net::SpinGate caller_spin;
 
 }  // namespace
 
@@ -216,7 +220,7 @@ Result<std::vector<std::byte>> RemoteBackend::RoundTrip(
     }
     w->cv.notify_one();
   };
-  if (CallerRoundTrip(NextConn(), waiter, &waiter->reply)) {
+  if (CallerRoundTrip(CallerConn(), waiter, &waiter->reply)) {
     return std::move(waiter->reply);
   }
   std::unique_lock<std::mutex> lock(waiter->mu);
@@ -307,6 +311,17 @@ RemoteBackend::Conn* RemoteBackend::NextConn() {
       .get();
 }
 
+RemoteBackend::Conn* RemoteBackend::CallerConn() {
+  for (const auto& conn : conns_) {
+    // A hint only: CallerRoundTrip checks again, with the socket held.
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->up && conn->pending.empty() && conn->out.empty()) {
+      return conn.get();
+    }
+  }
+  return NextConn();
+}
+
 bool RemoteBackend::CallerRoundTrip(Conn* conn,
                                     const std::shared_ptr<Rpc>& rpc,
                                     std::vector<std::byte>* reply) {
@@ -351,18 +366,19 @@ bool RemoteBackend::CallerRoundTrip(Conn* conn,
   Outcome outcome = Outcome::kWaiting;
   Status why = Status::OK();
   uint16_t reply_opcode = 0;
+  const auto start = std::chrono::steady_clock::now();
   const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration<double, std::milli>(options_.deadline_ms);
+      start + std::chrono::duration<double, std::milli>(options_.deadline_ms);
+  const auto spin_until = caller_spin.SpinUntil(start);
   while (outcome == Outcome::kWaiting) {
     why = WriteConn(conn);
     if (!why.ok()) {
       outcome = Outcome::kKill;
       break;
     }
-    const double left_ms = std::chrono::duration<double, std::milli>(
-                               deadline - std::chrono::steady_clock::now())
-                               .count();
+    const auto now = std::chrono::steady_clock::now();
+    const double left_ms =
+        std::chrono::duration<double, std::milli>(deadline - now).count();
     if (left_ms <= 0.0) {
       outcome = Outcome::kTimedOut;
       break;
@@ -371,14 +387,19 @@ bool RemoteBackend::CallerRoundTrip(Conn* conn,
     waiting.fd = fd;
     waiting.events = static_cast<short>(
         POLLIN | (conn->flush_pos < conn->flushing.size() ? POLLOUT : 0));
+    // Spin (timeout 0, yielding to a server that shares this CPU) while
+    // the budget lasts, then park.
+    const bool spin = now < spin_until;
     const int ready = ::poll(
-        &waiting, 1, static_cast<int>(std::ceil(std::min(left_ms, 60'000.0))));
+        &waiting, 1,
+        spin ? 0 : static_cast<int>(std::ceil(std::min(left_ms, 60'000.0))));
     if (ready < 0 && errno != EINTR) {
       why = Status::Unavailable(std::string("remote poll: ") +
                                 std::strerror(errno));
       outcome = Outcome::kKill;
       break;
     }
+    if (ready == 0 && spin) ::sched_yield();
     if (ready <= 0 || (waiting.revents & ~POLLOUT) == 0) continue;
     const Status read = ReadConn(conn);
     // Decode what arrived before acting on a failed read: the reply may
@@ -414,6 +435,7 @@ bool RemoteBackend::CallerRoundTrip(Conn* conn,
       outcome = Outcome::kKill;
     }
   }
+  caller_spin.Finish(start, std::chrono::steady_clock::now());
 
   // Hand the socket back. An answered RPC leaves `pending` first, while no
   // one else can fail it.

@@ -30,16 +30,26 @@
 // DeadlineExceeded. Server-side backend errors (e.g. OutOfRange for a bad
 // node id) are rebuilt from the wire status verbatim and never retried.
 //
-// A blocking method (any thread but the loop's) on an idle connection —
-// up, nothing pending, queued, unflushed or unread — makes its first
-// attempt itself: it takes the connection's socket for one round trip,
-// writes its frame, polls under the attempt's deadline and reads its own
-// reply, so the loop thread is neither woken nor waited on. Only an OK
-// reply completes there. Every other outcome (socket error, EOF, framing
-// error, expired deadline, error reply) is handed to the loop, which
-// retries it like any other attempt. On a busy connection, and on every
-// retry, the blocking call is a completion plus a wait on the caller's
-// thread.
+// A blocking method (any thread but the loop's) starts on the first pool
+// connection with nothing in flight, not the next in rotation, so a lone
+// serial caller keeps one connection (and one server reactor) busy. On an
+// idle connection — up, nothing pending, queued, unflushed or unread — it
+// makes its first attempt itself: it takes the connection's socket for
+// one round trip, writes its frame, polls under the attempt's deadline
+// and reads its own reply, so the loop thread is neither woken nor
+// waited on. Only an OK reply completes there. Every other outcome
+// (socket error, EOF, framing error, expired deadline, error reply) is
+// handed to the loop, which retries it like any other attempt. On a busy
+// connection, and on every retry, the blocking call is a completion plus
+// a wait on the caller's thread.
+//
+// The caller's poll spins before it parks: it polls with timeout 0 (and
+// yields the CPU between polls) for up to net::kSpinBeforePark, then
+// sleeps in poll for the rest of the deadline. A calling thread spins only
+// if its previous round trip, spin included, ended within that budget (a
+// thread-local net::SpinGate), so back-to-back fetches to a loopback or
+// LAN server skip the wake-up of a parked thread, while fetches to a
+// millisecond-RTT origin park at once.
 #pragma once
 
 #include <netinet/in.h>
@@ -152,19 +162,27 @@ class RemoteBackend final : public AccessBackend {
   Status Handshake();
 
   /// The blocking form of an RPC: makes the first attempt on the caller's
-  /// thread when the connection is idle (CallerRoundTrip), otherwise
+  /// thread when CallerConn() is idle (CallerRoundTrip), otherwise
   /// submits it and waits on the caller's thread for the completion.
   /// Returns the reply payload.
   Result<std::vector<std::byte>> RoundTrip(uint16_t opcode,
                                            std::vector<std::byte> payload);
 
   /// The first attempt of a blocking RPC, driven by its caller. When `conn`
-  /// is idle, holds its socket for one round trip and returns true with an
-  /// OK reply of the right opcode in *reply; any other outcome is handed to
-  /// the loop (returns false, `rpc->done` fires later). When `conn` is
+  /// is idle, holds its socket for one round trip (spinning before it
+  /// parks, as the calling thread's SpinGate allows) and returns true with
+  /// an OK reply of the right opcode in *reply; any other outcome is handed
+  /// to the loop (returns false, `rpc->done` fires later). When `conn` is
   /// busy, it is StartAttempt on `conn` (returns false).
   bool CallerRoundTrip(Conn* conn, const std::shared_ptr<Rpc>& rpc,
                        std::vector<std::byte>* reply);
+
+  /// The connection a blocking call starts on: the first one in the pool
+  /// that is up with nothing in flight, else NextConn(). A lone serial
+  /// caller so keeps to one connection, and the server reactor that owns
+  /// it sees every request back to back (its spin pays; see
+  /// net::kSpinBeforePark), while concurrent callers spread out.
+  Conn* CallerConn();
 
   /// The next pool connection, round-robin.
   Conn* NextConn();

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -115,13 +117,20 @@ class EngineRun {
     resident_peak_ =
         std::max(resident_peak_, storage::ProcessResidentBytes());
     std::atomic<bool> sampling{true};
-    std::thread sampler([this, &sampling] {
-      while (sampling.load(std::memory_order_relaxed)) {
-        resident_peak_ =
-            std::max(resident_peak_, storage::ProcessResidentBytes());
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    });
+    std::thread sampler;
+    try {
+      sampler = std::thread([this, &sampling] {
+        while (sampling.load(std::memory_order_relaxed)) {
+          resident_peak_ =
+              std::max(resident_peak_, storage::ProcessResidentBytes());
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+      });
+    } catch (const std::system_error& e) {
+      return Status::ResourceExhausted(
+          std::string("walk engine: cannot start its resident-set sampler: ") +
+          e.what());
+    }
     Status status = Status::OK();
     for (uint64_t first = 0; first < options_.walkers; first += cohort_) {
       if (stop_.load(std::memory_order_relaxed)) break;
@@ -208,7 +217,20 @@ class EngineRun {
       std::vector<std::thread> pool;
       pool.reserve(static_cast<size_t>(threads));
       for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([this, t] { Worker(t); });
+        try {
+          pool.emplace_back([this, t] { Worker(t); });
+        } catch (const std::system_error& e) {
+          // The workers already started see the error and return; the
+          // harvest below reports it with their walkers' results.
+          std::lock_guard<std::mutex> lock(mu_);
+          if (error_.ok()) {
+            error_ = Status::ResourceExhausted(
+                std::string("walk engine: cannot start worker thread ") +
+                std::to_string(t) + ": " + e.what());
+          }
+          cv_.notify_all();
+          break;
+        }
       }
       for (std::thread& t : pool) t.join();
     }

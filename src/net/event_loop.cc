@@ -1,5 +1,6 @@
 #include "net/event_loop.h"
 
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
@@ -7,8 +8,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 
 namespace wnw::net {
 
@@ -27,7 +30,49 @@ uint64_t TickFor(double deadline) {
       std::ceil(deadline / TimerWheel::kTickSeconds));
 }
 
+// The file's first line; empty when it cannot be read.
+std::string ReadFirstLine(const char* path) {
+  char line[64] = "";
+  if (std::FILE* f = std::fopen(path, "r")) {
+    if (std::fgets(line, sizeof(line), f) == nullptr) line[0] = '\0';
+    std::fclose(f);
+  }
+  return line;
+}
+
 }  // namespace
+
+double UsableCpus(int cpus, const std::string& cpu_max) {
+  // "max <period>" (no quota) and v1's "-1 <period>" fall through.
+  double quota = 0.0;
+  double period = 0.0;
+  if (std::sscanf(cpu_max.c_str(), "%lf %lf", &quota, &period) != 2 ||
+      quota <= 0.0 || period <= 0.0) {
+    return cpus;
+  }
+  return std::min(static_cast<double>(cpus), quota / period);
+}
+
+bool SpinAllowed() {
+  static const bool allowed = [] {
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    if (::sched_getaffinity(0, sizeof(cpus), &cpus) != 0) return false;
+    // The CFS quota of the cgroup this process sees as its root: cgroup
+    // v2's cpu.max, or v1's quota and period files in the same form.
+    std::string cpu_max = ReadFirstLine("/sys/fs/cgroup/cpu.max");
+    if (cpu_max.empty()) {
+      const std::string quota =
+          ReadFirstLine("/sys/fs/cgroup/cpu/cpu.cfs_quota_us");
+      if (!quota.empty()) {
+        cpu_max = quota + " " +
+                  ReadFirstLine("/sys/fs/cgroup/cpu/cpu.cfs_period_us");
+      }
+    }
+    return UsableCpus(CPU_COUNT(&cpus), cpu_max) >= 2.0;
+  }();
+  return allowed;
+}
 
 // --- TimerWheel ---------------------------------------------------------------
 
@@ -229,14 +274,26 @@ void EventLoop::Run() {
   constexpr int kMaxEvents = 128;
   struct epoll_event events[kMaxEvents];
   while (!stopped_.load(std::memory_order_acquire)) {
-    const double next = timers_.NextDelay(NowSeconds());
-    // -1 = sleep until an fd or a Post wakes us; otherwise round the timer
-    // delay up so we never spin on a not-yet-due deadline.
-    const int timeout_ms =
-        next < 0.0 ? -1
-                   : static_cast<int>(std::min(60'000.0, next * 1e3)) + 1;
-    const int n = epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    const auto start = SpinGate::Clock::now();
+    const auto spin_until = spin_.SpinUntil(start);
+    int n = 0;
+    while (n == 0 && SpinGate::Clock::now() < spin_until) {
+      n = epoll_wait(epoll_fd_, events, kMaxEvents, 0);
+      // A peer that shares this CPU (the caller of a loopback round trip)
+      // runs while we yield, instead of waiting out the spin.
+      if (n == 0) ::sched_yield();
+    }
+    if (n == 0) {
+      const double next = timers_.NextDelay(NowSeconds());
+      // -1 = sleep until an fd or a Post wakes us; otherwise round the
+      // timer delay up so we never spin on a not-yet-due deadline.
+      const int timeout_ms =
+          next < 0.0 ? -1
+                     : static_cast<int>(std::min(60'000.0, next * 1e3)) + 1;
+      n = epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    }
     if (n < 0 && errno != EINTR) break;
+    spin_.Finish(start, SpinGate::Clock::now());
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == wake_fd_) {

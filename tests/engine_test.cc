@@ -282,6 +282,44 @@ TEST(WalkEngine, RejectsNonDeterministicBackend) {
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A thread the engine cannot spawn is a Status, not a std::system_error
+// escaping into std::terminate. Each child caps its own address space so
+// that the next thread stack does not fit; the children are fresh
+// processes ("threadsafe" style), so no joined thread's cached stack is
+// there to reuse.
+TEST(WalkEngine, SamplerThatCannotStartIsResourceExhausted) {
+  const Graph graph = MakeTestBA(300, 3);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        EngineOptions options = BaseEngineOptions(8, 2);
+        options.threads = 2;
+        testing::CapAddressSpace(testing::DefaultThreadStack() / 4);
+        testing::ExitWithStatus(
+            RunWalkEngine(&graph, "walk:srw?steps=5", options).status());
+      },
+      ::testing::ExitedWithCode(0), "resident-set sampler");
+}
+
+TEST(WalkEngine, WorkerThatCannotStartStopsTheWorkersStarted) {
+  const Graph graph = MakeTestBA(300, 3);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        // Room for about two thread stacks. In a plain or ASan build the
+        // resident-set sampler and worker 0 start and worker 1 does not;
+        // worker 0 is then stopped and joined. TSan's per-thread state
+        // leaves no room for worker 0.
+        EngineOptions options = BaseEngineOptions(8, 2);
+        options.threads = 3;
+        const size_t stack = testing::DefaultThreadStack();
+        testing::CapAddressSpace(2 * stack + stack / 2);
+        testing::ExitWithStatus(
+            RunWalkEngine(&graph, "walk:srw?steps=5", options).status());
+      },
+      ::testing::ExitedWithCode(0), "cannot start worker thread");
+}
+
 // --- BlockScheduler ----------------------------------------------------------
 
 TEST(BlockScheduler, MostPendingPicksLargestAndZeroes) {

@@ -4,6 +4,7 @@
 // real loopback sockets with pipelined and interleaved requests.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,7 +12,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -414,6 +417,12 @@ TEST(TimerWheelTest, DifferentialAgainstAMultimapModel) {
 
 // --- event loop --------------------------------------------------------------
 
+// The timer is due while a poster keeps the loop busy (a post every few
+// microseconds, so each wait spins and ends within the budget): the loop
+// still sweeps its timers, firing this one no earlier than its deadline
+// and no later than the wheel tick it rounds up to. A loop that swept
+// timers only when a wait timed out would fire it once the posts stop,
+// half a second late.
 TEST(EventLoopTest, PostRunsOnLoopThreadAndTimersFire) {
   auto loop_or = net::EventLoop::Create();
   ASSERT_TRUE(loop_or.ok());
@@ -421,18 +430,109 @@ TEST(EventLoopTest, PostRunsOnLoopThreadAndTimersFire) {
 
   std::atomic<bool> posted{false};
   std::atomic<bool> timed{false};
+  std::atomic<double> armed_at{0.0};
+  std::atomic<double> fired_at{0.0};
+  constexpr double kDelay = 0.030;
   std::thread runner([&] { loop.Run(); });
   loop.Post([&] {
     EXPECT_TRUE(loop.in_loop_thread());
     posted = true;
-    loop.AddTimer(0.01, [&] {
+    armed_at = loop.NowSeconds();
+    loop.AddTimer(kDelay, [&] {
+      fired_at = loop.NowSeconds();
       timed = true;
       loop.Stop();
     });
   });
+  const auto stop_posting =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  while (!timed.load() && std::chrono::steady_clock::now() < stop_posting) {
+    loop.Post([] {});
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(10);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
   runner.join();
   EXPECT_TRUE(posted);
   EXPECT_TRUE(timed);
+  const double late = fired_at.load() - (armed_at.load() + kDelay);
+  EXPECT_GE(late, 0.0);
+  EXPECT_LE(late, net::TimerWheel::kTickSeconds + 0.005);
+}
+
+// --- spin before parking -----------------------------------------------------
+
+TEST(SpinGateTest, SpinsOnlyAfterShortWaitsAndBacksOffAfterAnOverrun) {
+  using Clock = net::SpinGate::Clock;
+  if (!net::SpinAllowed()) GTEST_SKIP() << "one CPU: OneCpuNeverSpins";
+  const Clock::time_point t0 = Clock::now();
+  const auto kShort = t0 + net::kSpinBeforePark;
+  const auto kLong = t0 + 2 * net::kSpinBeforePark;
+  net::SpinGate gate;
+  const auto spins = [&] { return gate.SpinUntil(t0) == kShort; };
+  EXPECT_TRUE(spins());  // a fresh waiter spins
+  gate.Finish(t0, kShort);
+  EXPECT_TRUE(spins());  // and keeps spinning while its waits are short
+  // Each spin that overruns doubles the short waits in a row needed.
+  for (uint32_t needed = 2; needed <= 2 * net::SpinGate::kMaxShortWaits;
+       needed *= 2) {
+    gate.Finish(t0, kLong);
+    EXPECT_FALSE(spins()) << needed;
+    gate.Finish(t0, kLong);  // a long parked wait does not back off more
+    const uint32_t capped = std::min(needed, net::SpinGate::kMaxShortWaits);
+    for (uint32_t i = 1; i < capped; ++i) {
+      gate.Finish(t0, kShort);
+      EXPECT_FALSE(spins()) << needed << " " << i;
+    }
+    gate.Finish(t0, kShort);
+    EXPECT_TRUE(spins()) << needed;
+  }
+  // A spin that ends in time resets the backoff: one overrun now parks
+  // for two short waits, not for kMaxShortWaits.
+  gate.Finish(t0, kShort);
+  gate.Finish(t0, kLong);
+  gate.Finish(t0, kShort);
+  EXPECT_FALSE(spins());
+  gate.Finish(t0, kShort);
+  EXPECT_TRUE(spins());
+}
+
+TEST(SpinGateTest, OneCpuNeverSpins) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        // A fresh process: SpinAllowed() reads the affinity set here,
+        // which keeps only the first CPU this process may run on.
+        cpu_set_t cpus;
+        CPU_ZERO(&cpus);
+        if (::sched_getaffinity(0, sizeof(cpus), &cpus) != 0) std::_Exit(2);
+        int first = 0;
+        while (!CPU_ISSET(first, &cpus)) ++first;
+        CPU_ZERO(&cpus);
+        CPU_SET(first, &cpus);
+        if (::sched_setaffinity(0, sizeof(cpus), &cpus) != 0) std::_Exit(2);
+        net::SpinGate gate;
+        const auto t0 = net::SpinGate::Clock::now();
+        const bool fresh_parks = gate.SpinUntil(t0) == t0;
+        gate.Finish(t0, t0);
+        std::_Exit(fresh_parks && gate.SpinUntil(t0) == t0 &&
+                           !net::SpinAllowed()
+                       ? 0
+                       : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// A CFS quota caps the CPUs the affinity mask allows; under two, nothing
+// spins (SpinAllowed() reads the process's own cgroup files).
+TEST(SpinGateTest, CpuQuotaCapsTheUsableCpus) {
+  EXPECT_EQ(net::UsableCpus(4, ""), 4.0);             // no cgroup file
+  EXPECT_EQ(net::UsableCpus(4, "max 100000"), 4.0);   // v2, no quota
+  EXPECT_EQ(net::UsableCpus(4, "-1 100000"), 4.0);    // v1, no quota
+  EXPECT_EQ(net::UsableCpus(4, "100000 100000"), 1.0);  // --cpus=1
+  EXPECT_EQ(net::UsableCpus(4, "150000 100000"), 1.5);
+  EXPECT_EQ(net::UsableCpus(2, "800000 100000"), 2.0);  // mask is smaller
 }
 
 // --- server over real sockets ------------------------------------------------

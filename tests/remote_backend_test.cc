@@ -6,11 +6,14 @@
 // to a restarted server; a completion may resubmit), and the
 // session-stats remote telemetry. It also covers the blocking call's own
 // round trip on an idle connection (its deadline, a late reply, and mixed
-// blocking and completion traffic on one connection) and a failed thread
-// spawn in Connect and WnwServer::Start. The remote spec keys' conflict
-// rules are in spec_keys_test.cc.
+// blocking and completion traffic on one connection), the spin before a
+// wait parks (an idle pair burns no CPU; a slow reply still completes on
+// the caller's path; a serial caller keeps to one connection), and a
+// failed thread spawn in Connect and WnwServer::Start. The remote spec
+// keys' conflict rules are in spec_keys_test.cc.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -88,14 +91,16 @@ class MuteListener {
 // the Stats handshake at once and answers FetchNeighbors(u) with {u}, but
 // holds its replies to the first `held` FetchNeighbors requests. It sends
 // them late, as {kLateNeighbor}, when the next FetchNeighbors arrives, and
-// answers that one (and every later one) kReplyDelay later, so the client
-// reads and drops the late frames while it waits for its own.
+// answers that one (and every later one) `reply_delay` later, so the
+// client reads and drops the late frames while it waits for its own.
 class ScriptedListener {
  public:
   static constexpr NodeId kLateNeighbor = 9;
   static constexpr auto kReplyDelay = std::chrono::milliseconds(20);
 
-  explicit ScriptedListener(int held) : held_(held) {
+  explicit ScriptedListener(
+      int held, std::chrono::milliseconds reply_delay = kReplyDelay)
+      : held_(held), reply_delay_(reply_delay) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -167,7 +172,7 @@ class ScriptedListener {
           Send(conn, net::Opcode::kFetchNeighbors, id, payload);
         }
         late.clear();
-        std::this_thread::sleep_for(kReplyDelay);
+        std::this_thread::sleep_for(reply_delay_);
         const std::vector<NodeId> own = {
             net::DecodeFetchRequest(frame.payload).value()};
         payload.clear();
@@ -191,6 +196,7 @@ class ScriptedListener {
   }
 
   const int held_;
+  const std::chrono::milliseconds reply_delay_;
   int fd_ = -1;
   int port_ = 0;
   std::atomic<int> accepted_{0};
@@ -360,6 +366,82 @@ TEST(RemoteBackendFailureTest, FrameQueuedBehindABlockingFetchIsFlushed) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->TakeNeighbors(), std::vector<NodeId>{2});
   EXPECT_EQ((*remote)->retries(), 0u);
+}
+
+// --- spin before parking -----------------------------------------------------
+
+double ProcessCpuSeconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(usage.ru_utime.tv_usec +
+                                    usage.ru_stime.tv_usec);
+}
+
+// Back-to-back fetches keep the caller and the server's reactors spinning.
+// Once they stop, every waiter parks within one spin budget, so the idle
+// pair burns no CPU: a spin that does not park fails here.
+TEST_F(RemoteBackendTest, IdlePairBurnsNoCpuAfterABurst) {
+  StartServer();
+  auto remote = RemoteBackend::Connect(Addr(server_->port()), FastFail());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  for (int i = 0; i < 1000; ++i) {
+    const NodeId u = static_cast<NodeId>(i) % graph_.num_nodes();
+    ASSERT_TRUE((*remote)->FetchNeighbors(u).ok());
+  }
+  const double before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(ProcessCpuSeconds() - before, 0.030);
+}
+
+// A reply that arrives long after the spin budget is spent finds the
+// caller parked in its own poll: it still completes there, in one RPC,
+// and is neither resent nor handed to the loop. The second fetch starts
+// parked, since the first one's wait overran the budget.
+TEST(RemoteBackendSpinTest, SlowReplyCompletesOnTheCallersPath) {
+  RemoteBackendOptions options = FastFail();  // one connection
+  options.deadline_ms = 2000.0;
+  options.max_retries = 0;
+  constexpr auto kHeld = std::chrono::milliseconds(5);
+  ScriptedListener peer(0, kHeld);
+  auto remote = RemoteBackend::Connect(Addr(peer.port()), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const uint64_t rpcs_before = (*remote)->rpcs();
+  for (const NodeId u : {NodeId{1}, NodeId{2}}) {
+    const auto start = std::chrono::steady_clock::now();
+    auto reply = (*remote)->FetchNeighbors(u);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_GE(std::chrono::steady_clock::now() - start, kHeld);
+    EXPECT_EQ(reply->TakeNeighbors(), std::vector<NodeId>{u});
+    EXPECT_EQ((*remote)->rpcs() - rpcs_before, u);
+  }
+  EXPECT_EQ((*remote)->retries(), 0u);
+  EXPECT_EQ(peer.accepted(), 1);
+}
+
+// A lone serial caller keeps to the first idle pool connection, so one
+// server reactor sees its requests back to back and the second connection
+// never opens. Rotating would send the second fetch down a new connection
+// that this one-connection-at-a-time peer never serves.
+TEST(RemoteBackendSpinTest, SerialCallerKeepsToOneConnection) {
+  RemoteBackendOptions options = FastFail();
+  options.connections = 2;
+  options.max_retries = 0;
+  ScriptedListener peer(0, std::chrono::milliseconds(0));
+  auto remote = RemoteBackend::Connect(Addr(peer.port()), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  for (NodeId u = 0; u < 10; ++u) {
+    auto reply = (*remote)->FetchNeighbors(u);
+    ASSERT_TRUE(reply.ok()) << u << ": " << reply.status().ToString();
+    EXPECT_EQ(reply->TakeNeighbors(), std::vector<NodeId>{u});
+  }
+  EXPECT_EQ((*remote)->rpcs(), 11u);  // handshake + ten fetches
+  EXPECT_EQ((*remote)->retries(), 0u);
+  EXPECT_EQ(peer.accepted(), 1);
 }
 
 TEST_F(RemoteBackendTest, ServerKilledMidRunFailsBoundedThenUnavailable) {
