@@ -47,7 +47,7 @@ int main() {
   auto run = [&](std::shared_ptr<QueryCache> cache)
       -> Result<std::vector<CurvePoint>> {
     ErrorVsCostConfig mode = config;
-    mode.shared_cache = std::move(cache);
+    mode.session.query_cache = std::move(cache);
     return RunErrorVsCost(ds, {"avg_deg", ""}, mode);
   };
 

@@ -57,10 +57,10 @@ int main() {
                           Mode{"shared-cache", true, true}}) {
     ErrorVsCostConfig config = base;
     std::shared_ptr<QueryCache> cache;
-    if (mode.with_latency) config.latency = latency;
+    if (mode.with_latency) config.session.latency = latency;
     if (mode.shared_cache) {
       cache = std::make_shared<QueryCache>();
-      config.shared_cache = cache;
+      config.session.query_cache = cache;
     }
     const auto curve = RunErrorVsCost(ds, {"avg_deg", ""}, config);
     if (!curve.ok()) {

@@ -16,16 +16,18 @@
 // level's peak of live OS threads (/proc/self/task) — the number that must
 // NOT scale with in_flight.
 //
-// By default it embeds the server in-process (InMemoryBackend over a BA
-// graph, reactor pool sized by --server-threads); --addr drives an external
-// wnw_serve instead. Total threads stay <= 2 x cores either way: the
-// client's reactor is 1 thread and the server's pool is fixed at startup.
+// By default it embeds the server in-process (InMemoryBackend over a
+// --dataset graph, the grammar every tool shares, with the reactor pool
+// sized by --server-threads); --addr drives an external wnw_serve instead.
+// The client's reactor is 1 thread and the server's pool is fixed at
+// startup, so thread count does not grow with the number in flight.
 //
-// Exits 1 when any request fails or when the highest level's thread peak
-// exceeds the lowest level's; the timings are informational.
+// Exits 1 when any request fails, when the highest level's thread peak
+// exceeds the lowest level's, or when it exceeds cores + 4 plus the
+// embedded server's reactor threads; the timings are informational.
 //
 // Usage:
-//   loadgen_remote [--dataset ba:N,M] [--requests N] [--levels 16,128,512]
+//   loadgen_remote [--dataset SPEC] [--requests N] [--levels 16,128,512]
 //                  [--connections K] [--server-threads N] [--addr HOST:PORT]
 //                  [--seed S]
 #include <algorithm>
@@ -39,10 +41,11 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "access/remote_backend.h"
-#include "graph/generators.h"
+#include "datasets/social_datasets.h"
 #include "net/server.h"
 #include "random/rng.h"
 #include "thread_peak.h"
@@ -54,7 +57,9 @@ using namespace wnw;
 using Clock = std::chrono::steady_clock;
 
 struct Args {
-  std::string dataset = "ba:50000,5";
+  DatasetSpec dataset = {.kind = DatasetSpec::Kind::kBarabasiAlbert,
+                         .nodes = 50000,
+                         .edges = 5};
   std::string addr;  // empty = embed the server in-process
   std::string levels = "16,128,512";
   uint64_t requests = 20000;
@@ -72,7 +77,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     const char* v = next();
     if (v == nullptr) return false;
     if (flag == "--dataset") {
-      args->dataset = v;
+      auto dataset = ParseDatasetSpec(v);
+      if (!dataset.ok()) {
+        std::fprintf(stderr, "loadgen: %s\n",
+                     dataset.status().ToString().c_str());
+        return false;
+      }
+      args->dataset = *dataset;
     } else if (flag == "--addr") {
       args->addr = v;
     } else if (flag == "--levels") {
@@ -182,11 +193,13 @@ int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,
-                 "usage: loadgen_remote [--dataset ba:N,M] [--requests N]\n"
+                 "usage: loadgen_remote [--dataset SPEC] [--requests N]\n"
                  "                      [--levels 16,128,512] "
                  "[--connections K]\n"
                  "                      [--server-threads N] [--addr H:P] "
-                 "[--seed S]\n");
+                 "[--seed S]\n"
+                 "dataset SPEC: %s\n",
+                 kDatasetSpecUsage.data());
     return 2;
   }
   std::vector<uint64_t> levels;
@@ -204,24 +217,8 @@ int main(int argc, char** argv) {
   Graph graph;
   std::unique_ptr<net::WnwServer> server;
   if (args.addr.empty()) {
-    if (args.dataset.rfind("ba:", 0) != 0) {
-      std::fprintf(stderr, "loadgen: --dataset must be ba:N,M\n");
-      return 2;
-    }
-    // A view into args.dataset, not a substr temporary: the returned
-    // views must outlive this statement.
-    const std::string_view ba_spec =
-        std::string_view(args.dataset).substr(3);
-    const auto parts = SplitString(ba_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      std::fprintf(stderr, "loadgen: --dataset must be ba:N,M\n");
-      return 2;
-    }
-    Rng graph_rng(args.seed);
-    auto generated = MakeBarabasiAlbert(static_cast<NodeId>(n),
-                                        static_cast<uint32_t>(m), graph_rng);
+    auto generated =
+        BuildDatasetGraph(args.dataset, args.seed, kDefaultDatasetScale);
     if (!generated.ok()) {
       std::fprintf(stderr, "loadgen: %s\n",
                    generated.status().ToString().c_str());
@@ -309,6 +306,20 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(highest),
                  lowest_level_threads,
                  static_cast<unsigned long long>(lowest));
+    exit_code = 1;
+  }
+  // The absolute ceiling: the client's threads stay near the core count
+  // whatever the number in flight; the embedded server's reactors are
+  // counted on top, since they live in this process.
+  const int cores = static_cast<int>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  const int ceiling = cores + 4 + (server != nullptr ? server->threads() : 0);
+  if (highest_level_threads > ceiling) {
+    std::fprintf(stderr,
+                 "loadgen: FAIL: %d threads at %llu in flight, limit cores+4"
+                 "+server = %d\n",
+                 highest_level_threads,
+                 static_cast<unsigned long long>(highest), ceiling);
     exit_code = 1;
   }
   return exit_code;

@@ -27,6 +27,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "access/access_interface.h"
@@ -200,6 +202,69 @@ struct SessionStats {
   uint64_t engine_residency_releases = 0;    // blocks dropped or canceled
 };
 
+/// One SessionStats member by name: the table generic emitters walk
+/// (wnw_sample --json writes one key per row). Names are part of the
+/// interface; scripts and perfbench read them.
+struct SessionStatsField {
+  std::string_view name;
+  std::variant<std::string SessionStats::*, uint64_t SessionStats::*,
+               double SessionStats::*, int SessionStats::*,
+               bool SessionStats::*, std::vector<uint64_t> SessionStats::*,
+               std::vector<double> SessionStats::*>
+      member;
+};
+
+/// Every SessionStats member, in the order wnw_sample --json emits them.
+inline constexpr SessionStatsField kSessionStatsFields[] = {
+    {"spec", &SessionStats::spec},
+    {"sampler", &SessionStats::sampler},
+    {"backend", &SessionStats::backend},
+    {"samples_drawn", &SessionStats::samples_drawn},
+    {"query_cost", &SessionStats::query_cost},
+    {"total_queries", &SessionStats::total_queries},
+    {"backend_fetches", &SessionStats::backend_fetches},
+    {"shared_cache_hits", &SessionStats::shared_cache_hits},
+    {"prefetch_batches", &SessionStats::prefetch_batches},
+    {"waited_seconds", &SessionStats::waited_seconds},
+    {"elapsed_seconds", &SessionStats::elapsed_seconds},
+    {"async_window", &SessionStats::async_window},
+    {"backend_shards", &SessionStats::backend_shards},
+    {"shard_fetches", &SessionStats::shard_fetches},
+    {"shard_stall_seconds", &SessionStats::shard_stall_seconds},
+    {"remote_addr", &SessionStats::remote_addr},
+    {"remote_rpcs", &SessionStats::remote_rpcs},
+    {"remote_retries", &SessionStats::remote_retries},
+    {"remote_bytes", &SessionStats::remote_bytes},
+    {"cache_attached", &SessionStats::cache_attached},
+    {"cache_hits", &SessionStats::cache_hits},
+    {"cache_misses", &SessionStats::cache_misses},
+    {"cache_evictions", &SessionStats::cache_evictions},
+    {"cache_entries", &SessionStats::cache_entries},
+    {"cache_file", &SessionStats::cache_file},
+    {"cache_stale_drops", &SessionStats::cache_stale_drops},
+    {"engine_walkers", &SessionStats::engine_walkers},
+    {"engine_blocks", &SessionStats::engine_blocks},
+    {"engine_block_switches", &SessionStats::engine_block_switches},
+    {"engine_steps", &SessionStats::engine_steps},
+    {"engine_steps_per_sec", &SessionStats::engine_steps_per_sec},
+    {"engine_bytes_scanned", &SessionStats::engine_bytes_scanned},
+    {"engine_resident_peak", &SessionStats::engine_resident_peak},
+    {"engine_residency_budget", &SessionStats::engine_residency_budget},
+    {"engine_residency_peak_bytes", &SessionStats::engine_residency_peak_bytes},
+    {"engine_residency_prefetches", &SessionStats::engine_residency_prefetches},
+    {"engine_residency_releases", &SessionStats::engine_residency_releases},
+    {"last_burn_in", &SessionStats::last_burn_in},
+    {"average_burn_in", &SessionStats::average_burn_in},
+    {"burned_in", &SessionStats::burned_in},
+    {"candidates_tried", &SessionStats::candidates_tried},
+    {"samples_accepted", &SessionStats::samples_accepted},
+    {"acceptance_rate", &SessionStats::acceptance_rate},
+    {"forward_steps", &SessionStats::forward_steps},
+    {"backward_walks", &SessionStats::backward_walks},
+    {"walks_run", &SessionStats::walks_run},
+    {"samples_per_walk", &SessionStats::samples_per_walk},
+};
+
 class SamplingSession {
  public:
   /// Opens a session from a spec string ("we:mhrw?diameter=10", ...) or a
@@ -285,8 +350,9 @@ void FillBackendStats(const AccessBackend& backend, const QueryCache* cache,
 /// Peels the session-reserved spec keys off *config, enforces spec-vs-options
 /// conflicts, and materializes the shared resources into *options (fetch
 /// executor, backend stack, persistent query cache). The single resolution
-/// path behind SamplingSession::Open, RunWalkerPool, and the block walk
-/// engine (engine/walk_engine.h); idempotent on its own output.
+/// path behind SamplingSession::Open, RunWalkerPool, the block walk engine
+/// (engine/walk_engine.h) and the experiment harness's shared trial stack
+/// (RunErrorVsCost, experiments/harness.h); idempotent on its own output.
 Status ResolveSessionResources(const Graph* graph, SamplerConfig* config,
                                SessionOptions* options);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
@@ -136,6 +137,67 @@ SocialDataset MakeSyntheticBA(NodeId n, uint32_t m, uint64_t seed) {
   ds.attrs = AttributeTable(ds.graph.num_nodes());
   ds.diameter_estimate = EstimateDiameter(ds.graph, seed);
   return ds;
+}
+
+Result<DatasetSpec> ParseDatasetSpec(std::string_view spec) {
+  using Kind = DatasetSpec::Kind;
+  for (const auto& [name, kind] : {std::pair{"gplus", Kind::kGPlus},
+                                   std::pair{"yelp", Kind::kYelp},
+                                   std::pair{"twitter", Kind::kTwitter},
+                                   std::pair{"small", Kind::kSmall}}) {
+    if (spec == name) return DatasetSpec{.kind = kind};
+  }
+  const size_t colon = spec.find(':');
+  const std::string_view family = spec.substr(0, colon);
+  if (colon == std::string_view::npos ||
+      (family != "ba" && family != "rand")) {
+    return Status::InvalidArgument("unknown dataset '" + std::string(spec) +
+                                   "' (expected " +
+                                   std::string(kDatasetSpecUsage) + ")");
+  }
+  const bool ba = family == "ba";
+  const auto parts = SplitString(spec.substr(colon + 1), ",");
+  uint64_t n = 0, m = 0;
+  if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
+      !ParseUint64(parts[1], &m)) {
+    return Status::InvalidArgument("dataset '" + std::string(spec) +
+                                   "': expected " + std::string(family) +
+                                   ":N,M");
+  }
+  if (n > std::numeric_limits<NodeId>::max() ||
+      (ba && m > std::numeric_limits<uint32_t>::max())) {
+    return Status::InvalidArgument(
+        "dataset '" + std::string(spec) + "': N must be at most " +
+        std::to_string(std::numeric_limits<NodeId>::max()) +
+        (ba ? " and M at most " +
+                  std::to_string(std::numeric_limits<uint32_t>::max())
+            : std::string()));
+  }
+  return DatasetSpec{.kind = ba ? Kind::kBarabasiAlbert : Kind::kUniformRandom,
+                     .nodes = static_cast<NodeId>(n),
+                     .edges = m};
+}
+
+Result<Graph> BuildDatasetGraph(const DatasetSpec& spec, uint64_t seed,
+                                double scale) {
+  switch (spec.kind) {
+    case DatasetSpec::Kind::kBarabasiAlbert: {
+      Rng rng(seed);
+      return MakeBarabasiAlbert(spec.nodes, static_cast<uint32_t>(spec.edges),
+                                rng);
+    }
+    case DatasetSpec::Kind::kUniformRandom:
+      return MakeUniformRandomMultigraph(spec.nodes, spec.edges, seed);
+    case DatasetSpec::Kind::kGPlus:
+      return MakeGPlusLike(scale, seed).graph;
+    case DatasetSpec::Kind::kYelp:
+      return MakeYelpLike(scale, seed, false).graph;
+    case DatasetSpec::Kind::kTwitter:
+      return MakeTwitterLike(scale, seed, false).graph;
+    case DatasetSpec::Kind::kSmall:
+      return MakeSmallScaleFree(seed).graph;
+  }
+  return Status::InvalidArgument("unknown dataset kind");
 }
 
 }  // namespace wnw

@@ -7,10 +7,13 @@
 // paper's sizes).
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "graph/attributes.h"
 #include "graph/graph.h"
+#include "util/status.h"
 
 namespace wnw {
 
@@ -48,5 +51,37 @@ SocialDataset MakeSmallScaleFree(uint64_t seed);
 /// Plain Barabási–Albert dataset (paper's synthetic sweep: 10k-20k nodes,
 /// m = 5). Column: none (degree aggregates only).
 SocialDataset MakeSyntheticBA(NodeId n, uint32_t m, uint64_t seed);
+
+/// The `--dataset` grammar of every tool (wnw_sample, wnw_snapshot,
+/// loadgen_remote). They all build through BuildDatasetGraph, so one spec,
+/// seed and scale give one graph everywhere: the snapshot, stream and remote
+/// identity checks rest on that.
+inline constexpr std::string_view kDatasetSpecUsage =
+    "ba:N,M | rand:N,M | gplus | yelp | twitter | small";
+
+/// The tools' default `--scale`.
+inline constexpr double kDefaultDatasetScale = 0.25;
+
+/// A parsed dataset spec. ba:N,M is a Barabási–Albert graph of N nodes with
+/// M edges per new node; rand:N,M is a uniform random multigraph of N nodes
+/// and M edges, the edges a RandomEdgeSource(N, M, seed) streams. The named
+/// datasets are the stand-ins above.
+struct DatasetSpec {
+  enum class Kind { kBarabasiAlbert, kUniformRandom, kGPlus, kYelp, kTwitter,
+                    kSmall };
+  Kind kind = Kind::kSmall;
+  NodeId nodes = 0;    // ba, rand: N
+  uint64_t edges = 0;  // ba: M per new node; rand: M in total
+};
+
+/// Parses a `kDatasetSpecUsage` spec. A malformed spec, an unknown name, an
+/// N that does not fit NodeId, and a ba M that does not fit uint32_t are
+/// InvalidArgument.
+Result<DatasetSpec> ParseDatasetSpec(std::string_view spec);
+
+/// Builds the spec's graph from `seed`; `scale` shrinks gplus, yelp and
+/// twitter as their makers do.
+Result<Graph> BuildDatasetGraph(const DatasetSpec& spec, uint64_t seed,
+                                double scale);
 
 }  // namespace wnw

@@ -111,6 +111,9 @@ class EngineRun {
 
   Status Run() {
     result_->walker_stats.resize(options_.walkers);
+    if (residency_ != nullptr) {
+      WNW_RETURN_IF_ERROR(residency_->StartPrefetcher());
+    }
     // Peak resident-set telemetry: a low-rate /proc/self/statm probe while
     // cohorts step (plus one sample on each side), so engine_resident_peak
     // reports measured memory, not a proxy. Zero where statm is missing.

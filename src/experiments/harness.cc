@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "access/snapshot_backend.h"
 #include "estimation/ground_truth.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -91,58 +90,32 @@ std::vector<CurvePoint> RunErrorVsCost(const SocialDataset& dataset,
   }
   std::mutex mu;
 
-  // One executor shared by every trial (when configured): the combined
-  // in-flight requests of all parallel trials stay inside its window. Both
-  // at once is a contradiction, rejected loudly like the session layer does.
-  WNW_CHECK(!(config.async.has_value() && config.executor != nullptr) &&
-            "ErrorVsCostConfig sets both async and an explicit executor — "
-            "drop one of the two");
-  std::shared_ptr<CompletionExecutor> shared_executor = config.executor;
-  if (shared_executor == nullptr && config.async.has_value()) {
-    shared_executor = std::make_shared<CompletionExecutor>(*config.async);
-  }
-
-  // A shared cache, a sharded origin, or an explicit backend means all
-  // trials talk to ONE simulated service: build the (thread-safe) backend
-  // stack once. Otherwise keep the paper's protocol of fully isolated
-  // per-trial backends with per-trial server randomness — a latency
-  // scenario alone still applies to each trial's private stack, so
-  // "isolated but slow" is expressible as a baseline.
-  std::shared_ptr<AccessBackend> shared_backend = config.backend;
-  if (shared_backend == nullptr &&
-      (config.shared_cache != nullptr || config.shards >= 1 ||
-       !config.snapshot.empty())) {
-    BackendStackOptions stack;
-    stack.access = config.access;
-    stack.latency = config.latency;
-    stack.shards = config.shards;
-    stack.partition = config.partition;
-    if (!config.snapshot.empty()) {
-      stack.snapshot = config.snapshot;
-      auto loaded = BuildSnapshotBackendStack(stack);
-      if (!loaded.ok()) {
-        WNW_LOG(kError) << "snapshot origin '" << config.snapshot
-                        << "' failed to open: " << loaded.status().ToString();
-        return points;  // zero completed trials, like other logged failures
-      }
-      shared_backend = *std::move(loaded);
-    } else {
-      shared_backend = BuildBackendStack(&graph, stack);
+  // A shared resource in the template means all trials talk to ONE
+  // simulated service: resolve it once, as RunWalkerPool does. The sampler's
+  // own spec keys still resolve per trial, and `async` stays per trial.
+  SessionOptions shared = config.session;
+  if (shared.backend != nullptr || shared.query_cache != nullptr ||
+      !shared.cache_file.empty() || !shared.snapshot.empty() ||
+      shared.shards >= 1) {
+    SamplerConfig no_keys;
+    shared.async.reset();
+    const Status resolved =
+        ResolveSessionResources(&graph, &no_keys, &shared);
+    if (!resolved.ok()) {
+      WNW_LOG(kError) << sampler.label << ": shared session resources: "
+                      << resolved.ToString();
+      return points;  // zero completed trials, like other logged failures
     }
+    shared.async = config.session.async;
   }
 
   ParallelFor(
       static_cast<size_t>(config.trials),
       [&](size_t trial) {
         Rng trial_rng(Mix64(config.seed ^ (0xabcd0000u + trial)));
-        SessionOptions session_opts;
-        session_opts.access = config.access;
+        SessionOptions session_opts = shared;
         session_opts.access.seed = trial_rng.Next();
         session_opts.seed = trial_rng.Next();
-        session_opts.backend = shared_backend;  // null = private per trial
-        session_opts.latency = config.latency;  // used on private stacks
-        session_opts.query_cache = config.shared_cache;
-        session_opts.executor = shared_executor;  // null = synchronous
         auto session_or = SamplingSession::Open(&graph, sampler.config,
                                                 session_opts);
         if (!session_or.ok()) {

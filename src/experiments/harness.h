@@ -10,9 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "access/access_interface.h"
-#include "access/decorators.h"
-#include "access/query_cache.h"
 #include "core/registry.h"
 #include "core/session.h"
 #include "datasets/social_datasets.h"
@@ -57,44 +54,19 @@ struct ErrorVsCostConfig {
   int trials = 10;
   uint64_t seed = 42;
   int threads = 0;  // 0 = hardware default
-  AccessOptions access;  // restriction / rate-limit scenario
 
-  /// Simulated network latency scenario, applied to every trial's backend —
-  /// the per-trial private stacks, or the one shared stack when
-  /// `shared_cache`/`backend` is set.
-  std::optional<LatencyConfig> latency;
-
-  /// Cross-session query cache shared by all (parallel) trials: trials
-  /// reuse each other's neighbor lists, so later trials pay measurably
-  /// fewer queries (Zhou et al.-style history reuse). Null = isolated
-  /// trials, the paper's original protocol.
-  std::shared_ptr<QueryCache> shared_cache;
-
-  /// Shards the simulated origin for ALL trials: >= 1 builds ONE shared
-  /// ShardedBackend (per-shard locks, limiters, latency stacks) that every
-  /// trial talks to, like an explicit `backend` does — a sharded origin
-  /// models one deployment, not a per-trial artifact. 0 = unsharded.
-  int shards = 0;
-  ShardPartition partition = ShardPartition::kModulo;
-
-  /// Explicit backend stack for all trials; overrides
-  /// `access`/`latency`/`shards`.
-  std::shared_ptr<AccessBackend> backend;
-
-  /// Path to a graph snapshot: every trial talks to ONE shared disk-backed
-  /// origin (mmap'd, byte-identical to the in-memory origin) — like an
-  /// explicit `backend`, a snapshot models one deployment. Composes with
-  /// `latency`/`shards`; a load failure is logged and the run completes
-  /// zero trials, matching the harness's other warning-logged failures.
-  std::string snapshot;
-
-  /// One fetch executor shared by ALL trials: their combined in-flight
-  /// requests are bounded by its window, and (with a real-sleep latency
-  /// backend) independent trials overlap each other's round trips. Set
-  /// `async` to have the harness build it, or `executor` to share an
-  /// existing one; both null = synchronous fetching.
-  std::optional<AsyncOptions> async;
-  std::shared_ptr<CompletionExecutor> executor;
+  /// Every trial's session options, the way WalkerPoolOptions::session
+  /// works; `seed` and `access.seed` are drawn per trial from `seed` above.
+  /// A template that names a shared resource (an explicit backend, a query
+  /// cache or cache file, a snapshot, or shards >= 1) is resolved once
+  /// through ResolveSessionResources, and every trial talks to that one
+  /// service: trials sharing a query cache reuse each other's neighbor
+  /// lists (Zhou et al.-style history reuse). Otherwise each trial opens
+  /// its own stack with its own server randomness, the paper's protocol of
+  /// isolated trials. An explicit `executor` is shared by every trial;
+  /// `async` builds one per trial, as for any session. A resource that
+  /// fails to resolve is logged and the run completes zero trials.
+  SessionOptions session;
 
   /// Registry spec string ("we:mhrw?diameter=8") used by the overload of
   /// RunErrorVsCost that takes no SamplerSpec.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <limits>
+#include <string>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -151,10 +153,22 @@ ResidencyManager::ResidencyManager(std::vector<BlockSpan> spans,
       pager_(options.pager != nullptr ? *options.pager : SystemPager()),
       state_(spans_.size(), State::kOut),
       pinned_(spans_.size(), 0),
-      lru_tick_(spans_.size(), 0) {
-  if (options.background && !spans_.empty()) {
+      lru_tick_(spans_.size(), 0) {}
+
+Status ResidencyManager::StartPrefetcher() {
+  if (spans_.empty()) return Status::OK();
+  // std::thread throws system_error when the spawn fails, and bad_alloc
+  // when its start state cannot be allocated (an address-space cap does
+  // either).
+  try {
     worker_ = std::thread([this] { WorkerLoop(); });
+  } catch (const std::exception& e) {
+    return Status::ResourceExhausted(
+        std::string("residency manager: cannot start its prefetcher "
+                    "thread: ") +
+        e.what());
   }
+  return Status::OK();
 }
 
 ResidencyManager::~ResidencyManager() {

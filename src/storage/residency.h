@@ -27,6 +27,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/status.h"
+
 namespace wnw::storage {
 
 /// The syscall seam under ResidencyManager. Production uses SystemPager()
@@ -94,9 +96,6 @@ class ResidencyManager {
     /// Eviction threshold for charged bytes. 0 = unbudgeted: prefetch still
     /// runs, nothing is ever evicted.
     uint64_t budget_bytes = 0;
-    /// Run WillNeed jobs on a background thread. false = jobs queue until
-    /// Drain() (deterministic mode for tests).
-    bool background = true;
     /// null = SystemPager().
     Pager* pager = nullptr;
   };
@@ -114,6 +113,12 @@ class ResidencyManager {
   ~ResidencyManager();
   ResidencyManager(const ResidencyManager&) = delete;
   ResidencyManager& operator=(const ResidencyManager&) = delete;
+
+  /// Starts the background thread that runs queued WillNeed jobs; until
+  /// then they wait for Drain() (the deterministic mode tests use). A
+  /// thread that cannot be spawned is ResourceExhausted. Call it once,
+  /// before sharing the manager.
+  Status StartPrefetcher();
 
   size_t num_blocks() const { return spans_.size(); }
 
@@ -133,8 +138,9 @@ class ResidencyManager {
   /// pager call; pinned blocks are not releasable.
   void Release(size_t block);
 
-  /// Runs all queued WillNeed jobs on the calling thread (background=false
-  /// mode; also used by tests to make prefetch completion deterministic).
+  /// Runs all queued WillNeed jobs on the calling thread (with no
+  /// prefetcher started; also used by tests to make prefetch completion
+  /// deterministic).
   void Drain();
 
   uint64_t budget_bytes() const { return budget_; }
@@ -170,7 +176,7 @@ class ResidencyManager {
   Stats stats_;
   bool stop_ = false;
 
-  std::thread worker_;  // only when Options::background
+  std::thread worker_;  // only after StartPrefetcher()
 };
 
 /// This process's resident-set size in bytes (/proc/self/statm × page size)

@@ -2,6 +2,7 @@
 
 #include "datasets/social_datasets.h"
 #include "graph/algorithms.h"
+#include "graph/generators.h"
 
 namespace wnw {
 namespace {
@@ -97,6 +98,58 @@ TEST(DatasetsTest, SmallDiameters) {
   EXPECT_LE(MakeGPlusLike(0.05, 9).diameter_estimate, 6u);
   EXPECT_LE(MakeYelpLike(0.03, 9, false).diameter_estimate, 12u);
   EXPECT_LE(MakeTwitterLike(0.04, 9, false).diameter_estimate, 10u);
+}
+
+TEST(DatasetSpecTest, SizesThatDoNotFitAreRejectedNotWrapped) {
+  // 4294967306 = 2^32 + 10: a cast would build a 10-node graph.
+  for (const char* spec : {"ba:4294967306,3", "ba:4294967296,3",
+                           "rand:4294967296,10", "ba:100,4294967296"}) {
+    EXPECT_EQ(ParseDatasetSpec(spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
+  const auto widest = ParseDatasetSpec("ba:4294967295,4294967295");
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest->nodes, 4294967295u);
+  EXPECT_EQ(widest->edges, 4294967295u);
+  // rand's M counts all edges, so it may exceed 32 bits.
+  const auto rand = ParseDatasetSpec("rand:10,4294967296");
+  ASSERT_TRUE(rand.ok());
+  EXPECT_EQ(rand->kind, DatasetSpec::Kind::kUniformRandom);
+  EXPECT_EQ(rand->edges, uint64_t{1} << 32);
+}
+
+TEST(DatasetSpecTest, MalformedSpecsAreInvalidArgument) {
+  for (const char* spec : {"", "ba", "ba:", "ba:10", "ba:10,3,1", "ba:x,3",
+                           "ba:-5,3", "rand:10", "er:10,3", "GPLUS",
+                           "small:1"}) {
+    EXPECT_EQ(ParseDatasetSpec(spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
+}
+
+TEST(DatasetSpecTest, BuildsWhatTheMakersBuild) {
+  constexpr uint64_t kSeed = 20260611;
+  Rng rng(kSeed);
+  const Graph ba = MakeBarabasiAlbert(500, 3, rng).value();
+  const Graph rand = MakeUniformRandomMultigraph(300, 900, kSeed).value();
+  const struct {
+    const char* spec;
+    uint64_t checksum;
+  } cases[] = {
+      {"ba:500,3", ba.TopologyChecksum()},
+      {"rand:300,900", rand.TopologyChecksum()},
+      {"small", MakeSmallScaleFree(kSeed).graph.TopologyChecksum()},
+      {"gplus", MakeGPlusLike(0.05, kSeed).graph.TopologyChecksum()},
+  };
+  for (const auto& c : cases) {
+    const auto spec = ParseDatasetSpec(c.spec);
+    ASSERT_TRUE(spec.ok()) << c.spec;
+    const auto built = BuildDatasetGraph(*spec, kSeed, 0.05);
+    ASSERT_TRUE(built.ok()) << c.spec;
+    EXPECT_EQ(built->TopologyChecksum(), c.checksum) << c.spec;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // RunWalkerPool under the same seed. The sweep enumerates the registry, so
 // registering a new sampler without an identity case fails here first.
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/session.h"
 #include "engine/block_scheduler.h"
 #include "engine/walk_engine.h"
+#include "storage/snapshot.h"
 #include "test_util.h"
 
 namespace wnw {
@@ -318,6 +320,28 @@ TEST(WalkEngine, WorkerThatCannotStartStopsTheWorkersStarted) {
             RunWalkEngine(&graph, "walk:srw?steps=5", options).status());
       },
       ::testing::ExitedWithCode(0), "cannot start worker thread");
+}
+
+TEST(WalkEngine, ResidencyPrefetcherThatCannotStartIsResourceExhausted) {
+  // A residency budget over a mapped graph makes the engine start the
+  // residency manager's prefetcher thread first; a failed spawn comes back
+  // through RunWalkEngine like the engine's own.
+  const std::string path =
+      ::testing::TempDir() + "wnw_engine_test_residency.snap";
+  ASSERT_TRUE(WriteGraphSnapshot(MakeTestBA(300, 3), path).ok());
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const Graph mapped = LoadGraphSnapshot(path).value().graph;
+        EngineOptions options = BaseEngineOptions(8, 2);
+        options.threads = 2;
+        options.residency_budget_bytes = 1 << 20;
+        testing::CapAddressSpace(testing::DefaultThreadStack() / 4);
+        testing::ExitWithStatus(
+            RunWalkEngine(&mapped, "walk:srw?steps=5", options).status());
+      },
+      ::testing::ExitedWithCode(0), "prefetcher thread");
+  std::remove(path.c_str());
 }
 
 // --- BlockScheduler ----------------------------------------------------------

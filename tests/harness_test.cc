@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
+#include <string>
 
+#include "access/backend.h"
 #include "estimation/metrics.h"
 #include "experiments/harness.h"
 #include "mcmc/distribution.h"
+#include "storage/snapshot.h"
 
 namespace wnw {
 namespace {
@@ -151,7 +156,7 @@ TEST(HarnessTest, SharedCacheCutsMeanQueryCost) {
   const auto isolated = RunErrorVsCost(ds, {"avg_deg", ""}, config);
   ASSERT_TRUE(isolated.ok());
 
-  config.shared_cache = std::make_shared<QueryCache>();
+  config.session.query_cache = std::make_shared<QueryCache>();
   const auto shared = RunErrorVsCost(ds, {"avg_deg", ""}, config);
   ASSERT_TRUE(shared.ok());
 
@@ -161,11 +166,11 @@ TEST(HarnessTest, SharedCacheCutsMeanQueryCost) {
     EXPECT_LT((*shared)[i].mean_query_cost,
               0.7 * (*isolated)[i].mean_query_cost);
   }
-  EXPECT_GT(config.shared_cache->hits(), 0u);
+  EXPECT_GT(config.session.query_cache->hits(), 0u);
 }
 
 TEST(HarnessTest, ShardedOriginIsSharedAcrossTrialsAndChangesNoResults) {
-  // ErrorVsCostConfig::shards builds ONE sharded origin all trials talk to;
+  // A template with shards builds ONE sharded origin all trials talk to;
   // sharding changes where queries are answered, never the curve.
   const SocialDataset ds = TinyDataset();
   ErrorVsCostConfig config;
@@ -177,8 +182,8 @@ TEST(HarnessTest, ShardedOriginIsSharedAcrossTrialsAndChangesNoResults) {
   const auto unsharded = RunErrorVsCost(ds, {"avg_deg", ""}, config);
   ASSERT_TRUE(unsharded.ok());
 
-  config.shards = 4;
-  config.partition = ShardPartition::kDegreeBalanced;
+  config.session.shards = 4;
+  config.session.partition = ShardPartition::kDegreeBalanced;
   const auto sharded = RunErrorVsCost(ds, {"avg_deg", ""}, config);
   ASSERT_TRUE(sharded.ok());
   ASSERT_EQ(sharded->size(), 1u);
@@ -188,6 +193,40 @@ TEST(HarnessTest, ShardedOriginIsSharedAcrossTrialsAndChangesNoResults) {
   // the sharded origin is one shared service — but both must be sane.
   EXPECT_GT((*sharded)[0].mean_query_cost, 0.0);
   EXPECT_GE((*unsharded)[0].mean_query_cost, 0.0);
+}
+
+TEST(HarnessTest, SnapshotOriginGivesTheInMemoryCurve) {
+  // A snapshot template is one shared, mmap'd origin for every trial; it
+  // must serve the curve an in-memory shared origin gives.
+  const SocialDataset ds = TinyDataset();
+  const std::string path =
+      ::testing::TempDir() + "wnw_harness_test_tiny.snap";
+  ASSERT_TRUE(WriteGraphSnapshot(ds.graph, path).ok());
+  ErrorVsCostConfig config;
+  config.sample_counts = {5, 10};
+  config.trials = 3;
+  config.seed = 19;
+  config.threads = 1;  // sums the trials in one order on both sides
+  config.sampler_spec =
+      "we:srw?diameter=" + std::to_string(ds.diameter_estimate);
+
+  config.session.backend = std::make_shared<InMemoryBackend>(&ds.graph);
+  const auto memory = RunErrorVsCost(ds, {"avg_deg", ""}, config);
+  config.session.backend = nullptr;
+  config.session.snapshot = path;
+  const auto snapshot = RunErrorVsCost(ds, {"avg_deg", ""}, config);
+  std::remove(path.c_str());
+
+  ASSERT_TRUE(memory.ok());
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_EQ(memory->size(), snapshot->size());
+  for (size_t i = 0; i < memory->size(); ++i) {
+    EXPECT_EQ((*snapshot)[i].completed_trials, config.trials);
+    EXPECT_EQ((*snapshot)[i].mean_query_cost, (*memory)[i].mean_query_cost);
+    EXPECT_EQ((*snapshot)[i].mean_total_queries,
+              (*memory)[i].mean_total_queries);
+    EXPECT_EQ((*snapshot)[i].mean_rel_error, (*memory)[i].mean_rel_error);
+  }
 }
 
 TEST(HarnessTest, LatencyScenarioShowsUpInWaitedSeconds) {
@@ -200,7 +239,7 @@ TEST(HarnessTest, LatencyScenarioShowsUpInWaitedSeconds) {
       "we:srw?diameter=" + std::to_string(ds.diameter_estimate);
   LatencyConfig latency;
   latency.mean_ms = 25.0;
-  config.latency = latency;
+  config.session.latency = latency;
   const auto curve = RunErrorVsCost(ds, {"avg_deg", ""}, config);
   ASSERT_TRUE(curve.ok());
   ASSERT_EQ(curve->size(), 1u);
@@ -216,8 +255,9 @@ TEST(HarnessTest, RestrictedAccessStillSamples) {
   ErrorVsCostConfig config;
   config.sample_counts = {5, 10};
   config.trials = 3;
-  config.access.restriction = NeighborRestriction::kTruncated;
-  config.access.max_neighbors = 100;  // "even 100 ensures connectivity"
+  config.session.access.restriction = NeighborRestriction::kTruncated;
+  // "even 100 ensures connectivity"
+  config.session.access.max_neighbors = 100;
   const auto curve = RunErrorVsCost(ds, spec, {"avg_deg", ""}, config);
   for (const auto& p : curve) {
     EXPECT_EQ(p.completed_trials, 3);

@@ -762,7 +762,9 @@ TEST_F(RemoteBackendTest, EngineOverRemoteMatchesInProcessForEverySampler) {
     const std::string remote_spec =
         test_case.spec +
         (test_case.spec.find('?') == std::string::npos ? "?" : "&") +
-        "backend=remote&addr=" + Addr(server_->port());
+        "backend=remote&addr=" + Addr(server_->port()) +
+        (test_case.spec.find("window=") == std::string::npos ? "&window=8"
+                                                             : "");
     const auto remote = RunWalkEngine(&graph_, remote_spec, remote_options);
     ASSERT_TRUE(remote.ok()) << remote_spec << ": "
                              << remote.status().ToString();

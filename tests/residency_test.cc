@@ -1,7 +1,7 @@
 // ResidencyManager contract tests with an injected fake pager: every
 // madvise-shaped decision (prefetch ordering, budget eviction, pin
 // protection, release edge cases) is observable and deterministic —
-// background=false queues WillNeed jobs until Drain().
+// with no prefetcher started, WillNeed jobs queue until Drain().
 #include "storage/residency.h"
 
 #include <array>
@@ -68,8 +68,7 @@ std::vector<BlockSpan> MakeSpans(size_t blocks) {
 ResidencyManager::Options TestOptions(FakePager* pager,
                                       uint64_t budget = 0) {
   ResidencyManager::Options options;
-  options.budget_bytes = budget;
-  options.background = false;  // jobs run at Drain(), deterministically
+  options.budget_bytes = budget;  // no prefetcher: jobs run at Drain()
   options.pager = pager;
   return options;
 }
@@ -241,9 +240,9 @@ TEST(ResidencyManager, BackgroundThreadDeliversAdviceEventually) {
   FakePager pager;  // only the manager's worker touches it before join
   ResidencyManager::Options options;
   options.pager = &pager;
-  options.background = true;
   {
     ResidencyManager manager(MakeSpans(2), options);
+    ASSERT_TRUE(manager.StartPrefetcher().ok());
     manager.Prefetch(0);
     manager.Prefetch(1);
     manager.Drain();  // callers may drain concurrently with the worker

@@ -7,7 +7,7 @@
 //      "burnin:srw?max_steps=20000", "longrun:srw?thinning=4", "we-path:mhrw"
 //
 // Usage:
-//   wnw_sample [--graph FILE | --dataset ba:N,M|gplus|yelp|twitter|small]
+//   wnw_sample [--graph FILE | --dataset SPEC]
 //              [--spec SPEC] [--samples N] [--seed S] [--scale X]
 //              [--diameter-bound D] [--estimate-degree] [--quiet] [--json]
 //              [--cache_file FILE]
@@ -32,15 +32,19 @@
 // ({"spec", "samples": [...], "stats": {...}}) for scripting; diagnostics
 // stay on stderr.
 //
+// --dataset SPEC is the one dataset grammar every tool reads
+// (ParseDatasetSpec in datasets/social_datasets.h; README.md, "The CLI").
+//
 // Exit status: 0 when every requested sample was drawn; 1 when the input
 // graph cannot be loaded or a draw fails (the samples drawn so far and the
-// stats are still printed); 2 for a malformed flag or a rejected spec.
+// stats are still printed); 2 for a malformed flag, dataset or spec.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/registry.h"
@@ -50,7 +54,6 @@
 #include "engine/walk_engine.h"
 #include "estimation/aggregates.h"
 #include "graph/algorithms.h"
-#include "graph/generators.h"
 #include "graph/io.h"
 #include "util/string_util.h"
 
@@ -60,12 +63,14 @@ using namespace wnw;
 
 struct Args {
   std::string graph_path;
-  std::string dataset = "ba:10000,5";
+  DatasetSpec dataset = {.kind = DatasetSpec::Kind::kBarabasiAlbert,
+                         .nodes = 10000,
+                         .edges = 5};
   std::string spec = "we:srw";
   std::string cache_file;
   uint64_t samples = 100;
   uint64_t seed = 20260611;
-  double scale = 0.25;
+  double scale = kDefaultDatasetScale;
   int diameter_bound = 0;  // 0 = estimate via double sweep
   bool estimate_degree = false;
   bool quiet = false;
@@ -89,10 +94,11 @@ void PrintUsage() {
       "                  [--samples N] [--seed S] [--scale X]\n"
       "                  [--diameter-bound D] [--estimate-degree] [--quiet]\n"
       "                  [--json] [--cache_file FILE]\n"
-      "dataset SPEC: ba:N,M | rand:N,M | gplus | yelp | twitter | small\n"
+      "dataset SPEC: %s (every tool's grammar; README.md, The CLI)\n"
       "sampler SPEC: <sampler>[:<walk>][?key=value&...], "
       "walk = srw|mhrw|lazy|maxdeg:<bound>\n"
-      "registered samplers and their spec keys:\n");
+      "registered samplers and their spec keys:\n",
+      kDatasetSpecUsage.data());
   const SamplerRegistry& registry = SamplerRegistry::Global();
   for (const auto& name : registry.Names()) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(),
@@ -126,7 +132,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--dataset") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->dataset = v;
+      auto dataset = ParseDatasetSpec(v);
+      if (!dataset.ok()) {
+        std::fprintf(stderr, "error: %s\n",
+                     dataset.status().ToString().c_str());
+        return false;
+      }
+      args->dataset = *dataset;
     } else if (flag == "--spec") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -173,52 +185,11 @@ Result<Graph> LoadInputGraph(const Args& args) {
     WNW_ASSIGN_OR_RETURN(Subgraph lcc, LargestComponent(loaded.graph));
     return std::move(lcc.graph);
   }
-  if (args.dataset.rfind("ba:", 0) == 0) {
-    // A view into args.dataset, not a substr temporary: the returned
-    // views must outlive this statement.
-    const std::string_view ba_spec =
-        std::string_view(args.dataset).substr(3);
-    const auto parts = SplitString(ba_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      return Status::InvalidArgument("expected --dataset ba:N,M");
-    }
-    Rng rng(args.seed);
-    return MakeBarabasiAlbert(static_cast<NodeId>(n),
-                              static_cast<uint32_t>(m), rng);
-  }
-  if (args.dataset.rfind("rand:", 0) == 0) {
-    const std::string_view rand_spec =
-        std::string_view(args.dataset).substr(5);
-    const auto parts = SplitString(rand_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      return Status::InvalidArgument("expected --dataset rand:N,M");
-    }
-    // Same construction as wnw_snapshot's rand: dataset for the same seed,
-    // so a streamed rand: snapshot serves the exact graph this builds.
-    return MakeUniformRandomMultigraph(static_cast<NodeId>(n), m, args.seed);
-  }
-  if (args.dataset == "gplus") {
-    return MakeGPlusLike(args.scale, args.seed).graph;
-  }
-  if (args.dataset == "yelp") {
-    return MakeYelpLike(args.scale, args.seed, false).graph;
-  }
-  if (args.dataset == "twitter") {
-    return MakeTwitterLike(args.scale, args.seed, false).graph;
-  }
-  if (args.dataset == "small") {
-    return MakeSmallScaleFree(args.seed).graph;
-  }
-  return Status::InvalidArgument("unknown dataset: " + args.dataset);
+  return BuildDatasetGraph(args.dataset, args.seed, args.scale);
 }
 
-// Emits samples plus the full SessionStats as one JSON object. Spec strings
-// contain no characters needing escapes beyond quotes/backslashes (enforced
-// by escaping anyway, for arbitrary registry names).
+// Spec strings contain no characters needing escapes beyond
+// quotes/backslashes (escaped anyway, for arbitrary registry names).
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -229,106 +200,44 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+void PrintJsonValue(const std::string& v) {
+  std::printf("\"%s\"", JsonEscape(v).c_str());
+}
+void PrintJsonValue(uint64_t v) {
+  std::printf("%llu", static_cast<unsigned long long>(v));
+}
+void PrintJsonValue(double v) { std::printf("%.6f", v); }
+void PrintJsonValue(int v) { std::printf("%d", v); }
+void PrintJsonValue(bool v) { std::printf("%s", v ? "true" : "false"); }
+template <typename T>
+void PrintJsonValue(const std::vector<T>& v) {
+  std::printf("[");
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) std::printf(", ");
+    PrintJsonValue(v[i]);
+  }
+  std::printf("]");
+}
+
+// Emits the samples plus every SessionStats field (kSessionStatsFields) as
+// one JSON object; the spec sits at the top level, next to the samples.
 void PrintJson(const SessionStats& stats, const std::vector<NodeId>& samples) {
-  std::printf("{\n  \"spec\": \"%s\",\n", JsonEscape(stats.spec).c_str());
-  std::printf("  \"samples\": [");
+  std::printf("{\n  \"spec\": ");
+  PrintJsonValue(stats.spec);
+  std::printf(",\n  \"samples\": [");
   for (size_t i = 0; i < samples.size(); ++i) {
     std::printf("%s%u", i == 0 ? "" : ", ", samples[i]);
   }
-  std::printf("],\n");
-  std::printf("  \"stats\": {\n");
-  std::printf("    \"sampler\": \"%s\",\n", JsonEscape(stats.sampler).c_str());
-  std::printf("    \"backend\": \"%s\",\n", JsonEscape(stats.backend).c_str());
-  std::printf("    \"samples_drawn\": %llu,\n",
-              static_cast<unsigned long long>(stats.samples_drawn));
-  std::printf("    \"query_cost\": %llu,\n",
-              static_cast<unsigned long long>(stats.query_cost));
-  std::printf("    \"total_queries\": %llu,\n",
-              static_cast<unsigned long long>(stats.total_queries));
-  std::printf("    \"backend_fetches\": %llu,\n",
-              static_cast<unsigned long long>(stats.backend_fetches));
-  std::printf("    \"shared_cache_hits\": %llu,\n",
-              static_cast<unsigned long long>(stats.shared_cache_hits));
-  std::printf("    \"prefetch_batches\": %llu,\n",
-              static_cast<unsigned long long>(stats.prefetch_batches));
-  std::printf("    \"waited_seconds\": %.6f,\n", stats.waited_seconds);
-  std::printf("    \"elapsed_seconds\": %.6f,\n", stats.elapsed_seconds);
-  std::printf("    \"async_window\": %d,\n", stats.async_window);
-  std::printf("    \"backend_shards\": %d,\n", stats.backend_shards);
-  std::printf("    \"shard_fetches\": [");
-  for (size_t i = 0; i < stats.shard_fetches.size(); ++i) {
-    std::printf("%s%llu", i == 0 ? "" : ", ",
-                static_cast<unsigned long long>(stats.shard_fetches[i]));
+  std::printf("],\n  \"stats\": {");
+  const char* separator = "\n";
+  for (const SessionStatsField& field : kSessionStatsFields) {
+    if (field.name == "spec") continue;
+    std::printf("%s    \"%s\": ", separator, field.name.data());
+    std::visit([&](auto member) { PrintJsonValue(stats.*member); },
+               field.member);
+    separator = ",\n";
   }
-  std::printf("],\n");
-  std::printf("    \"shard_stall_seconds\": [");
-  for (size_t i = 0; i < stats.shard_stall_seconds.size(); ++i) {
-    std::printf("%s%.6f", i == 0 ? "" : ", ", stats.shard_stall_seconds[i]);
-  }
-  std::printf("],\n");
-  std::printf("    \"remote_addr\": \"%s\",\n",
-              JsonEscape(stats.remote_addr).c_str());
-  std::printf("    \"remote_rpcs\": %llu,\n",
-              static_cast<unsigned long long>(stats.remote_rpcs));
-  std::printf("    \"remote_retries\": %llu,\n",
-              static_cast<unsigned long long>(stats.remote_retries));
-  std::printf("    \"remote_bytes\": %llu,\n",
-              static_cast<unsigned long long>(stats.remote_bytes));
-  std::printf("    \"cache_attached\": %s,\n",
-              stats.cache_attached ? "true" : "false");
-  std::printf("    \"cache_hits\": %llu,\n",
-              static_cast<unsigned long long>(stats.cache_hits));
-  std::printf("    \"cache_misses\": %llu,\n",
-              static_cast<unsigned long long>(stats.cache_misses));
-  std::printf("    \"cache_evictions\": %llu,\n",
-              static_cast<unsigned long long>(stats.cache_evictions));
-  std::printf("    \"cache_entries\": %llu,\n",
-              static_cast<unsigned long long>(stats.cache_entries));
-  std::printf("    \"cache_file\": \"%s\",\n",
-              JsonEscape(stats.cache_file).c_str());
-  std::printf("    \"cache_stale_drops\": %llu,\n",
-              static_cast<unsigned long long>(stats.cache_stale_drops));
-  std::printf("    \"engine_walkers\": %llu,\n",
-              static_cast<unsigned long long>(stats.engine_walkers));
-  std::printf("    \"engine_blocks\": %llu,\n",
-              static_cast<unsigned long long>(stats.engine_blocks));
-  std::printf("    \"engine_block_switches\": %llu,\n",
-              static_cast<unsigned long long>(stats.engine_block_switches));
-  std::printf("    \"engine_steps\": %llu,\n",
-              static_cast<unsigned long long>(stats.engine_steps));
-  std::printf("    \"engine_steps_per_sec\": %.3f,\n",
-              stats.engine_steps_per_sec);
-  std::printf("    \"engine_bytes_scanned\": %llu,\n",
-              static_cast<unsigned long long>(stats.engine_bytes_scanned));
-  std::printf("    \"engine_resident_peak\": %llu,\n",
-              static_cast<unsigned long long>(stats.engine_resident_peak));
-  std::printf("    \"engine_residency_budget\": %llu,\n",
-              static_cast<unsigned long long>(stats.engine_residency_budget));
-  std::printf(
-      "    \"engine_residency_peak_bytes\": %llu,\n",
-      static_cast<unsigned long long>(stats.engine_residency_peak_bytes));
-  std::printf(
-      "    \"engine_residency_prefetches\": %llu,\n",
-      static_cast<unsigned long long>(stats.engine_residency_prefetches));
-  std::printf(
-      "    \"engine_residency_releases\": %llu,\n",
-      static_cast<unsigned long long>(stats.engine_residency_releases));
-  std::printf("    \"last_burn_in\": %d,\n", stats.last_burn_in);
-  std::printf("    \"average_burn_in\": %.6f,\n", stats.average_burn_in);
-  std::printf("    \"burned_in\": %s,\n", stats.burned_in ? "true" : "false");
-  std::printf("    \"candidates_tried\": %llu,\n",
-              static_cast<unsigned long long>(stats.candidates_tried));
-  std::printf("    \"samples_accepted\": %llu,\n",
-              static_cast<unsigned long long>(stats.samples_accepted));
-  std::printf("    \"acceptance_rate\": %.6f,\n", stats.acceptance_rate);
-  std::printf("    \"forward_steps\": %llu,\n",
-              static_cast<unsigned long long>(stats.forward_steps));
-  std::printf("    \"backward_walks\": %llu,\n",
-              static_cast<unsigned long long>(stats.backward_walks));
-  std::printf("    \"walks_run\": %llu,\n",
-              static_cast<unsigned long long>(stats.walks_run));
-  std::printf("    \"samples_per_walk\": %.6f\n", stats.samples_per_walk);
-  std::printf("  }\n}\n");
+  std::printf("\n  }\n}\n");
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // Usage:
 //   wnw_snapshot --input edges.txt [--lcc] --output graph.snap
 //                [--shards N] [--partition hash|range|degree]
-//   wnw_snapshot --dataset ba:N,M|rand:N,M|gplus|yelp|twitter|small
-//                [--seed S] [--scale X] --output graph.snap [--shards N] [...]
+//   wnw_snapshot --dataset SPEC [--seed S] [--scale X] --output graph.snap
+//                [--shards N] [...]
 //   wnw_snapshot --stream [--mem-budget-mb MB] [--temp-dir DIR] ...
 //   wnw_snapshot --describe graph.snap
 //
@@ -17,6 +17,9 @@
 //   wnw_snapshot --stream --mem-budget-mb 64 --dataset rand:10000000,80000000 \
 //                --output huge.snap
 //   wnw_sample --dataset small --spec "we:mhrw?snapshot=small.snap"
+//
+// --dataset SPEC is the one dataset grammar every tool reads
+// (ParseDatasetSpec in datasets/social_datasets.h; README.md, "The CLI").
 //
 // --lcc keeps only the largest connected component (what wnw_sample does to
 // --graph inputs, so snapshots built with it serve identical topologies).
@@ -33,6 +36,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,11 +61,11 @@ using namespace wnw;
 
 struct Args {
   std::string input_path;
-  std::string dataset;
+  std::optional<DatasetSpec> dataset;
   std::string output;
   std::string describe;
   uint64_t seed = 20260611;
-  double scale = 0.25;
+  double scale = kDefaultDatasetScale;
   uint64_t shards = 0;
   std::string partition = "hash";
   bool lcc = false;
@@ -80,8 +84,9 @@ void PrintUsage() {
       "       wnw_snapshot --stream [--mem-budget-mb MB] [--temp-dir DIR] "
       "...\n"
       "       wnw_snapshot --describe SNAP\n"
-      "dataset SPEC: ba:N,M | rand:N,M | gplus | yelp | twitter | small\n"
-      "format reference: docs/STORAGE.md\n");
+      "dataset SPEC: %s (every tool's grammar; README.md, The CLI)\n"
+      "format reference: docs/STORAGE.md\n",
+      kDatasetSpecUsage.data());
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -97,7 +102,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--dataset") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->dataset = v;
+      auto dataset = ParseDatasetSpec(v);
+      if (!dataset.ok()) {
+        std::fprintf(stderr, "error: %s\n",
+                     dataset.status().ToString().c_str());
+        return false;
+      }
+      args->dataset = *dataset;
     } else if (flag == "--output") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -162,54 +173,11 @@ Result<SourceGraph> LoadSource(const Args& args) {
     }
     return SourceGraph{std::move(lcc.graph), std::move(original)};
   }
-  // Synthetic datasets: identical construction to wnw_sample's --dataset
-  // for the same seed, so a snapshot of a dataset serves the exact graph a
-  // dataset-built session walks.
-  if (args.dataset.rfind("ba:", 0) == 0) {
-    // A view into args.dataset, not a substr temporary: the returned
-    // views must outlive this statement.
-    const std::string_view ba_spec =
-        std::string_view(args.dataset).substr(3);
-    const auto parts = SplitString(ba_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      return Status::InvalidArgument("expected --dataset ba:N,M");
-    }
-    Rng rng(args.seed);
-    WNW_ASSIGN_OR_RETURN(Graph graph,
-                         MakeBarabasiAlbert(static_cast<NodeId>(n),
-                                            static_cast<uint32_t>(m), rng));
-    return SourceGraph{std::move(graph), {}};
-  }
-  if (args.dataset.rfind("rand:", 0) == 0) {
-    const std::string_view rand_spec =
-        std::string_view(args.dataset).substr(5);
-    const auto parts = SplitString(rand_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      return Status::InvalidArgument("expected --dataset rand:N,M");
-    }
-    WNW_ASSIGN_OR_RETURN(
-        Graph graph,
-        MakeUniformRandomMultigraph(static_cast<NodeId>(n), m, args.seed));
-    return SourceGraph{std::move(graph), {}};
-  }
-  if (args.dataset == "gplus") {
-    return SourceGraph{MakeGPlusLike(args.scale, args.seed).graph, {}};
-  }
-  if (args.dataset == "yelp") {
-    return SourceGraph{MakeYelpLike(args.scale, args.seed, false).graph, {}};
-  }
-  if (args.dataset == "twitter") {
-    return SourceGraph{MakeTwitterLike(args.scale, args.seed, false).graph,
-                       {}};
-  }
-  if (args.dataset == "small") {
-    return SourceGraph{MakeSmallScaleFree(args.seed).graph, {}};
-  }
-  return Status::InvalidArgument("unknown dataset: " + args.dataset);
+  // The shared dataset builder: a snapshot of a dataset serves the exact
+  // graph a dataset-built session walks for the same seed.
+  WNW_ASSIGN_OR_RETURN(Graph graph,
+                       BuildDatasetGraph(*args.dataset, args.seed, args.scale));
+  return SourceGraph{std::move(graph), {}};
 }
 
 // The --stream path: construction through the external-sort ingest
@@ -232,18 +200,9 @@ int RunStream(const Args& args) {
       return 1;
     }
     streaming_source = std::move(opened).value();
-  } else if (args.dataset.rfind("rand:", 0) == 0) {
-    const std::string_view rand_spec =
-        std::string_view(args.dataset).substr(5);
-    const auto parts = SplitString(rand_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      std::fprintf(stderr, "error: expected --dataset rand:N,M\n");
-      return 2;
-    }
+  } else if (args.dataset->kind == DatasetSpec::Kind::kUniformRandom) {
     streaming_source = std::make_unique<RandomEdgeSource>(
-        static_cast<NodeId>(n), m, args.seed);
+        args.dataset->nodes, args.dataset->edges, args.seed);
   } else {
     auto source = LoadSource(args);
     if (!source.ok()) {
@@ -382,11 +341,11 @@ int main(int argc, char** argv) {
   }
   if (!args.describe.empty()) return Describe(args.describe);
   if (args.output.empty() ||
-      (args.input_path.empty() && args.dataset.empty())) {
+      (args.input_path.empty() && !args.dataset.has_value())) {
     PrintUsage();
     return 2;
   }
-  if (!args.input_path.empty() && !args.dataset.empty()) {
+  if (!args.input_path.empty() && args.dataset.has_value()) {
     std::fprintf(stderr, "pass --input or --dataset, not both\n");
     return 2;
   }
