@@ -26,7 +26,9 @@
 // charge address space whether or not the pages are resident — so it is
 // set to current-VmSize + 2x the snapshot + slack: enough to prove the
 // bench completes under a bounded address space, impossible to satisfy by
-// simply heap-copying the file a few times over.
+// simply heap-copying the file a few times over. The slack is a fixed
+// 256 MiB plus what each thread the engine runs at once reserves: its
+// stack, and the 64 MiB heap arena glibc maps for a thread that allocates.
 //
 // Exits nonzero on any violation. Env: WNW_SEED, WNW_TRIALS, WNW_SCALE
 // (scales the graph), WNW_BENCH_JSON (writes the gate report for the CI
@@ -40,6 +42,7 @@
 
 #if defined(__linux__)
 #include <fcntl.h>
+#include <pthread.h>
 #include <sys/resource.h>
 #include <unistd.h>
 #endif
@@ -50,6 +53,7 @@
 #include "graph/generators.h"
 #include "storage/residency.h"
 #include "storage/snapshot.h"
+#include "util/parallel.h"
 #include "util/string_util.h"
 #include "util/table.h"
 
@@ -100,7 +104,20 @@ uint64_t ArmAddressSpaceCap(uint64_t snapshot_bytes) {
     return got == 1 ? uint64_t{vm_pages} * 4096 : uint64_t{0};
   }();
   if (vm_now == 0) return 0;
-  const uint64_t cap = vm_now + 2 * snapshot_bytes + (256ull << 20);
+  // The engine's workers (DefaultThreadCount in the identity gate), its
+  // resident-set sampler and the residency prefetcher.
+  const uint64_t threads = static_cast<uint64_t>(DefaultThreadCount()) + 2;
+  const uint64_t per_thread = [] {
+    pthread_attr_t attr;
+    size_t stack = 0;
+    if (pthread_getattr_default_np(&attr) == 0) {
+      pthread_attr_getstacksize(&attr, &stack);
+      pthread_attr_destroy(&attr);
+    }
+    return uint64_t{stack} + (64ull << 20);  // + glibc's per-thread arena
+  }();
+  const uint64_t cap = vm_now + 2 * snapshot_bytes + (256ull << 20) +
+                       threads * per_thread;
   struct rlimit limit;
   limit.rlim_cur = cap;
   limit.rlim_max = cap;

@@ -7,9 +7,10 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <system_error>
 #include <utility>
 #include <vector>
+
+#include "util/thread.h"
 
 namespace wnw {
 
@@ -54,13 +55,10 @@ Status DeadlineTimer::At(Clock::time_point deadline,
   {
     std::lock_guard<std::mutex> lock(state_->mu);
     if (!thread_.joinable()) {
-      try {
-        thread_ = std::thread(Run, state_);
-      } catch (const std::system_error& e) {
-        return Status::ResourceExhausted(
-            std::string("deadline timer: cannot start its thread: ") +
-            e.what());
-      }
+      WNW_ASSIGN_OR_RETURN(
+          thread_,
+          StartThread("deadline timer: cannot start its thread",
+                      [state = state_] { Run(state); }));
     }
     state_->heap.push_back({deadline, state_->next_seq++, std::move(fn)});
     std::push_heap(state_->heap.begin(), state_->heap.end(), State::Later);

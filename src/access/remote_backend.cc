@@ -14,12 +14,12 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
-#include <system_error>
 #include <unordered_map>
 
 #include "net/wire.h"
 #include "util/check.h"
 #include "util/logging.h"
+#include "util/thread.h"
 
 namespace wnw {
 
@@ -166,13 +166,10 @@ Result<std::shared_ptr<RemoteBackend>> RemoteBackend::Connect(
     backend->conns_.push_back(std::make_unique<Conn>());
   }
   net::EventLoop* loop = backend->loop_.get();
-  try {
-    backend->loop_thread_ = std::thread([loop] { loop->Run(); });
-  } catch (const std::system_error& e) {
-    return Status::ResourceExhausted(
-        std::string("remote backend: cannot start its event loop thread: ") +
-        e.what());
-  }
+  WNW_ASSIGN_OR_RETURN(
+      backend->loop_thread_,
+      StartThread("remote backend: cannot start its event loop thread",
+                  [loop] { loop->Run(); }));
   WNW_RETURN_IF_ERROR(backend->Handshake());
   return backend;
 }

@@ -119,8 +119,9 @@ struct ShardedBackend::Shard {
 };
 
 ShardedBackend::ShardedBackend(std::shared_ptr<const ShardedGraph> graph,
-                               ShardedBackendOptions options)
-    : graph_(std::move(graph)), options_(options) {
+                               ShardedBackendOptions options,
+                               OriginWrapper wrap_origin)
+    : graph_(std::move(graph)), options_(std::move(options)) {
   WNW_CHECK(graph_ != nullptr && graph_->num_shards() >= 1);
   shards_.reserve(static_cast<size_t>(graph_->num_shards()));
   auto timer = std::make_shared<DeadlineTimer>();  // shared by all shards
@@ -132,11 +133,13 @@ ShardedBackend::ShardedBackend(std::shared_ptr<const ShardedGraph> graph,
     if (latency.has_value()) {
       latency->seed = Mix64(latency->seed ^ static_cast<uint64_t>(s));
     }
-    auto shard = std::make_shared<Shard>();
-    shard->stack = DecorateOrigin(
+    std::shared_ptr<AccessBackend> origin =
         std::make_shared<ShardOriginBackend>(graph_, s, options_.access,
-                                             options_.origin_name),
-        options_.access, latency, timer);
+                                             options_.origin_name);
+    if (wrap_origin) origin = wrap_origin(s, std::move(origin));
+    auto shard = std::make_shared<Shard>();
+    shard->stack =
+        DecorateOrigin(std::move(origin), options_.access, latency, timer);
     shards_.push_back(std::move(shard));
   }
   name_ = StrFormat("sharded[%s:%d](%s)",

@@ -38,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "access/backend.h"
@@ -70,7 +71,8 @@ struct ShardedBackendOptions {
 class ShardedBackend final : public AccessBackend {
  public:
   ShardedBackend(std::shared_ptr<const ShardedGraph> graph,
-                 ShardedBackendOptions options = {});
+                 ShardedBackendOptions options = {})
+      : ShardedBackend(std::move(graph), std::move(options), nullptr) {}
 
   /// e.g. "sharded[hash:8](latency(memory))" — partition, shard count, and
   /// one shard's decorator stack.
@@ -107,6 +109,15 @@ class ShardedBackend final : public AccessBackend {
 
  private:
   struct Shard;
+
+  // Tests build shards whose origin is wrapped (to watch what each shard
+  // serves) through this constructor; `wrap_origin(s, origin)` replaces
+  // shard s's origin under its decorators and must answer as it does.
+  friend class ShardedBackendTestPeer;
+  using OriginWrapper = std::function<std::shared_ptr<AccessBackend>(
+      int, std::shared_ptr<AccessBackend>)>;
+  ShardedBackend(std::shared_ptr<const ShardedGraph> graph,
+                 ShardedBackendOptions options, OriginWrapper wrap_origin);
 
   /// One request of a service turn: the node and its caller-side slot.
   struct Member {

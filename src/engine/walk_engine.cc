@@ -4,9 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,6 +18,7 @@
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
+#include "util/thread.h"
 #include "util/timer.h"
 
 namespace wnw {
@@ -120,20 +121,17 @@ class EngineRun {
     resident_peak_ =
         std::max(resident_peak_, storage::ProcessResidentBytes());
     std::atomic<bool> sampling{true};
-    std::thread sampler;
-    try {
-      sampler = std::thread([this, &sampling] {
-        while (sampling.load(std::memory_order_relaxed)) {
-          resident_peak_ =
-              std::max(resident_peak_, storage::ProcessResidentBytes());
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-      });
-    } catch (const std::system_error& e) {
-      return Status::ResourceExhausted(
-          std::string("walk engine: cannot start its resident-set sampler: ") +
-          e.what());
-    }
+    WNW_ASSIGN_OR_RETURN(
+        std::thread sampler,
+        StartThread("walk engine: cannot start its resident-set sampler",
+                    [this, &sampling] {
+                      while (sampling.load(std::memory_order_relaxed)) {
+                        resident_peak_ = std::max(
+                            resident_peak_, storage::ProcessResidentBytes());
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(5));
+                      }
+                    }));
     Status status = Status::OK();
     for (uint64_t first = 0; first < options_.walkers; first += cohort_) {
       if (stop_.load(std::memory_order_relaxed)) break;
@@ -220,20 +218,19 @@ class EngineRun {
       std::vector<std::thread> pool;
       pool.reserve(static_cast<size_t>(threads));
       for (int t = 0; t < threads; ++t) {
-        try {
-          pool.emplace_back([this, t] { Worker(t); });
-        } catch (const std::system_error& e) {
+        Result<std::thread> worker =
+            StartThread("walk engine: cannot start worker thread " +
+                            std::to_string(t),
+                        [this, t] { Worker(t); });
+        if (!worker.ok()) {
           // The workers already started see the error and return; the
           // harvest below reports it with their walkers' results.
           std::lock_guard<std::mutex> lock(mu_);
-          if (error_.ok()) {
-            error_ = Status::ResourceExhausted(
-                std::string("walk engine: cannot start worker thread ") +
-                std::to_string(t) + ": " + e.what());
-          }
+          if (error_.ok()) error_ = worker.status();
           cv_.notify_all();
           break;
         }
+        pool.push_back(std::move(worker).value());
       }
       for (std::thread& t : pool) t.join();
     }
@@ -254,9 +251,8 @@ class EngineRun {
         s.total_queries = meter.total_queries;
         FoldPhysical(meter, &physical_);
       } else {
-        s.query_cost = w.meter.unique_cost;
-        s.total_queries = w.meter.total_queries;
-        bytes_scanned_ += w.meter.bytes_scanned;
+        s.query_cost = w.meter.unique_cost();
+        s.total_queries = w.meter.total_queries();
       }
       s.emitted = w.state.emitted;
     }
@@ -291,6 +287,7 @@ class EngineRun {
       for (;;) {
         if (live_ == 0 || !error_.ok() ||
             stop_.load(std::memory_order_relaxed)) {
+          bytes_scanned_ += scan.bytes_scanned;
           return;
         }
         b = scheduler_->Acquire();
@@ -319,20 +316,26 @@ class EngineRun {
       for (size_t i = 0; i < drain.size(); ++i) {
         // The drain list IS the future access order, and at a million
         // walkers each record is a guaranteed DRAM miss — prefetch a few
-        // walkers ahead so the line arrives before Resume touches it.
+        // walkers ahead so its lines arrive before Resume touches them.
+        // A record straddles three or four lines depending on where it
+        // starts, so every line from the one holding its first byte to the
+        // one holding its last is fetched.
         if (i + kPrefetchAhead < drain.size()) {
-          const char* ahead = reinterpret_cast<const char*>(
+          const uintptr_t ahead = reinterpret_cast<uintptr_t>(
               &walkers_[drain[i + kPrefetchAhead]]);
-          __builtin_prefetch(ahead);
-          __builtin_prefetch(ahead + 64);
+          for (uintptr_t line = ahead & ~uintptr_t{63};
+               line < ahead + sizeof(EngineWalker); line += 64) {
+            __builtin_prefetch(reinterpret_cast<const void*>(line));
+          }
         }
         // Stage two, half the distance behind: that walker's record is in
-        // cache by now, so chase its pointers — the seen vector its meter
-        // will binary-search and the CSR row its frontier will scan.
+        // cache by now, so chase its pointers — the spilled distinct-node
+        // set its meter will binary-search, if it has one, and the CSR
+        // offsets its fetch will read.
         if (i + kPrefetchAhead / 2 < drain.size()) {
           const EngineWalker& fw = walkers_[drain[i + kPrefetchAhead / 2]];
-          if (!fw.meter.seen.empty()) {
-            __builtin_prefetch(fw.meter.seen.data());
+          if (const NodeId* spilled = fw.meter.spilled()) {
+            __builtin_prefetch(spilled);
           }
           if (direct_graph_ != nullptr && fw.state.node < num_nodes_) {
             __builtin_prefetch(&direct_graph_->offsets()[fw.state.node]);
@@ -453,11 +456,11 @@ class EngineRun {
   std::unique_ptr<BlockScheduler> scheduler_;
   size_t live_ = 0;
   Status error_;
+  uint64_t bytes_scanned_ = 0;  // each worker's FlatScan folds in on exit
 
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> steps_{0};
   uint64_t block_switches_ = 0;
-  uint64_t bytes_scanned_ = 0;
   uint64_t resident_peak_ = 0;
   double stepping_seconds_ = 0.0;
   CostMeter physical_;

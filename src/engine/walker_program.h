@@ -23,14 +23,16 @@
 //    residency with cohorts).
 //  - FlatWalkProgram (the `walk` sampler against an unrestricted
 //    deterministic backend with no shared cache): per-walker state shrinks
-//    to a POD record plus a tiny WalkerMeter; the four built-in transition
-//    designs are replicated step-for-step (same RNG call order, same logical
-//    billing) against a per-WORKER scan interface, and Resume() advances one
-//    design step. This is what makes one million walkers on a disk-resident
-//    snapshot feasible.
+//    to a POD record plus a WalkerMeter whose distinct-node set is inline
+//    for a short walk; the four built-in transition designs are replicated
+//    step-for-step (same RNG call order, same logical billing) against a
+//    per-WORKER scan interface, and Resume() advances one design step. This
+//    is what makes one million walkers on a disk-resident snapshot
+//    feasible.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -58,45 +60,128 @@ namespace wnw {
 ///
 /// Logical identity is unaffected either way: per-walker query_cost /
 /// total_queries live in the WalkerMeter, and both shapes return the same
-/// deterministic neighbor lists.
+/// deterministic neighbor lists. Adjacency bytes read are summed per worker
+/// here; the total does not depend on which worker stepped which walker.
 struct FlatScan {
   AccessInterface* access = nullptr;  // decorated stacks
   const Graph* direct = nullptr;      // bare in-memory origin
   CostMeter* physical = nullptr;      // bills direct arena reads
+  uint64_t bytes_scanned = 0;         // adjacency bytes this worker read
 
   std::span<const NodeId> Neighbors(NodeId u) {
+    std::span<const NodeId> list;
     if (direct != nullptr) {
       ++physical->backend_fetches;
-      return direct->Neighbors(u);
+      list = direct->Neighbors(u);
+    } else {
+      list = access->Neighbors(u);
     }
-    return access->Neighbors(u);
+    bytes_scanned += list.size_bytes();
+    return list;
   }
 };
 
 /// Flat-mode logical accounting: replicates exactly what a private
 /// AccessInterface would have billed this walker (one logical query per
 /// neighbor-list access, distinct-node cost on first touch) without the
-/// O(num_nodes) seen-bitmap — a walker only ever touches O(steps) distinct
-/// nodes, so a small sorted vector suffices.
-struct WalkerMeter {
-  uint64_t total_queries = 0;
-  uint64_t unique_cost = 0;
-  uint64_t bytes_scanned = 0;        // adjacency bytes this walker read
-  std::vector<NodeId> seen;          // sorted distinct nodes touched
+/// O(num_nodes) seen-bitmap. The distinct-node set lives in the walker
+/// record: up to kInline nodes sit in an inline array, scanned linearly,
+/// which covers a short walk with no heap at all. The first node past that
+/// moves the whole set to a sorted heap array that reuses the inline bytes
+/// for its pointer, so a long walk bills through one binary search per
+/// fetch, as a sorted vector would, in a record no larger than one.
+class WalkerMeter {
+ public:
+  /// The `walk` sampler's default steps per draw: srw, lazy and maxdeg
+  /// fetch at most one node per design step, so a one-draw walk of the
+  /// default length never spills (mhrw also fetches its proposals, and a
+  /// walker drawing several samples spills after its first).
+  static constexpr uint32_t kInline = 8;
+
+  WalkerMeter() = default;
+  WalkerMeter(WalkerMeter&& other) noexcept
+      : total_queries_(other.total_queries_),
+        size_(other.size_),
+        capacity_(other.capacity_),
+        set_(other.set_) {
+    other.size_ = 0;
+    other.capacity_ = 0;
+  }
+  WalkerMeter& operator=(WalkerMeter&& other) noexcept {
+    if (this != &other) {
+      if (capacity_ != 0) delete[] set_.heap;
+      total_queries_ = other.total_queries_;
+      size_ = other.size_;
+      capacity_ = other.capacity_;
+      set_ = other.set_;
+      other.size_ = 0;
+      other.capacity_ = 0;
+    }
+    return *this;
+  }
+  ~WalkerMeter() {
+    if (capacity_ != 0) delete[] set_.heap;
+  }
 
   /// One logical neighbor-list query for u served through `scan` (the
   /// worker's fetch channel; physical-fetch telemetry accrues there).
   std::span<const NodeId> Fetch(FlatScan& scan, NodeId u) {
-    ++total_queries;
+    ++total_queries_;
     const std::span<const NodeId> list = scan.Neighbors(u);
-    bytes_scanned += list.size_bytes();
-    const auto it = std::lower_bound(seen.begin(), seen.end(), u);
-    if (it == seen.end() || *it != u) {
-      seen.insert(it, u);
-      ++unique_cost;
-    }
+    Touch(u);
     return list;
   }
+
+  uint64_t total_queries() const { return total_queries_; }
+  /// Distinct nodes queried: the paper's cost unit.
+  uint64_t unique_cost() const { return size_; }
+  /// The heap array once the set has spilled; null while it is inline.
+  const NodeId* spilled() const {
+    return capacity_ == 0 ? nullptr : set_.heap;
+  }
+
+ private:
+  void Touch(NodeId u) {
+    if (capacity_ == 0) {
+      for (uint32_t i = 0; i < size_; ++i) {
+        if (set_.inline_nodes[i] == u) return;
+      }
+      if (size_ < kInline) {
+        set_.inline_nodes[size_++] = u;
+        return;
+      }
+      Regrow(2 * kInline);
+      std::sort(set_.heap, set_.heap + size_);
+    }
+    NodeId* at = std::lower_bound(set_.heap, set_.heap + size_, u);
+    if (at != set_.heap + size_ && *at == u) return;
+    if (size_ == capacity_) {
+      const ptrdiff_t index = at - set_.heap;
+      Regrow(2 * capacity_);
+      at = set_.heap + index;
+    }
+    std::copy_backward(at, set_.heap + size_, set_.heap + size_ + 1);
+    *at = u;
+    ++size_;
+  }
+
+  // Moves the set (inline or heap) to a heap array of `capacity` nodes.
+  void Regrow(uint32_t capacity) {
+    NodeId* heap = new NodeId[capacity];
+    const NodeId* from = capacity_ == 0 ? set_.inline_nodes : set_.heap;
+    std::copy(from, from + size_, heap);
+    if (capacity_ != 0) delete[] set_.heap;
+    set_.heap = heap;
+    capacity_ = capacity;
+  }
+
+  uint64_t total_queries_ = 0;
+  uint32_t size_ = 0;      // distinct nodes touched
+  uint32_t capacity_ = 0;  // 0 while the set is inline
+  union {
+    NodeId inline_nodes[kInline];  // capacity_ == 0: unsorted
+    NodeId* heap;                  // otherwise: sorted, capacity_ slots
+  } set_;
 };
 
 /// POD core of one logical walker.

@@ -10,13 +10,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <system_error>
 #include <unordered_map>
 #include <utility>
 
 #include "access/sharded_backend.h"
 #include "net/wire.h"
 #include "util/logging.h"
+#include "util/thread.h"
 
 namespace wnw::net {
 
@@ -106,21 +106,24 @@ Result<std::unique_ptr<WnwServer>> WnwServer::Start(
   WNW_RETURN_IF_ERROR(server->loops_[0]->loop->Add(
       server->listen_fd_, kEventRead, [raw](uint32_t) { raw->OnAccept(); }));
   // Reactor 0 starts last, so no connection is accepted unless every
-  // reactor runs; a failed spawn stops the ones already started.
+  // reactor runs; a failed spawn stops the ones already started. Room for
+  // every thread is reserved first: a started thread must never be dropped
+  // by a failed append.
+  server->threads_.reserve(server->loops_.size());
   for (size_t i = server->loops_.size(); i-- > 0;) {
     EventLoop* loop = server->loops_[i]->loop.get();
-    try {
-      server->threads_.emplace_back([loop] { loop->Run(); });
-    } catch (const std::system_error& e) {
+    Result<std::thread> thread =
+        StartThread("wnw server: cannot start a reactor thread",
+                    [loop] { loop->Run(); });
+    if (!thread.ok()) {
       for (size_t j = server->loops_.size(); --j > i;) {
         server->loops_[j]->loop->Stop();
       }
-      for (std::thread& thread : server->threads_) thread.join();
+      for (std::thread& started : server->threads_) started.join();
       server->threads_.clear();
-      return Status::ResourceExhausted(
-          std::string("wnw server: cannot start a reactor thread: ") +
-          e.what());
+      return thread.status();
     }
+    server->threads_.push_back(std::move(thread).value());
   }
   return server;
 }

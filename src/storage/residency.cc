@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <limits>
 #include <string>
 #include <utility>
+
+#include "util/thread.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define WNW_RESIDENCY_HAVE_MM 1
@@ -157,17 +158,10 @@ ResidencyManager::ResidencyManager(std::vector<BlockSpan> spans,
 
 Status ResidencyManager::StartPrefetcher() {
   if (spans_.empty()) return Status::OK();
-  // std::thread throws system_error when the spawn fails, and bad_alloc
-  // when its start state cannot be allocated (an address-space cap does
-  // either).
-  try {
-    worker_ = std::thread([this] { WorkerLoop(); });
-  } catch (const std::exception& e) {
-    return Status::ResourceExhausted(
-        std::string("residency manager: cannot start its prefetcher "
-                    "thread: ") +
-        e.what());
-  }
+  WNW_ASSIGN_OR_RETURN(
+      worker_,
+      StartThread("residency manager: cannot start its prefetcher thread",
+                  [this] { WorkerLoop(); }));
   return Status::OK();
 }
 

@@ -236,6 +236,140 @@ TEST(WalkEngine, IdentityHoldsAcrossCohortBoundaries) {
   ExpectIdentical(*pool, *engine, "cohort=4");
 }
 
+// --- the flat walker's inline distinct-node set -----------------------------
+
+// WalkerMeter against a std::set over the same fetches: exactly kInline
+// distinct nodes, the spill, revisits of nodes first held inline and of
+// spilled ones, then a long random tail that regrows the heap array.
+TEST(WalkerMeter, BillsLikeASetAcrossTheInlineBoundary) {
+  const Graph graph = MakeTestBA(300, 3);
+  constexpr NodeId kInline = WalkerMeter::kInline;
+  std::vector<NodeId> fetches;
+  // Descending, so the set must be sorted when it spills.
+  for (NodeId u = kInline; u-- > 0;) fetches.push_back(10 * u);
+  fetches.push_back(20);            // inline revisit before the spill
+  fetches.push_back(7);             // distinct node kInline + 1: spills
+  fetches.push_back(0);             // first-inline revisit after spilling
+  fetches.push_back(7);             // spilled revisit
+  fetches.push_back(3);             // second spill, sorted before 7
+  Rng rng(kSeed);
+  for (int i = 0; i < 400; ++i) {
+    fetches.push_back(static_cast<NodeId>(rng.NextBounded(60)));
+  }
+
+  CostMeter physical;
+  FlatScan scan;
+  scan.direct = &graph;
+  scan.physical = &physical;
+  WalkerMeter meter;
+  std::set<NodeId> distinct;
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < fetches.size(); ++i) {
+    const NodeId u = fetches[i];
+    EXPECT_EQ(ToVec(meter.Fetch(scan, u)), ToVec(graph.Neighbors(u)));
+    distinct.insert(u);
+    bytes += graph.Neighbors(u).size_bytes();
+    ASSERT_EQ(meter.unique_cost(), distinct.size()) << "fetch " << i;
+    if (i + 1 == kInline) EXPECT_EQ(meter.unique_cost(), kInline);
+    if (i == kInline + 1) EXPECT_EQ(meter.unique_cost(), kInline + 1);
+  }
+  EXPECT_EQ(meter.total_queries(), fetches.size());
+  EXPECT_EQ(physical.backend_fetches, fetches.size());
+  EXPECT_EQ(scan.bytes_scanned, bytes);
+
+  // Moves carry the set, inline or spilled, and leave the source empty.
+  WalkerMeter moved(std::move(meter));
+  EXPECT_EQ(moved.unique_cost(), distinct.size());
+  EXPECT_EQ(meter.unique_cost(), 0u);
+  moved.Fetch(scan, 0);
+  moved.Fetch(scan, 299);
+  EXPECT_EQ(moved.unique_cost(), distinct.size() + 1);
+  WalkerMeter short_walk;
+  short_walk.Fetch(scan, 5);
+  moved = std::move(short_walk);
+  EXPECT_EQ(moved.unique_cost(), 1u);
+  EXPECT_EQ(moved.total_queries(), 1u);
+  moved.Fetch(scan, 5);
+  EXPECT_EQ(moved.unique_cost(), 1u);
+}
+
+// Did some walker fetch its start node again after its distinct-node set
+// had spilled past the inline array? The start is the first node a flat
+// walker fetches, so it was held inline before the spill. With steps=1 the samples are
+// the path, and a walker that leaves s[i] fetched it, so the distinct
+// nodes it left before returning to the start bound its set from below.
+bool RevisitsStartAfterSpilling(NodeId start, std::span<const NodeId> path) {
+  std::set<NodeId> left;
+  NodeId at = start;
+  for (const NodeId next : path) {
+    if (next != at) {
+      if (at == start && left.size() > WalkerMeter::kInline) return true;
+      left.insert(at);
+    }
+    at = next;
+  }
+  return false;
+}
+
+// Engine == pool for flat walks around the inline boundary, for every
+// design the flat stepper replicates: some walker ends at exactly kInline
+// distinct nodes, some at kInline + 1, and some returns to its start (first
+// held inline) after spilling.
+TEST(WalkEngine, IdentityHoldsAcrossTheInlineSetBoundary) {
+  const Graph graph = MakeTestBA(300, 3);
+  NodeId hub = 0;
+  for (NodeId u = 1; u < graph.num_nodes(); ++u) {
+    if (graph.Degree(u) > graph.Degree(hub)) hub = u;
+  }
+  const std::string maxdeg = "maxdeg:" + std::to_string(graph.Degree(hub));
+  constexpr int kWalkers = 24;
+  constexpr uint64_t kInline = WalkerMeter::kInline;
+  for (const std::string walk : {std::string("srw"), std::string("mhrw"),
+                                 std::string("lazy"), maxdeg}) {
+    const std::string spec = "walk:" + walk + "?steps=1";
+    bool exactly = false, one_past = false, revisit = false;
+    for (const uint64_t samples :
+         {kInline, 2 * kInline, 8 * kInline, 64 * kInline}) {
+      WalkerPoolOptions pool_options = PoolOptions(kWalkers, samples);
+      pool_options.session.start = hub;
+      const auto pool = RunWalkerPool(&graph, spec, pool_options);
+      ASSERT_TRUE(pool.ok()) << spec << ": " << pool.status().ToString();
+      EngineOptions options = BaseEngineOptions(kWalkers, samples);
+      options.session.start = hub;
+      options.block_nodes = 16;
+      options.threads = 3;
+      const auto engine = RunWalkEngine(&graph, spec, options);
+      ASSERT_TRUE(engine.ok()) << spec << ": " << engine.status().ToString();
+      ExpectIdentical(*pool, *engine, spec + " samples=" +
+                                          std::to_string(samples));
+      for (size_t w = 0; w < kWalkers; ++w) {
+        const uint64_t cost = engine->walker_stats[w].query_cost;
+        exactly |= cost == kInline;
+        one_past |= cost == kInline + 1;
+        revisit |= RevisitsStartAfterSpilling(hub, engine->SamplesFor(w));
+      }
+    }
+    EXPECT_TRUE(exactly) << spec << ": no walker at exactly kInline nodes";
+    EXPECT_TRUE(one_past) << spec << ": no walker at kInline + 1 nodes";
+    EXPECT_TRUE(revisit) << spec << ": no revisit of the start after a spill";
+  }
+}
+
+TEST(WalkEngine, BytesScannedDoNotDependOnThreads) {
+  const Graph graph = MakeTestBA(300, 3);
+  uint64_t bytes[2] = {0, 0};
+  for (const int threads : {1, 3}) {
+    EngineOptions options = BaseEngineOptions(200, 3);
+    options.block_nodes = 16;
+    options.threads = threads;
+    const auto engine = RunWalkEngine(&graph, "walk:mhrw?steps=6", options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    bytes[threads == 1 ? 0 : 1] = engine->stats.engine_bytes_scanned;
+  }
+  EXPECT_GT(bytes[0], 0u);
+  EXPECT_EQ(bytes[0], bytes[1]);
+}
+
 TEST(WalkEngine, MillionWalkerSmoke) {
   // The scale story: 1M logical walkers on a few OS threads, POD state
   // only. Two steps each keeps the test quick while still exercising the

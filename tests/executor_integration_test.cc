@@ -15,11 +15,13 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "access/access_interface.h"
 #include "access/completion_executor.h"
+#include "access/deadline_timer.h"
 #include "access/decorators.h"
 #include "access/sharded_backend.h"
 #include "core/session.h"
@@ -28,6 +30,19 @@
 #include "util/thread_stats.h"
 
 namespace wnw {
+
+/// Builds a sharded backend through the constructor that wraps each
+/// shard's origin.
+class ShardedBackendTestPeer {
+ public:
+  static std::shared_ptr<ShardedBackend> Make(
+      std::shared_ptr<const ShardedGraph> graph,
+      ShardedBackend::OriginWrapper wrap_origin) {
+    return std::shared_ptr<ShardedBackend>(new ShardedBackend(
+        std::move(graph), ShardedBackendOptions{}, std::move(wrap_origin)));
+  }
+};
+
 namespace {
 
 /// Counts the fetches that reach the origin; wrapped in a sleeping
@@ -154,27 +169,122 @@ std::shared_ptr<AccessBackend> SleepingShards(const Graph* g, int shards,
   return BuildBackendStack(g, stack);
 }
 
+/// Requests in flight per shard, as the shards' origins see them.
+class ShardProbe {
+ public:
+  explicit ShardProbe(int shards) : in_flight_(shards, 0), peak_(shards, 0) {}
+
+  void Start(int shard) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t s = static_cast<size_t>(shard);
+    if (in_flight_[s]++ == 0) ++busy_;
+    peak_[s] = std::max(peak_[s], in_flight_[s]);
+    peak_busy_ = std::max(peak_busy_, busy_);
+  }
+
+  void End(int shard) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--in_flight_[static_cast<size_t>(shard)] == 0) --busy_;
+    ++served_;
+  }
+
+  /// Most requests one shard ever had in flight at once.
+  std::vector<int> peak() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+  }
+  /// Most shards ever busy at once.
+  int peak_busy() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_busy_;
+  }
+  int served() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return served_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<int> in_flight_;
+  std::vector<int> peak_;
+  int busy_ = 0;
+  int peak_busy_ = 0;
+  int served_ = 0;
+};
+
+/// A test-only origin under one shard: a request is in flight from the
+/// moment the shard starts it until it completes `ms` milliseconds later
+/// on a deadline timer, and the probe counts it for that whole time.
+class CountingOrigin final : public AccessBackend {
+ public:
+  CountingOrigin(std::shared_ptr<AccessBackend> inner, int shard,
+                 std::shared_ptr<ShardProbe> probe,
+                 std::shared_ptr<DeadlineTimer> timer, double ms)
+      : inner_(std::move(inner)),
+        shard_(shard),
+        probe_(std::move(probe)),
+        timer_(std::move(timer)),
+        ms_(ms) {}
+
+  std::string_view name() const override { return "counting"; }
+  uint64_t num_nodes() const override { return inner_->num_nodes(); }
+  const AccessOptions& options() const override { return inner_->options(); }
+  Result<FetchReply> FetchNeighbors(NodeId u) override {
+    return AwaitCompletion(u);
+  }
+
+  void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override {
+    probe_->Start(shard_);
+    const Status armed = timer_->After(ms_ * 1e-3, [this, u, done] {
+      Result<FetchReply> reply = inner_->FetchNeighbors(u);
+      probe_->End(shard_);
+      done(std::move(reply));
+    });
+    if (!armed.ok()) {
+      probe_->End(shard_);
+      done(armed);
+    }
+  }
+
+ private:
+  std::shared_ptr<AccessBackend> inner_;
+  int shard_;
+  std::shared_ptr<ShardProbe> probe_;
+  std::shared_ptr<DeadlineTimer> timer_;
+  double ms_;
+};
+
+/// A serial sharded origin (modulo partition) with a CountingOrigin under
+/// every shard.
+std::shared_ptr<AccessBackend> CountedShards(
+    const Graph& g, int shards, std::shared_ptr<ShardProbe> probe) {
+  auto timer = std::make_shared<DeadlineTimer>();
+  return ShardedBackendTestPeer::Make(
+      std::make_shared<ShardedGraph>(ShardedGraph::FromGraph(g, shards).value()),
+      [probe, timer](int s, std::shared_ptr<AccessBackend> origin) {
+        return std::make_shared<CountingOrigin>(std::move(origin), s, probe,
+                                                timer, /*ms=*/5.0);
+      });
+}
+
 TEST(ShardedCompletionTest, SerialShardsServeOneRequestAtATime) {
   const Graph g = testing::MakeTestBA(64, 3);
-  constexpr double kMs = 5.0;
-  const double serial = 16 * kMs * 1e-3;
-  {
-    // One shard: the window admits 8, but the shard's FIFO serves them one
-    // after another.
+  // One shard: the window admits 8, but the shard's FIFO serves them one
+  // after another. Four shards, four requests each: every shard still
+  // serves one at a time, and the shards serve in parallel.
+  for (const int shards : {1, 4}) {
+    auto probe = std::make_shared<ShardProbe>(shards);
     CompletionExecutor executor({.window = 8});
-    const auto start = std::chrono::steady_clock::now();
-    auto backend = SleepingShards(&g, 1, kMs);
-    ASSERT_TRUE(executor.SubmitBatch(backend, FirstNodes(16)).Wait().ok());
-    EXPECT_GE(SecondsSince(start), serial);
-    EXPECT_EQ(executor.stats().max_in_flight, 8);
-  }
-  {
-    // Four shards, four requests each: the shards serve in parallel.
-    CompletionExecutor executor({.window = 8});
-    const auto start = std::chrono::steady_clock::now();
-    auto backend = SleepingShards(&g, 4, kMs);
-    ASSERT_TRUE(executor.SubmitBatch(backend, FirstNodes(16)).Wait().ok());
-    EXPECT_LT(SecondsSince(start), 0.6 * serial);
+    ASSERT_TRUE(executor
+                    .SubmitBatch(CountedShards(g, shards, probe),
+                                 FirstNodes(16))
+                    .Wait()
+                    .ok());
+    EXPECT_EQ(executor.stats().max_in_flight, 8) << shards << " shards";
+    EXPECT_EQ(probe->served(), 16) << shards << " shards";
+    EXPECT_EQ(probe->peak(), std::vector<int>(shards, 1))
+        << shards << " shards";
+    if (shards > 1) EXPECT_GE(probe->peak_busy(), 2);
   }
 }
 

@@ -74,6 +74,15 @@ inline size_t DefaultThreadStack() {
   return stack;
 }
 
+// True in an ASan or TSan build. Their runtimes map bookkeeping of their own
+// for every new thread and abort the process when that mapping fails, so a
+// test that caps the address space must leave them room.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+inline constexpr bool kSanitized = true;
+#else
+inline constexpr bool kSanitized = false;
+#endif
+
 // Death-test body: prints `status` and exits 0 iff it is ResourceExhausted.
 [[noreturn]] inline void ExitWithStatus(const Status& status) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());

@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <cstdio>
+#include <thread>
 
+#include "test_util.h"
 #include "util/parallel.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/table.h"
+#include "util/thread.h"
 #include "util/timer.h"
 
 namespace wnw {
@@ -190,6 +193,34 @@ TEST(TimerTest, MeasuresNonNegativeTime) {
   EXPECT_GE(t.ElapsedSeconds(), 0.0);
   t.Reset();
   EXPECT_GE(t.ElapsedMillis(), 0.0);
+}
+
+TEST(StartThreadTest, RunsTheFunction) {
+  std::atomic<bool> ran{false};
+  Result<std::thread> thread =
+      StartThread("test thread", [&ran] { ran = true; });
+  ASSERT_TRUE(thread.ok()) << thread.status().ToString();
+  thread->join();
+  EXPECT_TRUE(ran.load());
+}
+
+// With no address space to spare, the thread's start state (std::bad_alloc)
+// or its stack (std::system_error) fails first; either way the caller gets
+// ResourceExhausted. Under a sanitizer the cap leaves room for the
+// runtime's own per-thread state, so the stack fails. The child is a fresh
+// process ("threadsafe" style), so no joined thread's cached stack is there
+// to reuse.
+TEST(StartThreadTest, NoHeadroomIsResourceExhausted) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        testing::CapAddressSpace(
+            testing::kSanitized ? testing::DefaultThreadStack() / 4 : 0);
+        Result<std::thread> thread = StartThread("test thread", [] {});
+        if (thread.ok()) thread->join();
+        testing::ExitWithStatus(thread.status());
+      },
+      ::testing::ExitedWithCode(0), "ResourceExhausted: test thread");
 }
 
 }  // namespace
