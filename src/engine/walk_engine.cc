@@ -5,7 +5,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,6 +17,7 @@
 #include "core/spec_keys.h"
 #include "storage/residency.h"
 #include "util/check.h"
+#include "util/huge_page_arena.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
@@ -52,7 +55,8 @@ class EngineRun {
         shared_(shared),
         program_(program),
         result_(result),
-        num_nodes_(graph->num_nodes()) {
+        num_nodes_(graph->num_nodes()),
+        samples_per_walker_(options.samples_per_walker) {
     block_nodes_ = options.block_nodes != 0
                        ? options.block_nodes
                        : std::max<uint32_t>(
@@ -111,7 +115,19 @@ class EngineRun {
   }
 
   Status Run() {
-    result_->walker_stats.resize(options_.walkers);
+    // One record array serves every cohort. Each record is constructed in
+    // place when its walker is set up, so the array is never
+    // value-initialised first.
+    Result<HugePageArena> records =
+        HugePageArena::Map(cohort_ * sizeof(EngineWalker));
+    if (!records.ok()) {
+      return Status::ResourceExhausted(
+          "walk engine: cannot allocate the records of " +
+          std::to_string(cohort_) + " walkers (" +
+          records.status().message() + ")");
+    }
+    records_ = std::move(records).value();
+    walkers_ = static_cast<EngineWalker*>(records_.data());
     if (residency_ != nullptr) {
       WNW_RETURN_IF_ERROR(residency_->StartPrefetcher());
     }
@@ -173,44 +189,85 @@ class EngineRun {
   size_t BlockOf(NodeId u) const { return u / block_nodes_; }
 
   Status RunCohort(uint64_t first, uint64_t count) {
-    walkers_.clear();
-    walkers_.resize(count);
-    for (uint64_t i = 0; i < count; ++i) {
+    Status status;
+    try {
+      status = SetUpCohort(first, count);
+    } catch (const std::bad_alloc&) {
+      status = Status::ResourceExhausted(
+          "walk engine: out of memory setting up " + std::to_string(count) +
+          " walkers");
+    }
+    if (status.ok()) status = StepCohort(count);
+    // Harvest BEFORE the walker sessions die: the access destructor folds
+    // still-pending prefetch batches (billing them), and the pool reads its
+    // per-walker Stats() before sessions close too — cost identity depends
+    // on sampling the meters at the same point.
+    for (uint64_t i = 0; i < constructed_; ++i) {
       EngineWalker& w = walkers_[i];
+      if (status.ok()) {
+        EngineWalkerStats& s = result_->walker_stats[first + i];
+        if (!sessions_.empty()) {
+          const CostMeter& meter = sessions_[i].access->meter();
+          s.query_cost = meter.unique_cost;
+          s.total_queries = meter.total_queries;
+          FoldPhysical(meter, &physical_);
+        } else {
+          s.query_cost = w.meter.unique_cost();
+          s.total_queries = w.meter.total_queries();
+        }
+        s.emitted = w.emitted;
+      }
+      std::destroy_at(&w);
+    }
+    constructed_ = 0;
+    sessions_.clear();  // destroys per-walker sessions (waits on prefetches)
+    return status;
+  }
+
+  // Constructs the cohort's records in the arena, builds session mode's
+  // per-walker sessions, and buckets every walker by its start block.
+  Status SetUpCohort(uint64_t first, uint64_t count) {
+    cohort_samples_ = result_->samples.data() + first * samples_per_walker_;
+    if (!program_.flat()) sessions_.resize(count);
+    for (uint64_t i = 0; i < count; ++i) {
       // The pool's exact seeding chain: walker g opens a session seeded
       // Mix64(shared.seed ^ (0x3a1c0000 + g)), which draws the sampler seed
       // and then (when no start was pinned) the start node.
       const uint64_t g = first + i;
       const uint64_t session_seed =
           Mix64(shared_.seed ^ (uint64_t{0x3a1c0000u} + g));
-      Rng chain(Mix64(session_seed));
+      RngCore chain(Mix64(session_seed));
       const uint64_t sampler_seed = chain.Next();
-      w.state.home = shared_.start.has_value()
-                         ? *shared_.start
-                         : static_cast<NodeId>(chain.NextBounded(num_nodes_));
-      w.target = static_cast<uint32_t>(options_.samples_per_walker);
-      w.out = result_->samples.data() + g * options_.samples_per_walker;
-      WNW_RETURN_IF_ERROR(program_.Init(w, sampler_seed));
+      const NodeId start =
+          shared_.start.has_value()
+              ? *shared_.start
+              : static_cast<NodeId>(chain.NextBounded(num_nodes_));
+      std::construct_at(walkers_ + i, start, sampler_seed);
+      ++constructed_;
+      WNW_RETURN_IF_ERROR(program_.Init(
+          start, sampler_seed, sessions_.empty() ? nullptr : &sessions_[i]));
     }
 
     buckets_.assign(num_blocks_, {});
     scheduler_ = std::make_unique<BlockScheduler>(num_blocks_,
                                                   options_.schedule);
     for (uint64_t i = 0; i < count; ++i) {
-      buckets_[BlockOf(walkers_[i].state.node)].push_back(
-          static_cast<uint32_t>(i));
+      buckets_[BlockOf(walkers_[i].node)].push_back(static_cast<uint32_t>(i));
     }
     for (size_t b = 0; b < num_blocks_; ++b) {
       if (!buckets_[b].empty()) scheduler_->Add(b, buckets_[b].size());
     }
     live_ = count;
     error_ = Status::OK();
+    return Status::OK();
+  }
 
+  Status StepCohort(uint64_t count) {
     const int threads =
         static_cast<int>(std::min<uint64_t>(threads_, count));
-    // Stepping-phase clock: cohort construction above is O(walkers) setup
-    // the engine pays once, not part of the multiplexing rate the
-    // steps-per-second telemetry reports.
+    // Stepping-phase clock: cohort setup is O(walkers) work the engine pays
+    // once, not part of the multiplexing rate the steps-per-second
+    // telemetry reports.
     Timer stepping;
     if (threads <= 1) {
       Worker(0);
@@ -224,7 +281,7 @@ class EngineRun {
                         [this, t] { Worker(t); });
         if (!worker.ok()) {
           // The workers already started see the error and return; the
-          // harvest below reports it with their walkers' results.
+          // cohort then fails with it.
           std::lock_guard<std::mutex> lock(mu_);
           if (error_.ok()) error_ = worker.status();
           cv_.notify_all();
@@ -236,28 +293,7 @@ class EngineRun {
     }
     stepping_seconds_ += stepping.ElapsedSeconds();
     block_switches_ += scheduler_->acquires();
-
-    // Harvest BEFORE the walker sessions die: the access destructor folds
-    // still-pending prefetch batches (billing them), and the pool reads its
-    // per-walker Stats() before sessions close too — cost identity depends
-    // on sampling the meters at the same point.
-    Status failed = error_;
-    for (uint64_t i = 0; i < count; ++i) {
-      EngineWalker& w = walkers_[i];
-      EngineWalkerStats& s = result_->walker_stats[first + i];
-      if (w.side != nullptr) {
-        const CostMeter& meter = w.side->access->meter();
-        s.query_cost = meter.unique_cost;
-        s.total_queries = meter.total_queries;
-        FoldPhysical(meter, &physical_);
-      } else {
-        s.query_cost = w.meter.unique_cost();
-        s.total_queries = w.meter.total_queries();
-      }
-      s.emitted = w.state.emitted;
-    }
-    walkers_.clear();  // destroys per-walker sessions (waits on prefetches)
-    return failed;
+    return error_;
   }
 
   void Worker(int id) {
@@ -317,16 +353,13 @@ class EngineRun {
         // The drain list IS the future access order, and at a million
         // walkers each record is a guaranteed DRAM miss — prefetch a few
         // walkers ahead so its lines arrive before Resume touches them.
-        // A record straddles three or four lines depending on where it
-        // starts, so every line from the one holding its first byte to the
-        // one holding its last is fetched.
+        // A 96-byte record on a 32-byte boundary spans exactly two lines:
+        // the one holding its first byte and the one holding its last.
         if (i + kPrefetchAhead < drain.size()) {
-          const uintptr_t ahead = reinterpret_cast<uintptr_t>(
+          const char* ahead = reinterpret_cast<const char*>(
               &walkers_[drain[i + kPrefetchAhead]]);
-          for (uintptr_t line = ahead & ~uintptr_t{63};
-               line < ahead + sizeof(EngineWalker); line += 64) {
-            __builtin_prefetch(reinterpret_cast<const void*>(line));
-          }
+          __builtin_prefetch(ahead);
+          __builtin_prefetch(ahead + sizeof(EngineWalker) - 1);
         }
         // Stage two, half the distance behind: that walker's record is in
         // cache by now, so chase its pointers — the spilled distinct-node
@@ -337,8 +370,8 @@ class EngineRun {
           if (const NodeId* spilled = fw.meter.spilled()) {
             __builtin_prefetch(spilled);
           }
-          if (direct_graph_ != nullptr && fw.state.node < num_nodes_) {
-            __builtin_prefetch(&direct_graph_->offsets()[fw.state.node]);
+          if (direct_graph_ != nullptr && fw.node < num_nodes_) {
+            __builtin_prefetch(&direct_graph_->offsets()[fw.node]);
           }
         }
         // Stage three: the offsets line landed, so the CSR row's start is
@@ -347,10 +380,10 @@ class EngineRun {
         if (direct_graph_ != nullptr &&
             i + kPrefetchAhead / 4 < drain.size()) {
           const EngineWalker& fw = walkers_[drain[i + kPrefetchAhead / 4]];
-          if (fw.state.node < num_nodes_) {
+          if (fw.node < num_nodes_) {
             const char* row = reinterpret_cast<const char*>(
                 direct_graph_->adjacency().data() +
-                direct_graph_->offsets()[fw.state.node]);
+                direct_graph_->offsets()[fw.node]);
             __builtin_prefetch(row);
             __builtin_prefetch(row + 64);
           }
@@ -365,7 +398,8 @@ class EngineRun {
             interrupted = true;
             break;
           }
-          Result<ResumeOutcome> outcome = program_.Resume(w, &scan);
+          Result<ResumeOutcome> outcome = program_.Resume(
+              w, sessions_.empty() ? nullptr : &sessions_[idx], &scan);
           if (exact_steps) {
             const uint64_t done =
                 steps_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -379,11 +413,14 @@ class EngineRun {
             err = outcome.status();
             break;
           }
-          if (*outcome == ResumeOutcome::kDone) {
-            ++finished;
-            break;
+          if (*outcome == ResumeOutcome::kEmit) {
+            cohort_samples_[idx * samples_per_walker_ + w.emitted] = w.node;
+            if (++w.emitted == samples_per_walker_) {
+              ++finished;
+              break;
+            }
           }
-          const size_t nb = BlockOf(w.state.node);
+          const size_t nb = BlockOf(w.node);
           if (nb != b) {
             std::vector<uint32_t>& stage = staged[nb];
             if (stage.empty()) touched.push_back(static_cast<uint32_t>(nb));
@@ -430,6 +467,7 @@ class EngineRun {
   EngineResult* result_;
 
   NodeId num_nodes_;
+  uint64_t samples_per_walker_;
   uint32_t block_nodes_ = 1;
   size_t num_blocks_ = 1;
   int threads_ = 1;
@@ -447,11 +485,19 @@ class EngineRun {
   std::unique_ptr<storage::ResidencyManager> residency_;
   size_t prefetch_depth_ = 0;
 
+  // The cohort's walker records: the first `constructed_` are live. Each
+  // walker's samples go to cohort_samples_[index * samples_per_walker_ ...];
+  // session mode keeps its per-walker sessions beside the records.
+  HugePageArena records_;
+  EngineWalker* walkers_ = nullptr;
+  uint64_t constructed_ = 0;
+  NodeId* cohort_samples_ = nullptr;
+  std::vector<WalkerSession> sessions_;
+
   // Cohort state, guarded by mu_ (walker records themselves are touched
   // only by the worker currently holding them).
   std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<EngineWalker> walkers_;
   std::vector<std::vector<uint32_t>> buckets_;  // walker indices per block
   std::unique_ptr<BlockScheduler> scheduler_;
   size_t live_ = 0;
@@ -533,7 +579,15 @@ Result<EngineResult> RunWalkEngine(const Graph* graph,
   }
   EngineResult result;
   result.samples_per_walker = options.samples_per_walker;
-  result.samples.assign(static_cast<size_t>(total_samples), kInvalidNode);
+  try {
+    result.samples.assign(static_cast<size_t>(total_samples), kInvalidNode);
+    result.walker_stats.resize(options.walkers);
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted(
+        "walk engine: cannot allocate " + std::to_string(total_samples) +
+        " sample slots and the stats of " + std::to_string(options.walkers) +
+        " walkers");
+  }
 
   Timer timer;
   EngineRun run(graph, options, shared, *program, context, &result);

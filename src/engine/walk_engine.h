@@ -10,9 +10,9 @@
 // their frontier node and every walker pending on the scheduled block is
 // stepped while that block's adjacency pages are hot. A walker is a
 // resumable record (engine/walker_program.h): either the registry's own
-// Sampler, drawn once per resume, or — for flat `walk` runs — a POD record
-// stepped once per resume. Walker count is a memory knob, not a thread
-// count.
+// Sampler, drawn once per resume, or — for flat `walk` runs — a 96-byte
+// record stepped once per resume. Walker count is a memory knob, not a
+// thread count.
 //
 // The defining invariant, enforced by tests/engine_test.cc and the
 // bench/ablation_block_engine CI gate:
@@ -72,7 +72,7 @@ struct EngineOptions {
   /// AccessInterface (O(num_nodes) seen-bitmap each) and Sampler, so
   /// residency is bounded and cohorts run back to back — walkers are
   /// independent, so cohort boundaries cannot change outputs. 0 derives:
-  /// all walkers in flat mode (POD records), 1024 in session mode.
+  /// all walkers in flat mode (96-byte records), 1024 in session mode.
   uint64_t cohort = 0;
 
   /// Resident-byte budget for adjacency paging of a snapshot-served graph

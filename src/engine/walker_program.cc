@@ -47,7 +47,7 @@ struct FlatStepper {
   }
 
   NodeId Step(FlatScan& scan, EngineWalker& w, NodeId u) const {
-    Rng& rng = w.rng;
+    RngCore& rng = w.rng;
     switch (kind) {
       case Kind::kLazy:
         if (rng.NextBool(alpha)) return u;
@@ -79,7 +79,7 @@ struct FlatStepper {
   }
 };
 
-// `walk` at scale: POD state + WalkerMeter, stepping against the worker's
+// `walk` at scale: the walker record alone, stepping against the worker's
 // scan interface. aux = design steps into the current draw.
 class FlatWalkProgram final : public WalkerProgram {
  public:
@@ -90,21 +90,14 @@ class FlatWalkProgram final : public WalkerProgram {
   std::string_view name() const override { return name_; }
   bool flat() const override { return true; }
 
-  Status Init(EngineWalker& w, uint64_t seed) const override {
-    w.rng = Rng(seed);
-    w.state.node = w.state.home;
-    return Status::OK();
-  }
-
-  Result<ResumeOutcome> Resume(EngineWalker& w,
+  Result<ResumeOutcome> Resume(EngineWalker& w, WalkerSession*,
                                FlatScan* scan) const override {
-    w.state.node = stepper_.Step(*scan, w, w.state.node);
-    if (++w.state.aux == static_cast<uint32_t>(options_.steps)) {
-      w.state.aux = 0;
-      w.Emit(w.state.node);
-      if (w.full()) return ResumeOutcome::kDone;
+    w.node = stepper_.Step(*scan, w, w.node);
+    if (++w.aux < static_cast<uint32_t>(options_.steps)) {
+      return ResumeOutcome::kContinue;
     }
-    return ResumeOutcome::kContinue;
+    w.aux = 0;
+    return ResumeOutcome::kEmit;
   }
 
  private:
@@ -129,24 +122,21 @@ class SamplerProgram final : public WalkerProgram {
 
   std::string_view name() const override { return name_; }
 
-  Status Init(EngineWalker& w, uint64_t seed) const override {
-    w.side = std::make_unique<WalkerSession>();
-    w.side->access = std::make_unique<AccessInterface>(
+  Status Init(NodeId start, uint64_t seed,
+              WalkerSession* session) const override {
+    session->access = std::make_unique<AccessInterface>(
         context_.backend, context_.query_cache, context_.executor);
     WNW_ASSIGN_OR_RETURN(
-        w.side->sampler,
-        SamplerRegistry::Global().Create(config_, w.side->access.get(),
-                                         design_, w.state.home, seed));
-    w.state.node = w.state.home;
+        session->sampler,
+        SamplerRegistry::Global().Create(config_, session->access.get(),
+                                         design_, start, seed));
     return Status::OK();
   }
 
-  Result<ResumeOutcome> Resume(EngineWalker& w,
+  Result<ResumeOutcome> Resume(EngineWalker& w, WalkerSession* session,
                                FlatScan*) const override {
-    WNW_ASSIGN_OR_RETURN(const NodeId v, w.side->sampler->Draw());
-    w.state.node = v;
-    w.Emit(v);
-    return w.full() ? ResumeOutcome::kDone : ResumeOutcome::kContinue;
+    WNW_ASSIGN_OR_RETURN(w.node, session->sampler->Draw());
+    return ResumeOutcome::kEmit;
   }
 
  private:

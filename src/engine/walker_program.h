@@ -23,12 +23,12 @@
 //    residency with cohorts).
 //  - FlatWalkProgram (the `walk` sampler against an unrestricted
 //    deterministic backend with no shared cache): per-walker state shrinks
-//    to a POD record plus a WalkerMeter whose distinct-node set is inline
-//    for a short walk; the four built-in transition designs are replicated
-//    step-for-step (same RNG call order, same logical billing) against a
-//    per-WORKER scan interface, and Resume() advances one design step. This
-//    is what makes one million walkers on a disk-resident snapshot
-//    feasible.
+//    to one 96-byte EngineWalker record (frontier, xoshiro state and a
+//    WalkerMeter whose distinct-node set is inline for a short walk); the
+//    four built-in transition designs are replicated step-for-step (same RNG
+//    call order, same logical billing) against a per-WORKER scan interface,
+//    and Resume() advances one design step. This is what makes one million
+//    walkers on a disk-resident snapshot feasible.
 #pragma once
 
 #include <algorithm>
@@ -184,63 +184,67 @@ class WalkerMeter {
   } set_;
 };
 
-/// POD core of one logical walker.
-struct WalkerState {
-  NodeId node = kInvalidNode;  // frontier: the block scheduler keys on this
-  NodeId home = kInvalidNode;  // the walker's start node
-  uint32_t emitted = 0;        // samples produced so far
-  uint32_t aux = 0;            // flat mode: design steps into the draw
-};
-
 /// Session-mode baggage: what a SamplingSession would own, one set per live
-/// walker. Flat-mode walkers leave this null. `sampler` points into
-/// `access`, so it is declared (and destroyed) after it.
+/// walker, kept beside the cohort's records (flat mode allocates none).
+/// `sampler` points into `access`, so it is declared (and destroyed) after
+/// it.
 struct WalkerSession {
   std::unique_ptr<AccessInterface> access;
   std::unique_ptr<Sampler> sampler;
 };
 
-/// One logical walker as the engine sees it.
-struct EngineWalker {
-  WalkerState state;
-  Rng rng{0};                            // flat mode only
-  WalkerMeter meter;                     // flat mode only
-  std::unique_ptr<WalkerSession> side;   // session mode only
-  NodeId* out = nullptr;                 // this walker's sample slots
-  uint32_t target = 0;                   // samples to emit
+/// One logical walker's record: everything a flat walker reads or writes per
+/// step, in 96 bytes. The engine keeps a cohort's records in one array on a
+/// 32-byte boundary, so each spans exactly two cache lines. It derives the
+/// walker's sample slots and target from the walker's index and writes each
+/// emitted sample itself; the start node is not kept.
+struct alignas(32) EngineWalker {
+  EngineWalker(NodeId start, uint64_t seed) : node(start), rng(seed) {}
 
-  void Emit(NodeId v) { out[state.emitted++] = v; }
-  bool full() const { return state.emitted >= target; }
+  NodeId node;           // frontier: the block scheduler keys on this
+  uint32_t emitted = 0;  // samples produced so far
+  uint32_t aux = 0;      // flat mode: design steps into the draw
+  uint32_t spare = 0;    // pads the header to 16 bytes
+  RngCore rng;           // flat mode only
+  WalkerMeter meter;     // flat mode only
 };
+static_assert(sizeof(WalkerMeter) == 48);
+static_assert(sizeof(EngineWalker) == 96,
+              "a walker record spans exactly two cache lines");
 
 enum class ResumeOutcome {
-  kContinue,  // walker still live; re-bucket by state.node
-  kDone,      // walker emitted its full target
+  kContinue,  // walker still mid-draw; re-bucket by node
+  kEmit,      // walker finished a draw: its sample is `node`
 };
 
 /// A sampler in resumable form. Stateless and shared by all walkers and
-/// workers; all mutable state lives in the EngineWalker.
+/// workers; all mutable state lives in the EngineWalker (and, in session
+/// mode, its WalkerSession).
 class WalkerProgram {
  public:
   virtual ~WalkerProgram() = default;
 
   virtual std::string_view name() const = 0;
 
-  /// True when walkers run without a per-walker AccessInterface (POD state
+  /// True when walkers run without a per-walker AccessInterface (the record
   /// only; fetches go through the per-worker scan interface).
   virtual bool flat() const { return false; }
 
-  /// Prepares a walker whose home/target/out are already set: seeds
-  /// state.node and the walker's randomness from `seed` (the sampler seed
-  /// pool walker g's session would draw), building any session-mode
-  /// components.
-  virtual Status Init(EngineWalker& w, uint64_t seed) const = 0;
+  /// Called once the engine has constructed a walker's record at `start`,
+  /// its randomness seeded from `seed` (the sampler seed pool walker g's
+  /// session would draw). Session programs build `*session` from the same
+  /// start and seed; flat programs get session == nullptr, and the record
+  /// is all they need.
+  virtual Status Init(NodeId /*start*/, uint64_t /*seed*/,
+                      WalkerSession* /*session*/) const {
+    return Status::OK();
+  }
 
   /// Advances the walker: one design step in flat mode, one Draw() in
   /// session mode. `scan` is the calling worker's fetch channel; only flat
-  /// programs use it (session programs bill the walker's own side->access
-  /// and may receive scan = nullptr).
-  virtual Result<ResumeOutcome> Resume(EngineWalker& w,
+  /// programs use it (session programs bill session->access and may
+  /// receive scan = nullptr).
+  virtual Result<ResumeOutcome> Resume(EngineWalker& w, WalkerSession* session,
                                        FlatScan* scan) const = 0;
 };
 

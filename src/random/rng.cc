@@ -6,10 +6,6 @@
 
 namespace wnw {
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 uint64_t SplitMix64(uint64_t& state) {
   state += 0x9e3779b97f4a7c15ull;
   uint64_t z = state;
@@ -23,7 +19,7 @@ uint64_t Mix64(uint64_t x) {
   return SplitMix64(state);
 }
 
-Rng::Rng(uint64_t seed) {
+RngCore::RngCore(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& word : s_) word = SplitMix64(sm);
   // All-zero state is the one forbidden state for xoshiro; splitmix64 cannot
@@ -31,50 +27,11 @@ Rng::Rng(uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  WNW_DCHECK(bound > 0);
-  // Lemire's method: multiply-shift with rejection to remove modulo bias.
-  uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t low = static_cast<uint64_t>(m);
-  if (low < bound) {
-    const uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
-
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {
   WNW_DCHECK(lo <= hi);
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(NextBounded(span));
 }
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::NextDouble(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
-}
-
-bool Rng::NextBool(double p_true) { return NextDouble() < p_true; }
 
 double Rng::NextGaussian() {
   if (has_cached_gaussian_) {
@@ -94,7 +51,5 @@ double Rng::NextGaussian() {
 double Rng::NextLogNormal(double mu, double sigma) {
   return std::exp(NextGaussian(mu, sigma));
 }
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace wnw

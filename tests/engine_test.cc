@@ -478,6 +478,37 @@ TEST(WalkEngine, ResidencyPrefetcherThatCannotStartIsResourceExhausted) {
   std::remove(path.c_str());
 }
 
+// Memory the engine cannot get is a Status too, not a std::bad_alloc or a
+// failed mapping escaping into std::terminate.
+TEST(WalkEngine, AllocationThatFailsIsResourceExhausted) {
+  const Graph graph = MakeTestBA(300, 3);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // 4M walkers: their 16 MB of sample slots and 96 MB of stats fit under
+  // the cap, their 384 MB of walker records do not.
+  EXPECT_EXIT(
+      {
+        EngineOptions options = BaseEngineOptions(4'000'000, 1);
+        options.threads = 1;
+        testing::CapAddressSpace(size_t{256} << 20);
+        testing::ExitWithStatus(
+            RunWalkEngine(&graph, "walk:srw?steps=5", options).status());
+      },
+      ::testing::ExitedWithCode(0), "records of 4000000 walkers");
+  // 2^30 walkers: the sample slots alone (4 GiB) do not fit. A sanitizer's
+  // allocator reports an allocation it cannot map and aborts instead of
+  // throwing, so only plain builds can reach the engine's handler here.
+  if (testing::kSanitized) return;
+  EXPECT_EXIT(
+      {
+        EngineOptions options = BaseEngineOptions(uint64_t{1} << 30, 1);
+        options.threads = 1;
+        testing::CapAddressSpace(size_t{256} << 20);
+        testing::ExitWithStatus(
+            RunWalkEngine(&graph, "walk:srw?steps=5", options).status());
+      },
+      ::testing::ExitedWithCode(0), "cannot allocate 1073741824 sample slots");
+}
+
 // --- BlockScheduler ----------------------------------------------------------
 
 TEST(BlockScheduler, MostPendingPicksLargestAndZeroes) {

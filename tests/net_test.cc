@@ -537,7 +537,10 @@ TEST(SpinGateTest, CpuQuotaCapsTheUsableCpus) {
 
 // --- server over real sockets ------------------------------------------------
 
-int ConnectTo(int port) {
+// `timeout` bounds each blocking read: tests must never hang on a dead
+// server.
+int ConnectTo(int port,
+              std::chrono::seconds timeout = std::chrono::seconds(5)) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in dst{};
@@ -546,8 +549,8 @@ int ConnectTo(int port) {
   inet_pton(AF_INET, "127.0.0.1", &dst.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&dst), sizeof(dst)), 0)
       << std::strerror(errno);
-  const timeval timeout{5, 0};  // tests must never hang on a dead server
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const timeval limit{static_cast<time_t>(timeout.count()), 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
   return fd;
 }
 
@@ -826,7 +829,10 @@ TEST(ServerStartFailureTest, FailedStartReturnsStatusAndDestructsCleanly) {
 
 TEST_F(ServerTest, BackpressurePausesAndResumesUnderPipelinedFlood) {
   StartServer();
-  const int fd = ConnectTo(server_->port());
+  // ~25 MB through an instrumented server on a loaded machine can stall one
+  // read for longer than the default hang guard: sanitized builds wait 6x.
+  const int fd = ConnectTo(server_->port(),
+                           std::chrono::seconds(testing::kSanitized ? 30 : 5));
   // Pipeline enough FetchBatch requests that the replies (~25 MB in total)
   // overflow the server's 16 MiB output high-water mark while the client
   // reads nothing: the server must pause reading instead of buffering

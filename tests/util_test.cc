@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <thread>
+#include <unistd.h>
 
 #include "test_util.h"
+#include "util/huge_page_arena.h"
 #include "util/parallel.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -221,6 +225,79 @@ TEST(StartThreadTest, NoHeadroomIsResourceExhausted) {
         testing::ExitWithStatus(thread.status());
       },
       ::testing::ExitedWithCode(0), "ResourceExhausted: test thread");
+}
+
+// Every byte of the arena starts zero, keeps what is written to it, and
+// lies inside one mapping of the reported size.
+void ExpectUsable(const HugePageArena& arena, uint8_t tag) {
+  auto* bytes = static_cast<uint8_t*>(arena.data());
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(bytes[0], 0);
+  EXPECT_EQ(bytes[arena.size() - 1], 0);
+  for (size_t i = 0; i < arena.size(); i += 4096) {
+    bytes[i] = static_cast<uint8_t>(tag + i / 4096);
+  }
+  bytes[arena.size() - 1] = tag;
+  for (size_t i = 0; i < arena.size(); i += 4096) {
+    ASSERT_EQ(bytes[i], static_cast<uint8_t>(tag + i / 4096)) << i;
+  }
+  EXPECT_EQ(bytes[arena.size() - 1], tag);
+}
+
+TEST(HugePageArenaTest, MapsLengthsBelowAtAndBetweenHugePages) {
+  constexpr size_t kHuge = HugePageArena::kHugePage;
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  for (const size_t bytes :
+       {size_t{1}, size_t{768}, page, kHuge - 1, kHuge, 3 * kHuge + 12345}) {
+    Result<HugePageArena> arena = HugePageArena::Map(bytes);
+    ASSERT_TRUE(arena.ok()) << bytes << ": " << arena.status().ToString();
+    EXPECT_GE(arena->size(), bytes);
+    EXPECT_LT(arena->size(), bytes + page);
+    EXPECT_EQ(arena->size() % page, 0u);
+    const auto address = reinterpret_cast<uintptr_t>(arena->data());
+    if (bytes >= kHuge) EXPECT_EQ(address % kHuge, 0u) << bytes;
+    ExpectUsable(*arena, static_cast<uint8_t>(bytes));
+  }
+  Result<HugePageArena> empty = HugePageArena::Map(0);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->data(), nullptr);
+  EXPECT_EQ(empty->size(), 0u);
+}
+
+TEST(HugePageArenaTest, MovesCarryTheMapping) {
+  HugePageArena first =
+      HugePageArena::Map(HugePageArena::kHugePage + 100).value();
+  ExpectUsable(first, 7);
+  void* const data = first.data();
+  const size_t size = first.size();
+
+  HugePageArena second(std::move(first));
+  EXPECT_EQ(first.data(), nullptr);
+  EXPECT_EQ(first.size(), 0u);
+  EXPECT_EQ(second.data(), data);
+  EXPECT_EQ(second.size(), size);
+  EXPECT_EQ(static_cast<uint8_t*>(second.data())[size - 1], 7);
+
+  // Assignment unmaps the target's old region and takes the source's.
+  HugePageArena third = HugePageArena::Map(100).value();
+  third = std::move(second);
+  EXPECT_EQ(second.data(), nullptr);
+  EXPECT_EQ(third.data(), data);
+  EXPECT_EQ(third.size(), size);
+  EXPECT_EQ(static_cast<uint8_t*>(third.data())[size - 1], 7);
+}
+
+TEST(HugePageArenaTest, RefusedMappingIsResourceExhausted) {
+  const Result<HugePageArena> huge = HugePageArena::Map(SIZE_MAX);
+  EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        testing::CapAddressSpace(HugePageArena::kHugePage);
+        testing::ExitWithStatus(
+            HugePageArena::Map(64 * HugePageArena::kHugePage).status());
+      },
+      ::testing::ExitedWithCode(0), "cannot map 134217728 bytes");
 }
 
 }  // namespace
