@@ -15,9 +15,7 @@
 //     reason to exist.
 //
 // Exits nonzero on any violation. Env: WNW_SEED, WNW_SCALE (scales the
-// throughput graph), WNW_WALKERS_MAX (top of the sweep, default 1000000),
-// WNW_BENCH_JSON (when set, writes the throughput sweep as JSON for the CI
-// artifact).
+// throughput graph), WNW_WALKERS_MAX (top of the sweep, default 1000000).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -242,35 +240,6 @@ int Run() {
                   TablePrinter::Cell(p.resident_peak)});
   }
   table.Print(stdout);
-
-  if (const char* json_path = std::getenv("WNW_BENCH_JSON")) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"ablation_block_engine\",\n"
-                 "  \"graph_nodes\": %u,\n"
-                 "  \"pool_baseline\": {\"walkers\": 64, "
-                 "\"steps_per_sec\": %.3f},\n  \"sweep\": [\n",
-                 static_cast<unsigned>(sweep_n), pool_steps_per_sec);
-    for (size_t i = 0; i < sweep.size(); ++i) {
-      const SweepPoint& p = sweep[i];
-      std::fprintf(f,
-                   "    {\"walkers\": %llu, \"steps_per_sec\": %.3f, "
-                   "\"elapsed_seconds\": %.6f, \"steps\": %llu, "
-                   "\"block_switches\": %llu, \"resident_peak\": %llu}%s\n",
-                   static_cast<unsigned long long>(p.walkers),
-                   p.steps_per_sec, p.elapsed_seconds,
-                   static_cast<unsigned long long>(p.steps),
-                   static_cast<unsigned long long>(p.block_switches),
-                   static_cast<unsigned long long>(p.resident_peak),
-                   i + 1 < sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-  }
 
   const SweepPoint& top = sweep.back();
   if (!(top.steps_per_sec >= pool_steps_per_sec)) {

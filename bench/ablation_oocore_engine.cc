@@ -31,8 +31,7 @@
 // stack, and the 64 MiB heap arena glibc maps for a thread that allocates.
 //
 // Exits nonzero on any violation. Env: WNW_SEED, WNW_TRIALS, WNW_SCALE
-// (scales the graph), WNW_BENCH_JSON (writes the gate report for the CI
-// artifact, uploaded as BENCH_oocore.json).
+// (scales the graph).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -396,8 +395,8 @@ int Run() {
                       "peak_charged", "block_switches"});
   table.AddComment(StrFormat(
       "Out-of-core sweep: walk:srw?steps=8, 1 worker thread, budget %llu "
-      "MiB, cold page cache per trial",
-      static_cast<unsigned long long>(kBudgetBytes >> 20)));
+      "MiB, cold page cache per trial, %d trials",
+      static_cast<unsigned long long>(kBudgetBytes >> 20), env.trials));
   table.AddComment(StrFormat(
       "graph: BA n=%u m=8; snapshot %llu bytes; walkers %llu; AS cap %llu",
       static_cast<unsigned>(n),
@@ -418,47 +417,16 @@ int Run() {
                 TablePrinter::Cell(prefetch_last.block_switches)});
   table.Print(stdout);
 
-  if (const char* json_path = std::getenv("WNW_BENCH_JSON")) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n  \"bench\": \"ablation_oocore_engine\",\n"
-        "  \"graph_nodes\": %u,\n  \"snapshot_bytes\": %llu,\n"
-        "  \"budget_bytes\": %llu,\n  \"address_space_cap_bytes\": %llu,\n"
-        "  \"identity_runs\": %d,\n  \"walkers\": %llu,\n"
-        "  \"trials\": %d,\n"
-        "  \"baseline\": {\"prefetch\": 0, \"median_seconds\": %.6f},\n"
-        "  \"prefetched\": {\"prefetch\": 2, \"median_seconds\": %.6f,\n"
-        "    \"prefetches\": %llu, \"releases\": %llu, "
-        "\"peak_charged_bytes\": %llu},\n"
-        "  \"speedup\": %.4f,\n  \"gate_ok\": %s\n}\n",
-        static_cast<unsigned>(n),
-        static_cast<unsigned long long>(snapshot_bytes),
-        static_cast<unsigned long long>(kBudgetBytes),
-        static_cast<unsigned long long>(as_cap), identity_runs,
-        static_cast<unsigned long long>(walkers), env.trials, baseline_median,
-        prefetch_median,
-        static_cast<unsigned long long>(prefetch_last.prefetches),
-        static_cast<unsigned long long>(prefetch_last.releases),
-        static_cast<unsigned long long>(prefetch_last.peak_bytes),
-        prefetch_median > 0.0 ? baseline_median / prefetch_median : 0.0,
-        ok ? "true" : "false");
-    std::fclose(f);
-  }
   std::remove(path.c_str());
 
   if (!ok) return 1;
   std::printf(
       "# GATE OK: identity held under a %llu-byte budget on a %llu-byte "
       "snapshot, paging engaged, prefetch beat no-prefetch (%.4fs vs "
-      "%.4fs)\n",
+      "%.4fs, %.2fx)\n",
       static_cast<unsigned long long>(kBudgetBytes),
       static_cast<unsigned long long>(snapshot_bytes), prefetch_median,
-      baseline_median);
+      baseline_median, baseline_median / prefetch_median);
   return 0;
 }
 

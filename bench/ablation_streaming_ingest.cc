@@ -18,11 +18,10 @@
 //     passes), and on a scale-free BA graph fed through the
 //     GraphEdgeSource adapter.
 //
-//   throughput — ingest edges/s is measured and reported (no threshold:
-//     CI machines vary too much; the JSON artifact tracks the trend).
+//   throughput — ingest edges/s is measured and printed (no threshold:
+//     CI machines vary too much).
 //
-// Exits nonzero on any violation. Env: WNW_SEED, WNW_SCALE,
-// WNW_BENCH_JSON (gate report for the CI artifact, BENCH_ingest.json).
+// Exits nonzero on any violation. Env: WNW_SEED, WNW_SCALE.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -345,9 +344,10 @@ int Run() {
   TablePrinter table({"phase", "seconds", "runs", "merge_passes",
                       "edges_per_s"});
   table.AddComment(StrFormat(
-      "Streaming ingest: rand n=%u m=%llu -> %llu-byte snapshot, budget "
-      "%llu MiB + %llu MiB slack, AS cap %llu",
+      "Streaming ingest: rand n=%u m=%llu (%llu unique) -> %llu-byte "
+      "snapshot, budget %llu MiB + %llu MiB slack, AS cap %llu",
       static_cast<unsigned>(n), static_cast<unsigned long long>(m),
+      static_cast<unsigned long long>(big_stats.num_edges),
       static_cast<unsigned long long>(snapshot_bytes),
       static_cast<unsigned long long>(kBudgetBytes >> 20),
       static_cast<unsigned long long>(kSlackBytes >> 20),
@@ -372,39 +372,6 @@ int Run() {
                 TablePrinter::CellPrec(edges_per_second, 0)});
   table.Print(stdout);
 
-  if (const char* json_path = std::getenv("WNW_BENCH_JSON")) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n  \"bench\": \"ablation_streaming_ingest\",\n"
-        "  \"graph_nodes\": %u,\n  \"input_edges\": %llu,\n"
-        "  \"unique_edges\": %llu,\n  \"snapshot_bytes\": %llu,\n"
-        "  \"budget_bytes\": %llu,\n  \"slack_bytes\": %llu,\n"
-        "  \"peak_rss_delta_bytes\": %llu,\n"
-        "  \"address_space_cap_bytes\": %llu,\n"
-        "  \"sorted_runs\": %llu,\n  \"merge_passes\": %llu,\n"
-        "  \"run_seconds\": %.4f,\n  \"merge_seconds\": %.4f,\n"
-        "  \"emit_seconds\": %.4f,\n  \"total_seconds\": %.4f,\n"
-        "  \"edges_per_second\": %.1f,\n  \"gate_ok\": %s\n}\n",
-        static_cast<unsigned>(n),
-        static_cast<unsigned long long>(big_stats.input_edges),
-        static_cast<unsigned long long>(big_stats.num_edges),
-        static_cast<unsigned long long>(snapshot_bytes),
-        static_cast<unsigned long long>(kBudgetBytes),
-        static_cast<unsigned long long>(kSlackBytes),
-        static_cast<unsigned long long>(rss_delta),
-        static_cast<unsigned long long>(as_cap),
-        static_cast<unsigned long long>(big_stats.sorted_runs),
-        static_cast<unsigned long long>(big_stats.merge_passes),
-        big_stats.run_seconds, big_stats.merge_seconds,
-        big_stats.emit_seconds, big_stats.total_seconds, edges_per_second,
-        ok ? "true" : "false");
-    std::fclose(f);
-  }
   std::remove(big_path.c_str());
 
   if (!ok) return 1;

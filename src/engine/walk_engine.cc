@@ -296,7 +296,24 @@ class EngineRun {
     return error_;
   }
 
+  // A worker's staging lists and the buckets it flushes into grow as
+  // walkers move; running out of memory there fails the cohort like any
+  // other worker error instead of escaping the thread.
   void Worker(int id) {
+    try {
+      DrainBlocks(id);
+    } catch (const std::bad_alloc&) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (error_.ok()) {
+        error_ = Status::ResourceExhausted(
+            "walk engine: worker " + std::to_string(id) +
+            " ran out of memory stepping walkers");
+      }
+      cv_.notify_all();
+    }
+  }
+
+  void DrainBlocks(int id) {
     FlatScan scan;
     if (program_.flat()) {
       if (direct_graph_ != nullptr) {

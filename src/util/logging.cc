@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,11 +16,6 @@ LogLevel InitialLevel() {
   if (std::strcmp(env, "warning") == 0) return LogLevel::kWarning;
   if (std::strcmp(env, "error") == 0) return LogLevel::kError;
   return LogLevel::kInfo;
-}
-
-std::atomic<int>& LevelStorage() {
-  static std::atomic<int> level{static_cast<int>(InitialLevel())};
-  return level;
 }
 
 const char* LevelTag(LogLevel level) {
@@ -41,11 +35,8 @@ const char* LevelTag(LogLevel level) {
 }  // namespace
 
 LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(LevelStorage().load(std::memory_order_relaxed));
-}
-
-void SetLogLevel(LogLevel level) {
-  LevelStorage().store(static_cast<int>(level), std::memory_order_relaxed);
+  static const LogLevel level = InitialLevel();
+  return level;
 }
 
 namespace internal {

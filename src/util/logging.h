@@ -12,7 +12,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 /// Global log threshold; messages below it are dropped. Default: kInfo.
 /// Honors the WNW_LOG_LEVEL environment variable (debug|info|warning|error).
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace internal {
 class LogMessage {

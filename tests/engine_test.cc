@@ -509,6 +509,29 @@ TEST(WalkEngine, AllocationThatFailsIsResourceExhausted) {
       ::testing::ExitedWithCode(0), "cannot allocate 1073741824 sample slots");
 }
 
+TEST(WalkEngine, WorkerOutOfMemoryIsResourceExhausted) {
+  // A sanitizer's allocator aborts on an allocation it cannot map instead
+  // of throwing, so only plain builds reach the worker's handler.
+  if (testing::kSanitized) GTEST_SKIP() << "allocation failure aborts";
+  // One node per block: setting up the cohort takes 36 B per block (an
+  // empty bucket and the scheduler's counts), 144 MB here, and the worker
+  // then stages 24 B more per block (96 MB). The cap leaves room for the
+  // first, not both.
+  constexpr NodeId kNodes = 4'000'000;
+  const Graph graph = MakeCycle(kNodes).value();
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        EngineOptions options = BaseEngineOptions(64, 1);
+        options.threads = 1;
+        options.block_nodes = 1;
+        testing::CapAddressSpace(size_t{216} << 20);
+        testing::ExitWithStatus(
+            RunWalkEngine(&graph, "walk:srw?steps=4", options).status());
+      },
+      ::testing::ExitedWithCode(0), "worker 0 ran out of memory");
+}
+
 // --- BlockScheduler ----------------------------------------------------------
 
 TEST(BlockScheduler, MostPendingPicksLargestAndZeroes) {
