@@ -28,7 +28,8 @@ void BillBatch(CostMeter& meter, const BatchReply& reply, size_t requests) {
 
 AccessInterface::AccessInterface(const Graph* graph, AccessOptions options)
     : AccessInterface(BuildBackendStack(graph, {.access = options,
-                                                .latency = std::nullopt})) {}
+                                                .latency = std::nullopt,
+                                                .snapshot = {}})) {}
 
 AccessInterface::AccessInterface(std::shared_ptr<AccessBackend> backend,
                                  std::shared_ptr<QueryCache> cache,

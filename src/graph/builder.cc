@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/edge_sort.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -14,7 +15,7 @@ Status GraphBuilder::AddEdge(NodeId u, NodeId v) {
   }
   if (u == v && !allow_self_loops_) return Status::OK();
   if (u > v) std::swap(u, v);
-  edges_.emplace_back(u, v);
+  edges_.push_back(PackEdge(u, v));
   return Status::OK();
 }
 
@@ -23,7 +24,10 @@ void GraphBuilder::EnsureNode(NodeId u) {
 }
 
 Result<Graph> GraphBuilder::Build() && {
-  std::sort(edges_.begin(), edges_.end());
+  {
+    HugePageArena scratch;  // unmapped before the CSR arrays are allocated
+    WNW_RETURN_IF_ERROR(SortEdgeKeys(edges_, &scratch));
+  }
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 
   // Pack into heap vectors first, then hand them to the graph's storage
@@ -31,7 +35,9 @@ Result<Graph> GraphBuilder::Build() && {
   std::vector<uint64_t> offsets(static_cast<size_t>(num_nodes_) + 1, 0);
 
   // Degree counting pass. A self-loop contributes one adjacency entry.
-  for (const auto& [u, v] : edges_) {
+  for (const uint64_t key : edges_) {
+    const NodeId u = PackedRow(key);
+    const NodeId v = PackedCol(key);
     offsets[u + 1]++;
     if (u != v) offsets[v + 1]++;
   }
@@ -39,7 +45,9 @@ Result<Graph> GraphBuilder::Build() && {
 
   std::vector<NodeId> adjacency(offsets[num_nodes_]);
   std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& [u, v] : edges_) {
+  for (const uint64_t key : edges_) {
+    const NodeId u = PackedRow(key);
+    const NodeId v = PackedCol(key);
     adjacency[cursor[u]++] = v;
     if (u != v) adjacency[cursor[v]++] = u;
   }

@@ -12,6 +12,11 @@ namespace wnw {
 /// Collects undirected edges, then Build() sorts, deduplicates, and packs
 /// them into CSR form. Duplicate edges and (by default) self-loops are
 /// dropped silently — web crawls routinely contain both.
+///
+/// Each edge is held as one packed key (min << 32) | max (graph/edge_sort.h),
+/// 8 bytes an edge, and Build() radix-sorts the keys with SortEdgeKeys, the
+/// same kernel the streaming ingest sorts its runs with. The sort's scratch
+/// (another 8 bytes an edge) is mapped for the sort and unmapped after it.
 class GraphBuilder {
  public:
   explicit GraphBuilder(NodeId num_nodes, bool allow_self_loops = false)
@@ -29,12 +34,13 @@ class GraphBuilder {
   uint64_t num_pending_edges() const { return edges_.size(); }
 
   /// Builds the graph. The builder is consumed (edge storage is moved out).
+  /// ResourceExhausted when the sort's scratch cannot be mapped.
   Result<Graph> Build() &&;
 
  private:
   NodeId num_nodes_;
   bool allow_self_loops_;
-  std::vector<std::pair<NodeId, NodeId>> edges_;
+  std::vector<uint64_t> edges_;  // PackEdge(min, max), unsorted
 };
 
 }  // namespace wnw

@@ -4,13 +4,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "graph/edge_sort.h"
 #include "storage/snapshot.h"
+#include "util/huge_page_arena.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -20,18 +24,6 @@ namespace {
 // Below this the sort buffer cannot hold a chunk worth sorting; refuse
 // instead of generating one run per handful of edges.
 constexpr uint64_t kMinBudgetBytes = 256 * 1024;
-
-// A directed orientation of one undirected edge, packed so that sorting
-// u64s sorts (row, neighbor) lexicographically — the exact CSR order.
-constexpr uint64_t Pack(NodeId u, NodeId v) {
-  return (uint64_t{u} << 32) | uint64_t{v};
-}
-constexpr NodeId PackedRow(uint64_t key) {
-  return static_cast<NodeId>(key >> 32);
-}
-constexpr NodeId PackedCol(uint64_t key) {
-  return static_cast<NodeId>(key & 0xffffffffull);
-}
 
 std::string DirName(const std::string& path) {
   const size_t slash = path.find_last_of('/');
@@ -212,17 +204,21 @@ class RunReader {
   size_t len_ = 0;
 };
 
-/// K-way merge of sorted deduplicated runs with global dedup: yields the
-/// union of the runs' values in strictly ascending order.
+/// The final sorted run(s) as one stream of strictly ascending values, a
+/// block at a time. With no run files it yields `resident`, the one sorted
+/// deduplicated run that never left memory, as a single block. Otherwise it
+/// k-way merges the run files with global dedup, one value buffer per run.
 class Merger {
  public:
   static Result<Merger> Open(std::span<const TempFile> runs,
-                             size_t buffer_entries_per_run) {
+                             std::span<const uint64_t> resident,
+                             size_t buffer_entries) {
     Merger merger;
+    merger.resident_ = resident;
     merger.readers_.reserve(runs.size());
     for (const TempFile& run : runs) {
       WNW_ASSIGN_OR_RETURN(RunReader reader,
-                           RunReader::Open(run.path(), buffer_entries_per_run));
+                           RunReader::Open(run.path(), buffer_entries));
       merger.readers_.push_back(std::move(reader));
     }
     for (size_t i = 0; i < merger.readers_.size(); ++i) {
@@ -230,14 +226,18 @@ class Merger {
       WNW_ASSIGN_OR_RETURN(const bool more, merger.readers_[i].Next(&value));
       if (more) merger.heap_.emplace(value, i);
     }
+    if (!runs.empty()) merger.block_.reserve(buffer_entries);
     return merger;
   }
 
   Merger(Merger&&) noexcept = default;
 
-  /// True + *out for the next distinct value, false when every run is dry.
-  Result<bool> Next(uint64_t* out) {
-    while (!heap_.empty()) {
+  /// The next block of distinct values, ascending across blocks; empty when
+  /// every run is dry.
+  Result<std::span<const uint64_t>> NextBlock() {
+    if (!resident_.empty()) return std::exchange(resident_, {});
+    block_.clear();
+    while (!heap_.empty() && block_.size() < block_.capacity()) {
       const auto [value, idx] = heap_.top();
       heap_.pop();
       uint64_t refill = 0;
@@ -246,21 +246,22 @@ class Merger {
       if (!has_last_ || value != last_) {
         has_last_ = true;
         last_ = value;
-        *out = value;
-        return true;
+        block_.push_back(value);
       }
     }
-    return false;
+    return std::span<const uint64_t>(block_);
   }
 
  private:
   Merger() = default;
 
+  std::span<const uint64_t> resident_;
   std::vector<RunReader> readers_;
   std::priority_queue<std::pair<uint64_t, size_t>,
                       std::vector<std::pair<uint64_t, size_t>>,
                       std::greater<>>
       heap_;
+  std::vector<uint64_t> block_;
   uint64_t last_ = 0;
   bool has_last_ = false;
 };
@@ -281,7 +282,10 @@ Result<IngestStats> StreamGraphSnapshot(EdgeSource& source,
           "(need at least 2)",
           static_cast<unsigned long long>(options.sort_buffer_entries)));
     }
-    sort_entries = options.sort_buffer_entries;
+    // Capped so that its byte size cannot wrap; a buffer that large is
+    // refused by the mapping (ResourceExhausted).
+    sort_entries = std::min<uint64_t>(options.sort_buffer_entries,
+                                      SIZE_MAX / sizeof(uint64_t));
   } else {
     if (options.memory_budget_bytes < kMinBudgetBytes) {
       return Status::InvalidArgument(StrFormat(
@@ -290,7 +294,9 @@ Result<IngestStats> StreamGraphSnapshot(EdgeSource& source,
           static_cast<unsigned long long>(options.memory_budget_bytes),
           static_cast<unsigned long long>(kMinBudgetBytes)));
     }
-    sort_entries = options.memory_budget_bytes / sizeof(uint64_t);
+    // The buffer and the radix sort's scratch, 8 bytes an entry each, share
+    // the budget.
+    sort_entries = options.memory_budget_bytes / (2 * sizeof(uint64_t));
   }
   stats.sort_buffer_entries = sort_entries;
 
@@ -304,28 +310,38 @@ Result<IngestStats> StreamGraphSnapshot(EdgeSource& source,
 
   // Phase 1: run formation. Every undirected edge lands as both directed
   // orientations (a self-loop as one), so the merged stream is exactly the
-  // symmetrized CSR content in row-major order.
+  // symmetrized CSR content in row-major order. Buffer and scratch are
+  // mappings of their own, not heap chunks (see SortEdgeKeys).
   Timer phase_timer;
   std::vector<TempFile> runs;
-  std::vector<uint64_t> buffer;
-  buffer.reserve(sort_entries);
+  WNW_ASSIGN_OR_RETURN(HugePageArena buffer_arena,
+                       HugePageArena::Map(sort_entries * sizeof(uint64_t)));
+  HugePageArena scratch;
+  const std::span<uint64_t> buffer(
+      static_cast<uint64_t*>(buffer_arena.data()), sort_entries);
+  size_t filled = 0;
+  auto sort_buffer = [&]() -> Result<std::span<const uint64_t>> {
+    const std::span<uint64_t> run = buffer.first(filled);
+    WNW_RETURN_IF_ERROR(SortEdgeKeys(run, &scratch));
+    filled = 0;
+    return std::span<const uint64_t>(run.begin(),
+                                     std::unique(run.begin(), run.end()));
+  };
   auto spill = [&]() -> Status {
-    if (buffer.empty()) return Status::OK();
-    std::sort(buffer.begin(), buffer.end());
-    buffer.erase(std::unique(buffer.begin(), buffer.end()), buffer.end());
-    TempFile run(MakeTempPath(temp_dir, "run"));
+    if (filled == 0) return Status::OK();
+    WNW_ASSIGN_OR_RETURN(const std::span<const uint64_t> run, sort_buffer());
+    TempFile file(MakeTempPath(temp_dir, "run"));
     WNW_ASSIGN_OR_RETURN(RunWriter writer,
-                         RunWriter::Create(run.path(), /*buffer_entries=*/1));
-    WNW_RETURN_IF_ERROR(writer.WriteAll(buffer));
+                         RunWriter::Create(file.path(), /*buffer_entries=*/1));
+    WNW_RETURN_IF_ERROR(writer.WriteAll(run));
     WNW_RETURN_IF_ERROR(writer.Close());
-    runs.push_back(std::move(run));
+    runs.push_back(std::move(file));
     ++stats.sorted_runs;
-    buffer.clear();
     return Status::OK();
   };
   auto push = [&](uint64_t key) -> Status {
-    if (buffer.size() == sort_entries) WNW_RETURN_IF_ERROR(spill());
-    buffer.push_back(key);
+    if (filled == sort_entries) WNW_RETURN_IF_ERROR(spill());
+    buffer[filled++] = key;
     return Status::OK();
   };
 
@@ -347,20 +363,29 @@ Result<IngestStats> StreamGraphSnapshot(EdgeSource& source,
           ++stats.dropped_self_loops;
           continue;
         }
-        WNW_RETURN_IF_ERROR(push(Pack(e.u, e.u)));
+        WNW_RETURN_IF_ERROR(push(PackEdge(e.u, e.u)));
       } else {
-        WNW_RETURN_IF_ERROR(push(Pack(e.u, e.v)));
-        WNW_RETURN_IF_ERROR(push(Pack(e.v, e.u)));
+        WNW_RETURN_IF_ERROR(push(PackEdge(e.u, e.v)));
+        WNW_RETURN_IF_ERROR(push(PackEdge(e.v, e.u)));
       }
     }
   }
+  // An input that never filled the buffer stays there as the one run, and
+  // passes A and B read it in place: no run file is written or read back.
+  std::span<const uint64_t> resident;
+  if (runs.empty() && filled > 0) {
+    WNW_ASSIGN_OR_RETURN(resident, sort_buffer());
+    ++stats.sorted_runs;
+  }
   WNW_RETURN_IF_ERROR(spill());
-  buffer.shrink_to_fit();  // phases do not overlap; hand the budget over
+  // Phases do not overlap; hand the budget over.
+  scratch = HugePageArena();
+  if (resident.empty()) buffer_arena = HugePageArena();
   stats.run_seconds = phase_timer.ElapsedSeconds();
 
-  // Per-stream buffer sizing for the merge phases: fan_in readers plus a
-  // writer (or the offsets spill / adjacency emit buffers) share the
-  // budget.
+  // Per-stream buffer sizing for the merge phases: fan_in readers, the
+  // merger's output block and one writer (or the offsets spill / adjacency
+  // emit buffer) share the budget. A resident run holds at most half of it.
   const size_t merge_buffer_entries = static_cast<size_t>(std::max<uint64_t>(
       512, budget / sizeof(uint64_t) / (fan_in + 2)));
 
@@ -373,16 +398,17 @@ Result<IngestStats> StreamGraphSnapshot(EdgeSource& source,
     runs.erase(runs.begin(), runs.begin() + fan_in);
     TempFile merged(MakeTempPath(temp_dir, "run"));
     {
-      WNW_ASSIGN_OR_RETURN(Merger merger,
-                           Merger::Open(merge_batch, merge_buffer_entries));
+      WNW_ASSIGN_OR_RETURN(
+          Merger merger,
+          Merger::Open(merge_batch, /*resident=*/{}, merge_buffer_entries));
       WNW_ASSIGN_OR_RETURN(
           RunWriter writer,
-          RunWriter::Create(merged.path(), merge_buffer_entries));
-      uint64_t value = 0;
+          RunWriter::Create(merged.path(), /*buffer_entries=*/1));
       for (;;) {
-        WNW_ASSIGN_OR_RETURN(const bool more, merger.Next(&value));
-        if (!more) break;
-        WNW_RETURN_IF_ERROR(writer.Add(value));
+        WNW_ASSIGN_OR_RETURN(const std::span<const uint64_t> block,
+                             merger.NextBlock());
+        if (block.empty()) break;
+        WNW_RETURN_IF_ERROR(writer.WriteAll(block));
       }
       WNW_RETURN_IF_ERROR(writer.Close());
     }
@@ -432,17 +458,19 @@ Result<IngestStats> StreamGraphSnapshot(EdgeSource& source,
     };
     WNW_RETURN_IF_ERROR(write_offset(0));
     WNW_ASSIGN_OR_RETURN(Merger merger,
-                         Merger::Open(runs, merge_buffer_entries));
-    uint64_t key = 0;
+                         Merger::Open(runs, resident, merge_buffer_entries));
     for (;;) {
-      WNW_ASSIGN_OR_RETURN(const bool more, merger.Next(&key));
-      if (!more) break;
-      const NodeId row = PackedRow(key);
-      while (rows_written <= row) {
-        WNW_RETURN_IF_ERROR(write_offset(adjacency_entries));
+      WNW_ASSIGN_OR_RETURN(const std::span<const uint64_t> block,
+                           merger.NextBlock());
+      if (block.empty()) break;
+      for (const uint64_t key : block) {
+        const NodeId row = PackedRow(key);
+        while (rows_written <= row) {
+          WNW_RETURN_IF_ERROR(write_offset(adjacency_entries));
+        }
+        ++adjacency_entries;
+        if (row <= PackedCol(key)) ++unique_edges;
       }
-      ++adjacency_entries;
-      if (row <= PackedCol(key)) ++unique_edges;
     }
     while (rows_written <= num_nodes) {
       WNW_RETURN_IF_ERROR(write_offset(adjacency_entries));
@@ -501,19 +529,20 @@ Result<IngestStats> StreamGraphSnapshot(EdgeSource& source,
   }
   {
     WNW_ASSIGN_OR_RETURN(Merger merger,
-                         Merger::Open(runs, merge_buffer_entries));
-    std::vector<NodeId> chunk;
-    chunk.reserve(merge_buffer_entries);
-    uint64_t key = 0;
+                         Merger::Open(runs, resident, merge_buffer_entries));
+    std::vector<NodeId> chunk(merge_buffer_entries);
     for (;;) {
-      WNW_ASSIGN_OR_RETURN(const bool more, merger.Next(&key));
-      if (more) chunk.push_back(PackedCol(key));
-      if ((!more || chunk.size() == merge_buffer_entries) && !chunk.empty()) {
-        WNW_RETURN_IF_ERROR(
-            writer.AppendArray(std::span<const NodeId>(chunk)));
-        chunk.clear();
+      WNW_ASSIGN_OR_RETURN(std::span<const uint64_t> block,
+                           merger.NextBlock());
+      if (block.empty()) break;
+      while (!block.empty()) {
+        const size_t len = std::min(block.size(), chunk.size());
+        std::transform(block.begin(), block.begin() + len, chunk.begin(),
+                       PackedCol);
+        WNW_RETURN_IF_ERROR(writer.AppendArray(
+            std::span<const NodeId>(chunk.data(), len)));
+        block = block.subspan(len);
       }
-      if (!more) break;
     }
   }
   if (!original_ids.empty()) {

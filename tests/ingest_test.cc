@@ -2,9 +2,10 @@
 // pipeline must produce snapshots byte-identical to the in-memory writer on
 // the same edge stream — across duplicate edges straddling run boundaries,
 // self-loops under both policies, reversed/unsorted input, empty and
-// single-node graphs, clamped merge fan-in, and multi-pass merges — and
-// must fail gracefully (InvalidArgument, never OOM) when the sort buffer
-// cannot hold a chunk. Temp files never outlive the call.
+// single-node graphs, clamped merge fan-in, multi-pass merges, and a sort
+// buffer exactly the input's size (one run kept in memory) or one key short
+// (a spill) — and must fail gracefully (InvalidArgument, never OOM) when the
+// sort buffer cannot hold a chunk. Temp files never outlive the call.
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -123,6 +124,32 @@ TEST(StreamingIngestTest, IdentityAcrossRunBoundariesAndMergePasses) {
   EXPECT_GT(stats.merge_passes, 0u);
 }
 
+// Packed orientations the pipeline buffers for `edges` with self-loops
+// dropped: two per non-loop edge, duplicates included.
+uint64_t PackedKeyCount(const std::vector<InputEdge>& edges) {
+  uint64_t keys = 0;
+  for (const InputEdge& e : edges) keys += e.u == e.v ? 0 : 2;
+  return keys;
+}
+
+TEST(StreamingIngestTest, BufferExactlyHoldingTheInputKeepsOneRunInMemory) {
+  const std::vector<InputEdge> edges = RandomEdges(300, 2000, 17);
+  storage::IngestOptions options;
+  options.sort_buffer_entries = PackedKeyCount(edges);
+  const auto stats = ExpectIdentical(edges, options, "exact_fit");
+  EXPECT_EQ(stats.sorted_runs, 1u);
+  EXPECT_EQ(stats.merge_passes, 0u);
+}
+
+TEST(StreamingIngestTest, BufferOneKeyShortSpillsTwoRuns) {
+  const std::vector<InputEdge> edges = RandomEdges(300, 2000, 17);
+  storage::IngestOptions options;
+  options.sort_buffer_entries = PackedKeyCount(edges) - 1;
+  const auto stats = ExpectIdentical(edges, options, "one_short");
+  EXPECT_EQ(stats.sorted_runs, 2u);  // a full run file and a 1-key tail
+  EXPECT_EQ(stats.merge_passes, 0u);
+}
+
 TEST(StreamingIngestTest, IdentityOnScaleFreeGraphViaAdapter) {
   const Graph g = testing::MakeTestBA(800, 5);
   const std::string streamed_path = TempPath("ba_streamed.snap");
@@ -217,6 +244,16 @@ TEST(StreamingIngestTest, UndersizedBufferIsInvalidArgumentNotOom) {
       storage::StreamGraphSnapshot(source2, TempPath("tiny2.snap"), options2);
   ASSERT_FALSE(result2.ok());
   EXPECT_EQ(result2.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(StreamingIngestTest, BufferBeyondTheAddressSpaceIsResourceExhausted) {
+  VecEdgeSource source({{0, 1}});
+  storage::IngestOptions options;
+  options.sort_buffer_entries = UINT64_MAX;  // its byte size must not wrap
+  auto result =
+      storage::StreamGraphSnapshot(source, TempPath("huge.snap"), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(StreamingIngestTest, OriginalIdsStreamFromEdgeListFile) {
