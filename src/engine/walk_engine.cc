@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -42,10 +43,105 @@ void FoldPhysical(const CostMeter& from, CostMeter* into) {
   }
 }
 
-/// One engine run: cohort setup, the worker loop, stats harvesting. All
-/// scheduling state is guarded by mu_; walkers are exclusively owned by
-/// exactly one bucket or one worker's drain list at any time, so Resume()
-/// needs no per-walker locking.
+/// Sums over harvested walkers. Each worker keeps its own while it
+/// harvests its slice and folds it into the run's once.
+struct Tally {
+  uint64_t query_cost = 0;
+  uint64_t total_queries = 0;
+  uint64_t samples_drawn = 0;
+  CostMeter physical;  // session mode's sessions, then flat mode's workers
+
+  void Add(const Tally& other) {
+    query_cost += other.query_cost;
+    total_queries += other.total_queries;
+    samples_drawn += other.samples_drawn;
+    FoldPhysical(other.physical, &physical);
+  }
+};
+
+/// A worker's walkers bound for other blocks, one list per destination
+/// block. Only the blocks staged into since the last Clear() have a list: an
+/// open-addressed table maps each to its list, so a worker's staging memory
+/// follows the blocks its drains touch, not the number of blocks.
+class Staging {
+ public:
+  void Add(size_t block, uint32_t walker) {
+    lists_[SlotOf(static_cast<uint32_t>(block))].push_back(walker);
+  }
+
+  /// The blocks staged into, in first-touch order, and their lists.
+  size_t size() const { return blocks_.size(); }
+  size_t block(size_t slot) const { return blocks_[slot]; }
+  std::vector<uint32_t>& list(size_t slot) { return lists_[slot]; }
+
+  /// Forgets every block. The lists, emptied by the flush, keep their
+  /// buffers for the blocks the next drain touches.
+  void Clear() {
+    blocks_.clear();
+    if (++generation_ == 0) {  // wrapped: stale entries would look live
+      std::fill(table_.begin(), table_.end(), Entry{});
+      generation_ = 1;
+    }
+  }
+
+ private:
+  // An entry is live only in the generation that wrote it, so Clear() is an
+  // increment, not a sweep of the table.
+  struct Entry {
+    uint32_t generation = 0;
+    uint32_t block = 0;
+    uint32_t slot = 0;
+  };
+
+  // Fibonacci hashing: the top bits of the product spread neighbouring
+  // block ids over the table.
+  size_t Home(uint32_t block) const {
+    return static_cast<size_t>((uint64_t{block} * 0x9E3779B97F4A7C15ull) >>
+                               shift_);
+  }
+
+  size_t SlotOf(uint32_t block) {
+    const size_t mask = table_.size() - 1;
+    size_t pos = Home(block);
+    for (; table_[pos].generation == generation_; pos = (pos + 1) & mask) {
+      if (table_[pos].block == block) return table_[pos].slot;
+    }
+    const auto slot = static_cast<uint32_t>(blocks_.size());
+    blocks_.push_back(block);
+    if (lists_.size() == slot) lists_.emplace_back();
+    if (2 * blocks_.size() > table_.size()) {
+      Rehash(2 * table_.size());  // at most half full, this block included
+    } else {
+      table_[pos] = {generation_, block, slot};
+    }
+    return slot;
+  }
+
+  void Rehash(size_t size) {
+    table_.assign(size, Entry{});
+    shift_ = 64 - std::countr_zero(size);
+    for (uint32_t slot = 0; slot < blocks_.size(); ++slot) {
+      size_t pos = Home(blocks_[slot]);
+      while (table_[pos].generation == generation_) {
+        pos = (pos + 1) & (size - 1);
+      }
+      table_[pos] = {generation_, blocks_[slot], slot};
+    }
+  }
+
+  std::vector<uint32_t> blocks_;
+  std::vector<std::vector<uint32_t>> lists_;  // lists_[slot]
+  std::vector<Entry> table_ = std::vector<Entry>(16);
+  int shift_ = 60;  // 64 - log2(table_.size())
+  uint32_t generation_ = 1;
+};
+
+/// One engine run. Each cohort's workers do all of its per-walker work:
+/// each sets up a contiguous slice of the walkers, steps whatever blocks the
+/// scheduler hands it, then harvests its own slice. All scheduling state is
+/// guarded by mu_; between set-up and harvest a walker is exclusively owned
+/// by exactly one bucket or one worker's drain list, so Resume() needs no
+/// per-walker locking.
 class EngineRun {
  public:
   EngineRun(const Graph* graph, const EngineOptions& options,
@@ -134,19 +230,26 @@ class EngineRun {
     // Peak resident-set telemetry: a low-rate /proc/self/statm probe while
     // cohorts step (plus one sample on each side), so engine_resident_peak
     // reports measured memory, not a proxy. Zero where statm is missing.
+    // The probe waits on a condition variable, so stopping it does not wait
+    // out its interval.
     resident_peak_ =
         std::max(resident_peak_, storage::ProcessResidentBytes());
-    std::atomic<bool> sampling{true};
+    std::mutex sampler_mu;
+    std::condition_variable sampler_cv;
+    bool sampling = true;
     WNW_ASSIGN_OR_RETURN(
         std::thread sampler,
         StartThread("walk engine: cannot start its resident-set sampler",
-                    [this, &sampling] {
-                      while (sampling.load(std::memory_order_relaxed)) {
+                    [&] {
+                      std::unique_lock<std::mutex> lock(sampler_mu);
+                      do {
+                        lock.unlock();
                         resident_peak_ = std::max(
                             resident_peak_, storage::ProcessResidentBytes());
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(5));
-                      }
+                        lock.lock();
+                      } while (!sampler_cv.wait_for(
+                          lock, std::chrono::milliseconds(5),
+                          [&] { return !sampling; }));
                     }));
     Status status = Status::OK();
     for (uint64_t first = 0; first < options_.walkers; first += cohort_) {
@@ -155,21 +258,27 @@ class EngineRun {
       status = RunCohort(first, count);
       if (!status.ok()) break;
     }
-    sampling.store(false, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(sampler_mu);
+      sampling = false;
+    }
+    sampler_cv.notify_one();
     sampler.join();
     resident_peak_ =
         std::max(resident_peak_, storage::ProcessResidentBytes());
     WNW_RETURN_IF_ERROR(status);
     for (const auto& access : worker_access_) {
-      FoldPhysical(access->meter(), &physical_);
+      FoldPhysical(access->meter(), &totals_.physical);
     }
     for (const CostMeter& meter : worker_meters_) {
-      FoldPhysical(meter, &physical_);
+      FoldPhysical(meter, &totals_.physical);
     }
     return Status::OK();
   }
 
-  const CostMeter& physical() const { return physical_; }
+  /// Sums over every harvested walker, with the physical fetches of every
+  /// session and worker.
+  const Tally& totals() const { return totals_; }
   uint64_t steps() const { return steps_.load(std::memory_order_relaxed); }
   uint64_t block_switches() const { return block_switches_; }
   uint64_t bytes_scanned() const { return bytes_scanned_; }
@@ -184,56 +293,143 @@ class EngineRun {
   }
 
  private:
+  using Clock = std::chrono::steady_clock;
   static constexpr size_t kPrefetchAhead = 16;
 
   size_t BlockOf(NodeId u) const { return u / block_nodes_; }
 
+  // Runs walkers [first, first + count) on min(threads, count) workers, the
+  // calling thread alone when that is one.
   Status RunCohort(uint64_t first, uint64_t count) {
-    Status status;
     try {
-      status = SetUpCohort(first, count);
+      if (!program_.flat()) sessions_.resize(count);
+      buckets_.assign(num_blocks_, {});
+      scheduler_ = std::make_unique<BlockScheduler>(num_blocks_,
+                                                    options_.schedule);
     } catch (const std::bad_alloc&) {
-      status = Status::ResourceExhausted(
+      return Status::ResourceExhausted(
           "walk engine: out of memory setting up " + std::to_string(count) +
           " walkers");
     }
-    if (status.ok()) status = StepCohort(count);
-    // Harvest BEFORE the walker sessions die: the access destructor folds
-    // still-pending prefetch batches (billing them), and the pool reads its
-    // per-walker Stats() before sessions close too — cost identity depends
-    // on sampling the meters at the same point.
-    for (uint64_t i = 0; i < constructed_; ++i) {
-      EngineWalker& w = walkers_[i];
-      if (status.ok()) {
-        EngineWalkerStats& s = result_->walker_stats[first + i];
-        if (!sessions_.empty()) {
-          const CostMeter& meter = sessions_[i].access->meter();
-          s.query_cost = meter.unique_cost;
-          s.total_queries = meter.total_queries;
-          FoldPhysical(meter, &physical_);
-        } else {
-          s.query_cost = w.meter.unique_cost();
-          s.total_queries = w.meter.total_queries();
+    first_ = first;
+    cohort_samples_ = result_->samples.data() + first * samples_per_walker_;
+    const int threads =
+        static_cast<int>(std::min<uint64_t>(threads_, count));
+    live_ = count;
+    error_ = Status::OK();
+    participants_ = threads;
+    set_up_ = 0;
+    drained_ = 0;
+    // Worker t's slice: walkers [count * t / threads, count * (t+1) / threads).
+    const auto slice = [count, threads](int t) {
+      return count * static_cast<uint64_t>(t) / static_cast<uint64_t>(threads);
+    };
+    if (threads <= 1) {
+      Worker(0, 0, count);
+    } else {
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<size_t>(threads));
+      for (int t = 0; t < threads; ++t) {
+        Result<std::thread> worker = StartThread(
+            "walk engine: cannot start worker thread " + std::to_string(t),
+            [this, t, begin = slice(t), end = slice(t + 1)] {
+              Worker(t, begin, end);
+            });
+        if (!worker.ok()) {
+          // The workers already started meet without the rest, step
+          // nothing and destroy what they set up; the cohort then fails
+          // with this error.
+          std::lock_guard<std::mutex> lock(mu_);
+          participants_ = t;
+          Fail(worker.status());
+          break;
         }
-        s.emitted = w.emitted;
+        pool.push_back(std::move(worker).value());
       }
-      std::destroy_at(&w);
+      for (std::thread& t : pool) t.join();
     }
-    constructed_ = 0;
-    sessions_.clear();  // destroys per-walker sessions (waits on prefetches)
-    return status;
+    // Stepping-phase clock, from the set-up barrier to the last drain:
+    // set-up and harvest are O(walkers) work the engine pays once, not
+    // part of the multiplexing rate the steps-per-second telemetry reports.
+    if (error_.ok()) {
+      stepping_seconds_ +=
+          std::chrono::duration<double>(drained_at_ - set_up_at_).count();
+    }
+    block_switches_ += scheduler_->acquires();
+    sessions_.clear();
+    return error_;
   }
 
-  // Constructs the cohort's records in the arena, builds session mode's
-  // per-walker sessions, and buckets every walker by its start block.
-  Status SetUpCohort(uint64_t first, uint64_t count) {
-    cohort_samples_ = result_->samples.data() + first * samples_per_walker_;
-    if (!program_.flat()) sessions_.resize(count);
-    for (uint64_t i = 0; i < count; ++i) {
+  // One worker of a cohort: sets up walkers [begin, end), steps, then
+  // harvests the same slice. It meets the others after set-up, so the
+  // scheduler sees every walker before the first Acquire, and after its
+  // last drain, so no walker of its slice is still being stepped — and it
+  // does both whether or not anything failed, so an error cannot leave the
+  // others waiting.
+  void Worker(int id, uint64_t begin, uint64_t end) {
+    Staging staging;
+    uint64_t built = 0;
+    Guard(id, "setting up", [&] {
+      const Status status = SetUpSlice(begin, end, &built, &staging);
+      std::lock_guard<std::mutex> lock(mu_);
+      if (status.ok()) {
+        Flush(&staging);
+      } else {
+        Fail(status);
+      }
+    });
+    Meet(&set_up_, &set_up_at_);
+    Guard(id, "stepping", [&] { DrainBlocks(id, &staging); });
+    const bool ok = Meet(&drained_, &drained_at_);
+    Harvest(id, begin, begin + built, ok);
+  }
+
+  // Runs one phase of a worker. Running out of memory there (records'
+  // sessions, staging lists, the buckets a flush grows) fails the cohort
+  // like any other worker error instead of escaping the thread.
+  template <typename Phase>
+  void Guard(int id, const char* what, Phase&& phase) {
+    try {
+      phase();
+    } catch (const std::bad_alloc&) {
+      std::lock_guard<std::mutex> lock(mu_);
+      Fail(Status::ResourceExhausted("walk engine: worker " +
+                                     std::to_string(id) +
+                                     " ran out of memory " + what +
+                                     " walkers"));
+    }
+  }
+
+  // Records the cohort's first error and wakes every waiting worker.
+  // Called under mu_.
+  void Fail(const Status& status) {
+    if (error_.ok()) error_ = status;
+    cv_.notify_all();
+  }
+
+  // Waits until every worker of the cohort has arrived (`arrived` counts
+  // them); the last to arrive stamps `at`. Returns whether the cohort is
+  // still free of errors.
+  bool Meet(int* arrived, Clock::time_point* at) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++*arrived == participants_) {
+      *at = Clock::now();
+      cv_.notify_all();
+    }
+    cv_.wait(lock, [&] { return *arrived >= participants_; });
+    return error_.ok();
+  }
+
+  // Constructs walkers [begin, end) in place and stages each by its start
+  // block. `*built` counts the records constructed, which the harvest
+  // destroys whatever happens next.
+  Status SetUpSlice(uint64_t begin, uint64_t end, uint64_t* built,
+                    Staging* staging) {
+    for (uint64_t i = begin; i < end; ++i) {
       // The pool's exact seeding chain: walker g opens a session seeded
       // Mix64(shared.seed ^ (0x3a1c0000 + g)), which draws the sampler seed
       // and then (when no start was pinned) the start node.
-      const uint64_t g = first + i;
+      const uint64_t g = first_ + i;
       const uint64_t session_seed =
           Mix64(shared_.seed ^ (uint64_t{0x3a1c0000u} + g));
       RngCore chain(Mix64(session_seed));
@@ -243,77 +439,83 @@ class EngineRun {
               ? *shared_.start
               : static_cast<NodeId>(chain.NextBounded(num_nodes_));
       std::construct_at(walkers_ + i, start, sampler_seed);
-      ++constructed_;
+      ++*built;
       WNW_RETURN_IF_ERROR(program_.Init(
           start, sampler_seed, sessions_.empty() ? nullptr : &sessions_[i]));
+      staging->Add(BlockOf(start), static_cast<uint32_t>(i));
     }
-
-    buckets_.assign(num_blocks_, {});
-    scheduler_ = std::make_unique<BlockScheduler>(num_blocks_,
-                                                  options_.schedule);
-    for (uint64_t i = 0; i < count; ++i) {
-      buckets_[BlockOf(walkers_[i].node)].push_back(static_cast<uint32_t>(i));
-    }
-    for (size_t b = 0; b < num_blocks_; ++b) {
-      if (!buckets_[b].empty()) scheduler_->Add(b, buckets_[b].size());
-    }
-    live_ = count;
-    error_ = Status::OK();
     return Status::OK();
   }
 
-  Status StepCohort(uint64_t count) {
-    const int threads =
-        static_cast<int>(std::min<uint64_t>(threads_, count));
-    // Stepping-phase clock: cohort setup is O(walkers) work the engine pays
-    // once, not part of the multiplexing rate the steps-per-second
-    // telemetry reports.
-    Timer stepping;
-    if (threads <= 1) {
-      Worker(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<size_t>(threads));
-      for (int t = 0; t < threads; ++t) {
-        Result<std::thread> worker =
-            StartThread("walk engine: cannot start worker thread " +
-                            std::to_string(t),
-                        [this, t] { Worker(t); });
-        if (!worker.ok()) {
-          // The workers already started see the error and return; the
-          // cohort then fails with it.
-          std::lock_guard<std::mutex> lock(mu_);
-          if (error_.ok()) error_ = worker.status();
-          cv_.notify_all();
-          break;
-        }
-        pool.push_back(std::move(worker).value());
+  // Writes the stats of walkers [begin, end) when the cohort succeeded and
+  // destroys their records and sessions, in index order; the slice's sums
+  // fold into the run's once.
+  void Harvest(int id, uint64_t begin, uint64_t end, bool keep) {
+    uint64_t i = begin;
+    Guard(id, "harvesting", [&] {
+      Tally tally;
+      for (; i < end; ++i) {
+        if (keep) Collect(i, &tally);
+        Destroy(i);
       }
-      for (std::thread& t : pool) t.join();
-    }
-    stepping_seconds_ += stepping.ElapsedSeconds();
-    block_switches_ += scheduler_->acquires();
-    return error_;
-  }
-
-  // A worker's staging lists and the buckets it flushes into grow as
-  // walkers move; running out of memory there fails the cohort like any
-  // other worker error instead of escaping the thread.
-  void Worker(int id) {
-    try {
-      DrainBlocks(id);
-    } catch (const std::bad_alloc&) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (error_.ok()) {
-        error_ = Status::ResourceExhausted(
-            "walk engine: worker " + std::to_string(id) +
-            " ran out of memory stepping walkers");
-      }
-      cv_.notify_all();
-    }
+      totals_.Add(tally);
+    });
+    for (; i < end; ++i) Destroy(i);  // what a failed Collect left
   }
 
-  void DrainBlocks(int id) {
+  void Collect(uint64_t i, Tally* tally) {
+    const EngineWalker& w = walkers_[i];
+    EngineWalkerStats& s = result_->walker_stats[first_ + i];
+    if (!sessions_.empty()) {
+      const CostMeter& meter = sessions_[i].access->meter();
+      s.query_cost = meter.unique_cost;
+      s.total_queries = meter.total_queries;
+      FoldPhysical(meter, &tally->physical);
+    } else {
+      s.query_cost = w.meter.unique_cost();
+      s.total_queries = w.meter.total_queries();
+    }
+    s.emitted = w.emitted;
+    tally->query_cost += s.query_cost;
+    tally->total_queries += s.total_queries;
+    tally->samples_drawn += s.emitted;
+  }
+
+  // Collect BEFORE the walker's session dies: the access destructor folds
+  // still-pending prefetch batches (billing them), and the pool reads a
+  // walker's Stats() before its session closes too — cost identity depends
+  // on sampling the meter at the same point.
+  void Destroy(uint64_t i) {
+    if (!sessions_.empty()) {
+      sessions_[i].sampler.reset();  // points into the access
+      sessions_[i].access.reset();
+    }
+    std::destroy_at(walkers_ + i);
+  }
+
+  // Moves a worker's staged walkers into their blocks' buckets and credits
+  // the scheduler: one range insert and one Add per destination block, not
+  // per-walker work. Called under mu_.
+  void Flush(Staging* staging) {
+    for (size_t s = 0; s < staging->size(); ++s) {
+      std::vector<uint32_t>& list = staging->list(s);
+      std::vector<uint32_t>& bucket = buckets_[staging->block(s)];
+      const uint64_t arrivals = list.size();
+      if (bucket.empty()) {
+        bucket.swap(list);  // the list keeps the old buffer for reuse
+      } else {
+        bucket.insert(bucket.end(), list.begin(), list.end());
+        list.clear();
+      }
+      scheduler_->Add(staging->block(s), arrivals);
+    }
+    staging->Clear();
+  }
+
+  // Steps walkers a block at a time until none is live, the step budget
+  // runs out or some worker fails.
+  void DrainBlocks(int id, Staging* staging) {
     FlatScan scan;
     if (program_.flat()) {
       if (direct_graph_ != nullptr) {
@@ -329,11 +531,6 @@ class EngineRun {
     const bool exact_steps = options_.max_steps != 0;
     uint64_t local_steps = 0;
     std::vector<uint32_t> drain;
-    // Walkers leaving the drained block are grouped into per-block staging
-    // lists so the flush under the lock is a handful of range inserts and
-    // one scheduler Add per destination block, not per-walker work.
-    std::vector<std::vector<uint32_t>> staged(num_blocks_);
-    std::vector<uint32_t> touched;
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       size_t b = BlockScheduler::kNone;
@@ -439,9 +636,8 @@ class EngineRun {
           }
           const size_t nb = BlockOf(w.node);
           if (nb != b) {
-            std::vector<uint32_t>& stage = staged[nb];
-            if (stage.empty()) touched.push_back(static_cast<uint32_t>(nb));
-            stage.push_back(idx);
+            // Grouped by destination block for the flush.
+            staging->Add(nb, idx);
             ++moved;
             break;
           }
@@ -456,25 +652,13 @@ class EngineRun {
       if (residency_ != nullptr) residency_->Unpin(b);
 
       lock.lock();
-      for (const uint32_t tb : touched) {
-        std::vector<uint32_t>& stage = staged[tb];
-        const uint64_t arrivals = stage.size();
-        std::vector<uint32_t>& bucket = buckets_[tb];
-        if (bucket.empty()) {
-          bucket.swap(stage);  // stage keeps the old buffer for reuse
-        } else {
-          bucket.insert(bucket.end(), stage.begin(), stage.end());
-          stage.clear();
-        }
-        scheduler_->Add(tb, arrivals);
-      }
+      Flush(staging);
       live_ -= finished;
       if (!err.ok() && error_.ok()) error_ = err;
       if (moved != 0 || live_ == 0 || !error_.ok() ||
           stop_.load(std::memory_order_relaxed)) {
         cv_.notify_all();
       }
-      touched.clear();
     }
   }
 
@@ -502,12 +686,13 @@ class EngineRun {
   std::unique_ptr<storage::ResidencyManager> residency_;
   size_t prefetch_depth_ = 0;
 
-  // The cohort's walker records: the first `constructed_` are live. Each
-  // walker's samples go to cohort_samples_[index * samples_per_walker_ ...];
-  // session mode keeps its per-walker sessions beside the records.
+  // The cohort's walker records, indexed from the cohort's first walker
+  // (walker first_ + i is record i). Each walker's samples go to
+  // cohort_samples_[index * samples_per_walker_ ...]; session mode keeps
+  // its per-walker sessions beside the records.
   HugePageArena records_;
   EngineWalker* walkers_ = nullptr;
-  uint64_t constructed_ = 0;
+  uint64_t first_ = 0;
   NodeId* cohort_samples_ = nullptr;
   std::vector<WalkerSession> sessions_;
 
@@ -519,14 +704,19 @@ class EngineRun {
   std::unique_ptr<BlockScheduler> scheduler_;
   size_t live_ = 0;
   Status error_;
+  int participants_ = 0;  // workers started; Meet() waits for all of them
+  int set_up_ = 0;        // workers past set-up
+  int drained_ = 0;       // workers past their last drain
+  Clock::time_point set_up_at_;
+  Clock::time_point drained_at_;
   uint64_t bytes_scanned_ = 0;  // each worker's FlatScan folds in on exit
+  Tally totals_;
 
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> steps_{0};
   uint64_t block_switches_ = 0;
   uint64_t resident_peak_ = 0;
   double stepping_seconds_ = 0.0;
-  CostMeter physical_;
 };
 
 }  // namespace
@@ -617,22 +807,22 @@ Result<EngineResult> RunWalkEngine(const Graph* graph,
   stats.spec = config.ToSpec();
   stats.sampler = StrFormat("block-engine(%s)",
                             std::string(program->name()).c_str());
-  for (const EngineWalkerStats& w : result.walker_stats) {
-    stats.query_cost += w.query_cost;
-    stats.total_queries += w.total_queries;
-    stats.samples_drawn += w.emitted;
-  }
+  const Tally& totals = run.totals();
+  stats.query_cost = totals.query_cost;
+  stats.total_queries = totals.total_queries;
+  stats.samples_drawn = totals.samples_drawn;
   stats.elapsed_seconds = elapsed;
   FillBackendStats(*shared.backend, shared.query_cache.get(),
-                   shared.executor.get(), run.physical(), &stats);
+                   shared.executor.get(), totals.physical, &stats);
 
   stats.engine_walkers = options.walkers;
   stats.engine_blocks = run.num_blocks();
   stats.engine_block_switches = run.block_switches();
   stats.engine_steps = run.steps();
-  // Rate of the stepping phase only: cohort setup is O(walkers) one-time
-  // work (the pool's 64 sessions pay nothing comparable), so folding it in
-  // would report a rate that depends on walk length rather than step cost.
+  // Rate of the stepping phase only, timed from the set-up barrier to the
+  // last drain: set-up and harvest are O(walkers) one-time work (the pool's
+  // 64 sessions pay nothing comparable), so folding them in would report a
+  // rate that depends on walk length rather than step cost.
   const double stepping = run.stepping_seconds();
   stats.engine_steps_per_sec =
       stepping > 0.0 ? static_cast<double>(run.steps()) / stepping : 0.0;

@@ -1,5 +1,6 @@
 #include "storage/ingest.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -148,7 +149,9 @@ class RunWriter {
   std::vector<uint64_t> buffer_;
 };
 
-/// Buffered reader of raw u64 values.
+/// Buffered reader of raw u64 values. The buffer holds at most
+/// `buffer_entries` values and never more than the file does, so a merge of
+/// many short runs does not zero-fill a full-size buffer per run.
 class RunReader {
  public:
   static Result<RunReader> Open(const std::string& path,
@@ -159,7 +162,14 @@ class RunReader {
     if (reader.file_ == nullptr) {
       return Status::IOError("cannot reopen temp file " + path);
     }
-    reader.buffer_.resize(buffer_entries);
+    struct stat info {};
+    if (::fstat(::fileno(reader.file_), &info) != 0) {
+      return Status::IOError("cannot stat temp file " + path);
+    }
+    const size_t file_entries =
+        static_cast<size_t>(info.st_size) / sizeof(uint64_t);
+    reader.buffer_.resize(
+        std::max<size_t>(1, std::min(buffer_entries, file_entries)));
     return reader;
   }
 

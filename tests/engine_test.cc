@@ -59,6 +59,32 @@ const bool kWrappedWalkRegistered =
                    MakeWrappedWalk})
         .ok();
 
+// test-wrapped-walk that refuses to start at the node named by its
+// refuse_start= key, so a test can fail one walker's set-up on the engine's
+// workers. Without the key it is test-wrapped-walk under another name.
+Result<std::unique_ptr<Sampler>> MakeRefusingWalk(
+    const SamplerConfig& config, AccessInterface* access,
+    const TransitionDesign* design, NodeId start, uint64_t seed) {
+  SamplerConfig walk = config;
+  if (const auto refuse = walk.params.find("refuse_start");
+      refuse != walk.params.end()) {
+    if (refuse->second == std::to_string(start)) {
+      return Status::FailedPrecondition("test-refusing-walk refuses start " +
+                                        refuse->second);
+    }
+    walk.params.erase(refuse);
+  }
+  return MakeWrappedWalk(walk, access, design, start, seed);
+}
+
+const bool kRefusingWalkRegistered =
+    SamplerRegistry::Global()
+        .Register("test-refusing-walk",
+                  {"test only: test-wrapped-walk that refuses one start "
+                   "node (steps, refuse_start)",
+                   MakeRefusingWalk})
+        .ok();
+
 struct SpecCase {
   const char* registry_name;
   const char* spec;
@@ -77,6 +103,7 @@ const SpecCase kIdentitySpecs[] = {
     {"we", "we:mhrw?diameter=2"},
     {"we-path", "we-path:srw?diameter=2"},
     {"test-wrapped-walk", "test-wrapped-walk:mhrw?steps=4"},
+    {"test-refusing-walk", "test-refusing-walk:srw?steps=3"},
 };
 
 WalkerPoolOptions PoolOptions(int walkers, uint64_t samples) {
@@ -106,7 +133,18 @@ void ExpectIdentical(const WalkerPoolResult& pool, const EngineResult& engine,
     EXPECT_EQ(pool.stats[w].total_queries,
               engine.walker_stats[w].total_queries)
         << label << " walker " << w << ": total_queries diverged";
+    EXPECT_EQ(pool.samples[w].size(), engine.walker_stats[w].emitted)
+        << label << " walker " << w << ": emitted diverged";
   }
+}
+
+// The start node the engine and the pool give walker g when none is pinned:
+// the session seed Mix64(seed ^ (0x3a1c0000 + g)) draws the sampler seed,
+// then the start.
+NodeId StartOf(uint64_t g, NodeId num_nodes) {
+  RngCore chain(Mix64(Mix64(kSeed ^ (uint64_t{0x3a1c0000u} + g))));
+  chain.Next();
+  return static_cast<NodeId>(chain.NextBounded(num_nodes));
 }
 
 TEST(WalkEngine, SpecTableCoversEveryRegisteredSampler) {
@@ -355,6 +393,56 @@ TEST(WalkEngine, IdentityHoldsAcrossTheInlineSetBoundary) {
   }
 }
 
+// Each worker sets up and harvests its own slice of the cohort, so the
+// slices must not show in the output: thread counts above, at and below the
+// walker count, walker counts that do not split evenly, in flat mode and in
+// session mode, each across cohort boundaries too. The run's totals are
+// the workers' partial sums folded together.
+TEST(WalkEngine, IdentityHoldsForEveryThreadCount) {
+  const Graph graph = MakeTestBA(300, 3);
+  struct Case {
+    const char* spec;
+    int walkers;
+    uint64_t cohort;  // 0 = the mode's default
+  };
+  const Case kCases[] = {
+      {"walk:srw?steps=5", 3, 0},
+      {"walk:mhrw?steps=4", 37, 0},
+      {"walk:lazy?steps=4", 29, 10},
+      {"burnin:srw?max_steps=200", 7, 0},
+      {"we:mhrw?diameter=2", 23, 6},
+  };
+  constexpr uint64_t kSamples = 3;
+  for (const Case& c : kCases) {
+    const auto pool =
+        RunWalkerPool(&graph, c.spec, PoolOptions(c.walkers, kSamples));
+    ASSERT_TRUE(pool.ok()) << c.spec << ": " << pool.status().ToString();
+    for (const int threads : {1, 2, 3, 5, 8}) {
+      EngineOptions options = BaseEngineOptions(c.walkers, kSamples);
+      options.cohort = c.cohort;
+      options.threads = threads;
+      options.block_nodes = 16;
+      const auto engine = RunWalkEngine(&graph, c.spec, options);
+      const std::string label = std::string(c.spec) + " walkers=" +
+                                std::to_string(c.walkers) + " cohort=" +
+                                std::to_string(c.cohort) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_TRUE(engine.ok()) << label << ": " << engine.status().ToString();
+      ExpectIdentical(*pool, *engine, label);
+      uint64_t query_cost = 0, total_queries = 0, emitted = 0;
+      for (const EngineWalkerStats& w : engine->walker_stats) {
+        query_cost += w.query_cost;
+        total_queries += w.total_queries;
+        emitted += w.emitted;
+      }
+      EXPECT_EQ(engine->stats.query_cost, query_cost) << label;
+      EXPECT_EQ(engine->stats.total_queries, total_queries) << label;
+      EXPECT_EQ(engine->stats.samples_drawn, emitted) << label;
+      EXPECT_EQ(emitted, c.walkers * kSamples) << label;
+    }
+  }
+}
+
 TEST(WalkEngine, BytesScannedDoNotDependOnThreads) {
   const Graph graph = MakeTestBA(300, 3);
   uint64_t bytes[2] = {0, 0};
@@ -406,6 +494,79 @@ TEST(WalkEngine, MaxStepsStopsPromptlyAndCleanly) {
   uint64_t emitted = 0;
   for (const auto& w : engine->walker_stats) emitted += w.emitted;
   EXPECT_EQ(emitted, engine->stats.samples_drawn);
+}
+
+// A step budget that runs out mid-sweep stops every worker, and each still
+// harvests its whole slice: the walkers stopped part-way through a draw
+// keep the queries they made. An srw step fetches one neighbor list, so the
+// harvested queries add up to the steps taken exactly when no walker is
+// left out.
+TEST(WalkEngine, MaxStepsMidSweepStillHarvestsEveryWalker) {
+  const Graph graph = MakeTestBA(300, 3);
+  for (const int threads : {1, 3, 4}) {
+    EngineOptions options = BaseEngineOptions(200, 2);
+    options.max_steps = 500;
+    options.threads = threads;
+    options.block_nodes = 16;
+    const auto engine = RunWalkEngine(&graph, "walk:srw?steps=4", options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_TRUE(engine->stopped_early);
+    uint64_t queries = 0, emitted = 0, mid_draw = 0;
+    for (const EngineWalkerStats& w : engine->walker_stats) {
+      EXPECT_LE(w.query_cost, w.total_queries);
+      queries += w.total_queries;
+      emitted += w.emitted;
+      mid_draw += w.total_queries > 4 * w.emitted ? 1 : 0;
+    }
+    EXPECT_EQ(queries, engine->stats.engine_steps) << "threads=" << threads;
+    EXPECT_EQ(engine->stats.total_queries, queries);
+    EXPECT_EQ(engine->stats.samples_drawn, emitted);
+    EXPECT_LT(emitted, 400u);
+    EXPECT_GT(mid_draw, 0u) << "no walker was stopped mid-draw";
+  }
+}
+
+// A walker whose Init fails on a worker fails the run with its Status, and
+// every record and session already set up, on that worker and on the
+// others, is destroyed (an ASan build checks that none leaks). The refused
+// walker sits in the second cohort, in the middle of its cohort, and no
+// other walker starts where it does.
+TEST(WalkEngine, InitFailureInOneSliceIsItsStatus) {
+  ASSERT_TRUE(kRefusingWalkRegistered);
+  const Graph graph = MakeTestBA(300, 3);
+  constexpr uint64_t kWalkers = 40;
+  constexpr uint64_t kCohort = 16;
+  uint64_t refused = kWalkers;
+  for (uint64_t g = kCohort + kCohort / 2; g < kWalkers; ++g) {
+    const NodeId start = StartOf(g, graph.num_nodes());
+    bool unique = start != 0;  // the spec's probe starts at 0
+    for (uint64_t o = 0; o < kWalkers; ++o) {
+      if (o != g && StartOf(o, graph.num_nodes()) == start) unique = false;
+    }
+    if (unique) {
+      refused = g;
+      break;
+    }
+  }
+  ASSERT_LT(refused, kWalkers) << "no walker with a start of its own";
+  const std::string start =
+      std::to_string(StartOf(refused, graph.num_nodes()));
+  const std::string spec =
+      "test-refusing-walk:srw?steps=3&refuse_start=" + start;
+  for (const int threads : {1, 3, 4}) {
+    EngineOptions options = BaseEngineOptions(kWalkers, 2);
+    options.cohort = kCohort;
+    options.threads = threads;
+    const auto engine = RunWalkEngine(&graph, spec, options);
+    ASSERT_FALSE(engine.ok()) << "threads=" << threads;
+    EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(engine.status().message(),
+              "test-refusing-walk refuses start " + start);
+  }
+  // The start the pool draws for that walker is the one refused.
+  const auto pool = RunWalkerPool(&graph, spec, PoolOptions(kWalkers, 2));
+  ASSERT_FALSE(pool.ok());
+  EXPECT_EQ(pool.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(WalkEngine, RejectsNonDeterministicBackend) {
@@ -513,10 +674,10 @@ TEST(WalkEngine, WorkerOutOfMemoryIsResourceExhausted) {
   // A sanitizer's allocator aborts on an allocation it cannot map instead
   // of throwing, so only plain builds reach the worker's handler.
   if (testing::kSanitized) GTEST_SKIP() << "allocation failure aborts";
-  // One node per block: setting up the cohort takes 36 B per block (an
-  // empty bucket and the scheduler's counts), 144 MB here, and the worker
-  // then stages 24 B more per block (96 MB). The cap leaves room for the
-  // first, not both.
+  // Session mode: each walker the worker sets up owns an access session
+  // with a one-byte-per-node seen table, 4 MB here, so the cohort's 64
+  // walkers need 256 MB. The cap leaves room for the spec's probe session
+  // and a few walkers, not all of them.
   constexpr NodeId kNodes = 4'000'000;
   const Graph graph = MakeCycle(kNodes).value();
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
@@ -524,12 +685,13 @@ TEST(WalkEngine, WorkerOutOfMemoryIsResourceExhausted) {
       {
         EngineOptions options = BaseEngineOptions(64, 1);
         options.threads = 1;
-        options.block_nodes = 1;
-        testing::CapAddressSpace(size_t{216} << 20);
+        testing::CapAddressSpace(size_t{128} << 20);
         testing::ExitWithStatus(
-            RunWalkEngine(&graph, "walk:srw?steps=4", options).status());
+            RunWalkEngine(&graph, "burnin:srw?min_steps=1&max_steps=4", options)
+                .status());
       },
-      ::testing::ExitedWithCode(0), "worker 0 ran out of memory");
+      ::testing::ExitedWithCode(0),
+      "worker 0 ran out of memory setting up walkers");
 }
 
 // --- BlockScheduler ----------------------------------------------------------
