@@ -8,7 +8,7 @@
 //
 // e.g. "we:mhrw?variant=crawl&diameter=10", "burnin:srw?max_steps=20000",
 // "longrun:srw?thinning=4", "we-path:mhrw". The walk part is any
-// MakeTransitionDesign() spec (srw | mhrw | lazy | maxdeg:<bound>) and
+// ParseTransitionDesign() spec (srw | mhrw | lazy | maxdeg:<bound>) and
 // defaults to srw. New samplers register a factory under a name and are
 // immediately usable from every bench, example, and the CLI.
 #pragma once

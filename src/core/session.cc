@@ -219,12 +219,9 @@ Result<std::unique_ptr<SamplingSession>> SamplingSession::Open(
   WNW_RETURN_IF_ERROR(ResolveSessionResources(graph, &sampler_config,
                                               &options));
 
-  std::unique_ptr<TransitionDesign> design = MakeTransitionDesign(config.walk);
-  if (design == nullptr) {
-    return Status::InvalidArgument(
-        "unknown walk design '" + config.walk +
-        "' (expected srw | mhrw | lazy | maxdeg:<bound>)");
-  }
+  WNW_ASSIGN_OR_RETURN(
+      std::unique_ptr<TransitionDesign> design,
+      ParseTransitionDesign(config.walk, graph, options.backend->options()));
 
   Rng rng(Mix64(options.seed));
   const uint64_t sampler_seed = rng.Next();

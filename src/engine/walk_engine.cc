@@ -758,13 +758,9 @@ Result<EngineResult> RunWalkEngine(const Graph* graph,
         " nodes");
   }
 
-  std::unique_ptr<TransitionDesign> design =
-      MakeTransitionDesign(stripped.walk);
-  if (design == nullptr) {
-    return Status::InvalidArgument(
-        "unknown walk design '" + stripped.walk +
-        "' (expected srw | mhrw | lazy | maxdeg:<bound>)");
-  }
+  WNW_ASSIGN_OR_RETURN(
+      std::unique_ptr<TransitionDesign> design,
+      ParseTransitionDesign(stripped.walk, graph, shared.backend->options()));
 
   // Flat mode needs replicable per-walker logical billing: unrestricted
   // views (no bidirectional probe cascades) and no shared cache (whether a

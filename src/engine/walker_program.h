@@ -14,7 +14,7 @@
 // Two programs keep that promise at different scales:
 //
 //  - SamplerProgram (every registered sampler; `walk` too under
-//    restrictions, a shared cache or an externally registered design): the
+//    restrictions, a shared cache or a design without a step kernel): the
 //    walker owns a real AccessInterface and the registry's own Sampler,
 //    built with exactly the arguments SamplingSession::Open would pass pool
 //    walker g. Resume() calls Draw() once and emits the result — the engine
@@ -24,11 +24,11 @@
 //  - FlatWalkProgram (the `walk` sampler against an unrestricted
 //    deterministic backend with no shared cache): per-walker state shrinks
 //    to one 96-byte EngineWalker record (frontier, xoshiro state and a
-//    WalkerMeter whose distinct-node set is inline for a short walk); the
-//    four built-in transition designs are replicated step-for-step (same RNG
-//    call order, same logical billing) against a per-WORKER scan interface,
-//    and Resume() advances one design step. This is what makes one million
-//    walkers on a disk-resident snapshot feasible.
+//    WalkerMeter whose distinct-node set is inline for a short walk).
+//    Resume() advances one design step through the design's step kernel
+//    (KernelStep in mcmc/transition.h), the code its Step() runs, with the
+//    meter as the fetch over a per-WORKER scan interface. This is what
+//    makes one million walkers on a disk-resident snapshot feasible.
 #pragma once
 
 #include <algorithm>

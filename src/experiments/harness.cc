@@ -20,11 +20,7 @@ Result<SamplerSpec> MakeSamplerSpec(const std::string& spec_string) {
     return Status::NotFound("unknown sampler '" + config.sampler + "' in '" +
                             spec_string + "'");
   }
-  if (MakeTransitionDesign(config.walk) == nullptr) {
-    return Status::InvalidArgument(
-        "unknown walk design '" + config.walk + "' in '" + spec_string +
-        "' (expected srw | mhrw | lazy | maxdeg:<bound>)");
-  }
+  WNW_RETURN_IF_ERROR(ParseTransitionDesign(config.walk).status());
   SamplerSpec spec;
   spec.label = config.ToSpec();
   spec.config = std::move(config);
@@ -33,10 +29,8 @@ Result<SamplerSpec> MakeSamplerSpec(const std::string& spec_string) {
 
 SamplerSpec MakeBurnInSpec(const std::string& design_spec,
                            BurnInSampler::Options options) {
-  std::unique_ptr<TransitionDesign> design = MakeTransitionDesign(design_spec);
-  WNW_CHECK(design != nullptr);
   SamplerSpec spec;
-  spec.label = std::string(design->name());
+  spec.label = std::string(ParseTransitionDesign(design_spec).value()->name());
   spec.config = MakeBurnInConfig(design_spec, options);
   return spec;
 }
@@ -45,7 +39,7 @@ SamplerSpec MakeWalkEstimateSpec(const std::string& design_spec,
                                  WalkEstimateOptions options,
                                  WalkEstimateVariant variant,
                                  const std::string& label_suffix) {
-  WNW_CHECK(MakeTransitionDesign(design_spec) != nullptr);
+  WNW_CHECK(ParseTransitionDesign(design_spec).ok());
   SamplerSpec spec;
   spec.label = std::string(VariantName(variant)) +
                (label_suffix.empty() ? "" : "-" + label_suffix);

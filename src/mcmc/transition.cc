@@ -15,13 +15,24 @@ bool Adjacent(std::span<const NodeId> sorted_neighbors, NodeId v) {
 }
 }  // namespace
 
-// ---------------------------------------------------------------- SRW ------
-
-NodeId SimpleRandomWalk::Step(AccessInterface& access, NodeId u,
+NodeId TransitionDesign::Step(AccessInterface& access, NodeId u,
                               Rng& rng) const {
-  const NodeId v = access.SampleNeighbor(u, rng);
-  return v == kInvalidNode ? u : v;
+  WNW_CHECK(kernel_.has_value());
+  // srw and lazy read SampleNeighbor's list: a fresh server draw under
+  // kRandomSubset, where EffectiveNeighbors is undefined.
+  const bool sampled =
+      (kernel_->kind == StepKernel::Kind::kSrw ||
+       kernel_->kind == StepKernel::Kind::kLazy) &&
+      access.options().restriction == NeighborRestriction::kRandomSubset;
+  return KernelStep(
+      *kernel_,
+      [&](NodeId x) {
+        return sampled ? access.Neighbors(x) : access.EffectiveNeighbors(x);
+      },
+      u, rng);
 }
+
+// ---------------------------------------------------------------- SRW ------
 
 double SimpleRandomWalk::TransitionProb(AccessInterface& access, NodeId u,
                                         NodeId v) const {
@@ -46,24 +57,19 @@ double SimpleRandomWalk::StationaryWeight(AccessInterface& access,
 
 // ----------------------------------------------------------- Lazy SRW ------
 
-LazyRandomWalk::LazyRandomWalk(double alpha) : alpha_(alpha) {
+LazyRandomWalk::LazyRandomWalk(double alpha)
+    : TransitionDesign({.kind = StepKernel::Kind::kLazy, .alpha = alpha}) {
   WNW_CHECK(alpha > 0.0 && alpha < 1.0);
-}
-
-NodeId LazyRandomWalk::Step(AccessInterface& access, NodeId u,
-                            Rng& rng) const {
-  if (rng.NextBool(alpha_)) return u;
-  const NodeId v = access.SampleNeighbor(u, rng);
-  return v == kInvalidNode ? u : v;
 }
 
 double LazyRandomWalk::TransitionProb(AccessInterface& access, NodeId u,
                                       NodeId v) const {
+  const double alpha = step_kernel()->alpha;
   const auto nbrs = access.EffectiveNeighbors(u);
   if (nbrs.empty()) return v == u ? 1.0 : 0.0;
-  if (v == u) return alpha_;
+  if (v == u) return alpha;
   return Adjacent(nbrs, v)
-             ? (1.0 - alpha_) / static_cast<double>(nbrs.size())
+             ? (1.0 - alpha) / static_cast<double>(nbrs.size())
              : 0.0;
 }
 
@@ -72,7 +78,8 @@ double LazyRandomWalk::TransitionProbOnEdge(AccessInterface& access,
                                             Rng& rng) const {
   (void)v;
   (void)rng;
-  return (1.0 - alpha_) / static_cast<double>(access.EffectiveDegree(u));
+  return (1.0 - step_kernel()->alpha) /
+         static_cast<double>(access.EffectiveDegree(u));
 }
 
 double LazyRandomWalk::StationaryWeight(AccessInterface& access,
@@ -81,18 +88,6 @@ double LazyRandomWalk::StationaryWeight(AccessInterface& access,
 }
 
 // --------------------------------------------------------------- MHRW ------
-
-NodeId MetropolisHastingsWalk::Step(AccessInterface& access, NodeId u,
-                                    Rng& rng) const {
-  const auto nbrs = access.EffectiveNeighbors(u);
-  if (nbrs.empty()) return u;
-  const NodeId v = nbrs[rng.NextBounded(nbrs.size())];
-  const double du = static_cast<double>(nbrs.size());
-  const double dv = static_cast<double>(access.EffectiveDegree(v));
-  if (dv <= 0.0) return u;
-  // Accept with min(1, d(u)/d(v)); otherwise self-loop.
-  return rng.NextDouble() < du / dv ? v : u;
-}
 
 double MetropolisHastingsWalk::TransitionProb(AccessInterface& access,
                                               NodeId u, NodeId v) const {
@@ -147,36 +142,28 @@ double MetropolisHastingsWalk::StationaryWeight(AccessInterface& access,
 // ----------------------------------------------------- MaxDegree walk ------
 
 MaxDegreeWalk::MaxDegreeWalk(uint32_t degree_bound)
-    : degree_bound_(degree_bound) {
+    : TransitionDesign({.kind = StepKernel::Kind::kMaxDeg,
+                        .degree_bound = degree_bound}) {
   WNW_CHECK(degree_bound >= 1);
-}
-
-NodeId MaxDegreeWalk::Step(AccessInterface& access, NodeId u, Rng& rng) const {
-  const auto nbrs = access.EffectiveNeighbors(u);
-  if (nbrs.empty()) return u;
-  // With probability d(u)/d_bound move to a uniform neighbor, else stay.
-  const uint64_t pick = rng.NextBounded(degree_bound_);
-  if (pick < nbrs.size()) return nbrs[pick];
-  return u;
 }
 
 double MaxDegreeWalk::TransitionProb(AccessInterface& access, NodeId u,
                                      NodeId v) const {
+  const uint32_t bound = step_kernel()->degree_bound;
   const auto nbrs = access.EffectiveNeighbors(u);
   if (nbrs.empty()) return v == u ? 1.0 : 0.0;
-  WNW_CHECK(nbrs.size() <= degree_bound_);
-  if (v == u) {
-    return 1.0 - static_cast<double>(nbrs.size()) / degree_bound_;
-  }
-  return Adjacent(nbrs, v) ? 1.0 / degree_bound_ : 0.0;
+  WNW_CHECK(nbrs.size() <= bound);
+  if (v == u) return 1.0 - static_cast<double>(nbrs.size()) / bound;
+  return Adjacent(nbrs, v) ? 1.0 / bound : 0.0;
 }
 
 double MaxDegreeWalk::TransitionProbOnEdge(AccessInterface& access, NodeId u,
                                            NodeId v, Rng& rng) const {
   (void)v;
   (void)rng;
-  WNW_CHECK(access.EffectiveDegree(u) <= degree_bound_);
-  return 1.0 / degree_bound_;
+  const uint32_t bound = step_kernel()->degree_bound;
+  WNW_CHECK(access.EffectiveDegree(u) <= bound);
+  return 1.0 / bound;
 }
 
 double MaxDegreeWalk::StationaryWeight(AccessInterface& access,
@@ -188,18 +175,41 @@ double MaxDegreeWalk::StationaryWeight(AccessInterface& access,
 
 // ------------------------------------------------------------ factory ------
 
-std::unique_ptr<TransitionDesign> MakeTransitionDesign(std::string_view spec) {
-  if (spec == "srw") return std::make_unique<SimpleRandomWalk>();
-  if (spec == "mhrw") return std::make_unique<MetropolisHastingsWalk>();
-  if (spec == "lazy") return std::make_unique<LazyRandomWalk>();
-  constexpr std::string_view kMaxDegPrefix = "maxdeg:";
-  if (spec.substr(0, kMaxDegPrefix.size()) == kMaxDegPrefix) {
+Result<std::unique_ptr<TransitionDesign>> ParseTransitionDesign(
+    std::string_view spec, const Graph* graph, const AccessOptions& view) {
+  std::unique_ptr<TransitionDesign> design;
+  if (spec == "srw") design = std::make_unique<SimpleRandomWalk>();
+  if (spec == "mhrw") design = std::make_unique<MetropolisHastingsWalk>();
+  if (spec == "lazy") design = std::make_unique<LazyRandomWalk>();
+  if (spec.starts_with("maxdeg:")) {
+    const std::string_view digits = spec.substr(spec.find(':') + 1);
     uint64_t bound = 0;
-    if (ParseUint64(spec.substr(kMaxDegPrefix.size()), &bound) && bound > 0) {
-      return std::make_unique<MaxDegreeWalk>(static_cast<uint32_t>(bound));
+    if (!ParseUint64(digits, &bound) || bound < 1 || bound > UINT32_MAX) {
+      return Status::InvalidArgument("maxdeg bound '" + std::string(digits) +
+                                     "' must be an integer in [1, 2^32)");
     }
+    uint32_t max_degree = graph != nullptr ? graph->max_degree() : 0;
+    if (view.restriction != NeighborRestriction::kNone) {
+      max_degree = std::min(max_degree, view.max_neighbors);
+    }
+    if (bound < max_degree) {
+      return Status::InvalidArgument(
+          "maxdeg bound " + std::to_string(bound) +
+          " is below the view's maximum degree " + std::to_string(max_degree));
+    }
+    design = std::make_unique<MaxDegreeWalk>(static_cast<uint32_t>(bound));
   }
-  return nullptr;
+  if (design == nullptr) {
+    return Status::InvalidArgument(
+        "unknown walk design '" + std::string(spec) +
+        "' (expected srw | mhrw | lazy | maxdeg:<bound>)");
+  }
+  return design;
+}
+
+std::unique_ptr<TransitionDesign> MakeTransitionDesign(std::string_view spec) {
+  auto design = ParseTransitionDesign(spec);
+  return design.ok() ? std::move(*design) : nullptr;
 }
 
 }  // namespace wnw

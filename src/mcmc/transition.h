@@ -5,13 +5,59 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string_view>
 
 #include "access/access_interface.h"
 #include "graph/graph.h"
 #include "random/rng.h"
+#include "util/status.h"
 
 namespace wnw {
+
+/// What KernelStep needs to know about a built-in design. Each built-in
+/// design's step is written once, in KernelStep: TransitionDesign::Step runs
+/// it against a session's AccessInterface and the block engine's flat
+/// walkers against their per-walker meter (engine/walker_program.cc), so
+/// both paths fetch and draw in the same order by construction.
+struct StepKernel {
+  enum class Kind { kSrw, kLazy, kMhrw, kMaxDeg };
+  Kind kind = Kind::kSrw;
+  double alpha = 0.5;         // kLazy: self-loop probability
+  uint32_t degree_bound = 0;  // kMaxDeg: at least every degree in the view
+};
+
+/// Samples the next node from u. `fetch(x)` returns x's neighbor list and is
+/// called once per logical query; `rng` is an Rng or an RngCore, which draw
+/// the same stream from the same seed. Isolated nodes self-loop.
+template <typename Fetch, typename R>
+inline NodeId KernelStep(const StepKernel& kernel, Fetch&& fetch, NodeId u,
+                         R& rng) {
+  if (kernel.kind == StepKernel::Kind::kLazy && rng.NextBool(kernel.alpha)) {
+    return u;
+  }
+  const std::span<const NodeId> nbrs = fetch(u);
+  if (nbrs.empty()) return u;
+  switch (kernel.kind) {
+    case StepKernel::Kind::kLazy:  // a lazy walk that moves takes an SRW step
+    case StepKernel::Kind::kSrw:
+      return nbrs[rng.NextBounded(nbrs.size())];
+    case StepKernel::Kind::kMhrw: {
+      // Propose a uniform neighbor v; accept with min(1, d(u)/d(v)).
+      const NodeId v = nbrs[rng.NextBounded(nbrs.size())];
+      const double du = static_cast<double>(nbrs.size());
+      const double dv = static_cast<double>(fetch(v).size());
+      if (dv <= 0.0) return u;
+      return rng.NextDouble() < du / dv ? v : u;
+    }
+    case StepKernel::Kind::kMaxDeg: {
+      // With probability d(u)/d_bound move to a uniform neighbor, else stay.
+      const uint64_t pick = rng.NextBounded(kernel.degree_bound);
+      return pick < nbrs.size() ? nbrs[pick] : u;
+    }
+  }
+  return u;
+}
 
 /// Interface for a random-walk transition design T(u, v).
 ///
@@ -28,8 +74,16 @@ class TransitionDesign {
   /// include u itself in the predecessor candidate set).
   virtual bool has_self_loops() const = 0;
 
-  /// Samples the next node from the current node u. Isolated nodes self-loop.
-  virtual NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const = 0;
+  /// The built-in design's step, or nullptr for a design that overrides
+  /// Step itself (the block engine then runs it in session mode).
+  const StepKernel* step_kernel() const {
+    return kernel_.has_value() ? &*kernel_ : nullptr;
+  }
+
+  /// Samples the next node from the current node u. Isolated nodes
+  /// self-loop. The default runs step_kernel() against `access`, reading
+  /// SampleNeighbor's list for srw and lazy, EffectiveNeighbors otherwise.
+  virtual NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const;
 
   /// Exact transition probability T(u, v); v must be u itself or any node
   /// (non-neighbors return 0).
@@ -63,15 +117,22 @@ class TransitionDesign {
   /// target distribution the design samples from after burn-in — and the
   /// target WALK-ESTIMATE corrects to.
   virtual double StationaryWeight(AccessInterface& access, NodeId u) const = 0;
+
+ protected:
+  TransitionDesign() = default;
+  explicit TransitionDesign(StepKernel kernel) : kernel_(kernel) {}
+
+ private:
+  std::optional<StepKernel> kernel_;
 };
 
 /// Simple Random Walk (Definition 1): uniform over neighbors;
 /// stationary pi(u) ∝ deg(u).
 class SimpleRandomWalk final : public TransitionDesign {
  public:
+  SimpleRandomWalk() : TransitionDesign({.kind = StepKernel::Kind::kSrw}) {}
   std::string_view name() const override { return "SRW"; }
   bool has_self_loops() const override { return false; }
-  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
   double TransitionProbOnEdge(AccessInterface& access, NodeId u, NodeId v,
@@ -87,16 +148,11 @@ class LazyRandomWalk final : public TransitionDesign {
   explicit LazyRandomWalk(double alpha = 0.5);
   std::string_view name() const override { return "LazySRW"; }
   bool has_self_loops() const override { return true; }
-  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
   double TransitionProbOnEdge(AccessInterface& access, NodeId u, NodeId v,
                               Rng& rng) const override;
   double StationaryWeight(AccessInterface& access, NodeId u) const override;
-  double alpha() const { return alpha_; }
-
- private:
-  double alpha_;
 };
 
 /// Metropolis–Hastings Random Walk (Definition 2) targeting the uniform
@@ -104,9 +160,10 @@ class LazyRandomWalk final : public TransitionDesign {
 /// min(1, deg(u)/deg(v)), otherwise stay.
 class MetropolisHastingsWalk final : public TransitionDesign {
  public:
+  MetropolisHastingsWalk()
+      : TransitionDesign({.kind = StepKernel::Kind::kMhrw}) {}
   std::string_view name() const override { return "MHRW"; }
   bool has_self_loops() const override { return true; }
-  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
   /// Self-loop case: T(u,u) = 1 - E_{w ~ U(N(u))}[min(1, d(u)/d(w))], so a
@@ -127,20 +184,24 @@ class MaxDegreeWalk final : public TransitionDesign {
   explicit MaxDegreeWalk(uint32_t degree_bound);
   std::string_view name() const override { return "MaxDegreeWalk"; }
   bool has_self_loops() const override { return true; }
-  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
   double TransitionProbOnEdge(AccessInterface& access, NodeId u, NodeId v,
                               Rng& rng) const override;
   double StationaryWeight(AccessInterface& access, NodeId u) const override;
-  uint32_t degree_bound() const { return degree_bound_; }
-
- private:
-  uint32_t degree_bound_;
 };
 
-/// Factory by name ("srw", "mhrw", "lazy", "maxdeg:<bound>"), used by
-/// examples/benches for CLI switches.
+/// The design a walk spec names: "srw", "mhrw", "lazy" or "maxdeg:<bound>".
+/// An unknown name, or a maxdeg bound outside [1, 2^32), is InvalidArgument;
+/// so is a bound below the maximum degree of `graph` seen through `view`
+/// (capped at max_neighbors under a restriction), since T(u, v) = 1/bound
+/// needs every degree to fit. SamplingSession::Open and RunWalkEngine build
+/// their design here.
+Result<std::unique_ptr<TransitionDesign>> ParseTransitionDesign(
+    std::string_view spec, const Graph* graph = nullptr,
+    const AccessOptions& view = {});
+
+/// ParseTransitionDesign's design, or nullptr for a spec it refuses.
 std::unique_ptr<TransitionDesign> MakeTransitionDesign(std::string_view spec);
 
 }  // namespace wnw

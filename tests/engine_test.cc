@@ -176,12 +176,20 @@ TEST(WalkEngine, AcceptsAndRejectsTheSpecsThePoolDoes) {
        {"longrun:srw?min_steps=0&max_steps=10", "walk:srw?steps=3",
         "we-path:srw?max_walks=0", "we:mhrw?diameter=2000000000",
         "we:mhrw?walk_length=2000000000", "burnin:srw?min_steps=0",
-        "walk:srw?steps=0", "we:mhrw?bogus=1", "nope:srw"}) {
+        "walk:srw?steps=0", "we:mhrw?bogus=1", "nope:srw", "walk:bogus",
+        "walk:maxdeg:3?steps=3", "we:maxdeg:3",
+        "walk:maxdeg:4294967297?steps=3"}) {
+    const auto session =
+        SamplingSession::Open(&graph, spec, PoolOptions(2, 2).session);
     const auto pool = RunWalkerPool(&graph, spec, PoolOptions(2, 2));
     const auto engine =
         RunWalkEngine(&graph, spec, BaseEngineOptions(2, 2));
     EXPECT_EQ(pool.ok(), engine.ok()) << spec;
     EXPECT_EQ(pool.status().code(), engine.status().code()) << spec;
+    EXPECT_EQ(session.status().code(), pool.status().code()) << spec;
+    if (std::string_view(spec).find("maxdeg") != std::string_view::npos) {
+      EXPECT_EQ(engine.status().ToString(), session.status().ToString());
+    }
   }
 }
 
@@ -237,21 +245,28 @@ TEST(WalkEngine, IdentityHoldsUnderSpecKeysAndPinnedStart) {
 TEST(WalkEngine, IdentityHoldsInSessionModeUnderRestriction) {
   // A deterministic restriction (type 3, truncated lists) forces the `walk`
   // sampler off the flat fast path into session mode; identity must hold
-  // there too.
+  // there too. The view's maximum degree is max_neighbors, so maxdeg:3 runs
+  // and maxdeg:2 is refused by both.
   const Graph graph = MakeTestBA(300, 4);
   WalkerPoolOptions pool_options = PoolOptions(6, 4);
   pool_options.session.access.restriction = NeighborRestriction::kTruncated;
   pool_options.session.access.max_neighbors = 3;
-  const auto pool = RunWalkerPool(&graph, "walk:srw?steps=5", pool_options);
-  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
-
   EngineOptions options = BaseEngineOptions(6, 4);
-  options.session.access.restriction = NeighborRestriction::kTruncated;
-  options.session.access.max_neighbors = 3;
+  options.session.access = pool_options.session.access;
   options.block_nodes = 16;
-  const auto engine = RunWalkEngine(&graph, "walk:srw?steps=5", options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ExpectIdentical(*pool, *engine, "truncated restriction");
+  for (const char* spec : {"walk:srw?steps=5", "walk:maxdeg:3?steps=5"}) {
+    const auto pool = RunWalkerPool(&graph, spec, pool_options);
+    ASSERT_TRUE(pool.ok()) << spec << ": " << pool.status().ToString();
+    const auto engine = RunWalkEngine(&graph, spec, options);
+    ASSERT_TRUE(engine.ok()) << spec << ": " << engine.status().ToString();
+    ExpectIdentical(*pool, *engine, spec);
+  }
+  const auto pool = RunWalkerPool(&graph, "walk:maxdeg:2", pool_options);
+  const auto engine = RunWalkEngine(&graph, "walk:maxdeg:2", options);
+  EXPECT_EQ(pool.status().ToString(),
+            "InvalidArgument: maxdeg bound 2 is below the view's maximum "
+            "degree 3");
+  EXPECT_EQ(engine.status().ToString(), pool.status().ToString());
 }
 
 TEST(WalkEngine, IdentityHoldsAcrossCohortBoundaries) {
@@ -350,7 +365,7 @@ bool RevisitsStartAfterSpilling(NodeId start, std::span<const NodeId> path) {
 }
 
 // Engine == pool for flat walks around the inline boundary, for every
-// design the flat stepper replicates: some walker ends at exactly kInline
+// built-in design's step kernel: some walker ends at exactly kInline
 // distinct nodes, some at kInline + 1, and some returns to its start (first
 // held inline) after spilling.
 TEST(WalkEngine, IdentityHoldsAcrossTheInlineSetBoundary) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "access/access_interface.h"
@@ -158,6 +159,42 @@ TEST(MaxDegreeTest, UniformStationaryByDetailedBalance) {
   }
 }
 
+// srw and lazy step through the list SampleNeighbor draws from, in every
+// restriction mode (a fresh server-drawn subset under kRandomSubset): same
+// nodes, same draws, same billing as the walk written against it.
+TEST(StepTest, SrwAndLazyMakeSampleNeighborsCalls) {
+  const Graph g = testing::MakeTestBA(80, 3);
+  std::vector<AccessOptions> views(4);
+  views[1].restriction = NeighborRestriction::kRandomSubset;
+  views[2].restriction = NeighborRestriction::kFixedSubset;
+  views[3].restriction = NeighborRestriction::kTruncated;
+  for (size_t i = 1; i < views.size(); ++i) views[i].max_neighbors = 4;
+  const SimpleRandomWalk srw;
+  const LazyRandomWalk lazy(0.3);
+  for (const AccessOptions& view : views) {
+    for (const TransitionDesign* design :
+         {static_cast<const TransitionDesign*>(&srw),
+          static_cast<const TransitionDesign*>(&lazy)}) {
+      SCOPED_TRACE(std::string(design->name()) + " restriction " +
+                   std::to_string(static_cast<int>(view.restriction)));
+      AccessInterface stepped(&g, view);
+      AccessInterface sampled(&g, view);
+      Rng rng_a(5), rng_b(5);
+      NodeId a = 0, b = 0;
+      for (int i = 0; i < 300; ++i) {
+        a = design->Step(stepped, a, rng_a);
+        if (design == &lazy && rng_b.NextBool(0.3)) continue;
+        const NodeId next = sampled.SampleNeighbor(b, rng_b);
+        b = next == kInvalidNode ? b : next;
+        ASSERT_EQ(a, b) << "step " << i;
+      }
+      EXPECT_EQ(stepped.total_queries(), sampled.total_queries());
+      EXPECT_EQ(stepped.query_cost(), sampled.query_cost());
+      EXPECT_EQ(rng_a.Next(), rng_b.Next());
+    }
+  }
+}
+
 TEST(IsolatedNodeTest, AllDesignsSelfLoop) {
   GraphBuilder b(2);
   const Graph g = std::move(b).Build().value();
@@ -182,10 +219,49 @@ TEST(FactoryTest, KnownSpecs) {
   EXPECT_EQ(maxdeg->name(), "MaxDegreeWalk");
 }
 
-TEST(FactoryTest, UnknownSpecsReturnNull) {
-  EXPECT_EQ(MakeTransitionDesign("bogus"), nullptr);
-  EXPECT_EQ(MakeTransitionDesign("maxdeg:notanumber"), nullptr);
-  EXPECT_EQ(MakeTransitionDesign("maxdeg:0"), nullptr);
+TEST(FactoryTest, UnknownSpecsAreInvalidArgument) {
+  for (const char* spec : {"bogus", "maxdeg:notanumber", "maxdeg:0",
+                           "maxdeg:4294967296", "maxdeg:4294967297"}) {
+    const auto design = ParseTransitionDesign(spec);
+    EXPECT_EQ(design.status().code(), StatusCode::kInvalidArgument) << spec;
+    EXPECT_EQ(MakeTransitionDesign(spec), nullptr) << spec;
+  }
+  EXPECT_NE(ParseTransitionDesign("bogus").status().message().find(
+                "unknown walk design 'bogus'"),
+            std::string::npos);
+  EXPECT_NE(ParseTransitionDesign("maxdeg:4294967297")
+                .status()
+                .message()
+                .find("4294967297"),
+            std::string::npos);
+  const auto widest = ParseTransitionDesign("maxdeg:4294967295");
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ((*widest)->step_kernel()->degree_bound, 4294967295u);
+}
+
+// The view-aware factory refuses a maxdeg bound below the largest degree the
+// walk can see: the graph's, capped at max_neighbors under a restriction.
+TEST(FactoryTest, MaxDegBoundMustCoverTheViewsMaximumDegree) {
+  const Graph g = testing::MakeTestBA(60, 3);
+  const uint32_t max = g.max_degree();
+  ASSERT_GT(max, 4u);
+  const AccessOptions full;
+  EXPECT_TRUE(ParseTransitionDesign("maxdeg:" + std::to_string(max), &g, full)
+                  .ok());
+  const auto below =
+      ParseTransitionDesign("maxdeg:" + std::to_string(max - 1), &g, full);
+  EXPECT_EQ(below.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(below.status().message().find(
+                "maxdeg bound " + std::to_string(max - 1) +
+                " is below the view's maximum degree " + std::to_string(max)),
+            std::string::npos)
+      << below.status().ToString();
+  AccessOptions capped;
+  capped.restriction = NeighborRestriction::kTruncated;
+  capped.max_neighbors = 4;
+  EXPECT_TRUE(ParseTransitionDesign("maxdeg:4", &g, capped).ok());
+  EXPECT_FALSE(ParseTransitionDesign("maxdeg:3", &g, capped).ok());
+  EXPECT_TRUE(ParseTransitionDesign("mhrw", &g, capped).ok());
 }
 
 TEST(WalkTest, PathHasCorrectLengthAndAdjacency) {
